@@ -1,0 +1,150 @@
+"""Probability tables of the three families as squared group matrix elements,
+built by O(M^2) recurrences.
+
+With a = min(m, n), b = max(m, n) and the offset d = b - a, every entry is
+the square of an amplitude:
+
+* forced, a Heisenberg-Weyl displacement (Husimi 1953):
+  ``w_mn = e^-nu (a!/b!) nu^d [L_a^(d)(nu)]^2``;
+* singular, an SU(1,1) squeeze with Bargmann index k = -2j (Perelomov,
+  *Generalized Coherent States*, 1986):
+  ``w_mn = [a! Gamma(b+k) / (b! Gamma(a+k))] rho^d (1-rho)^k [P_a^(d,k-1)(1-2rho)]^2``;
+* parametric, the k = 1/2 (even m, n) and k = 3/2 (odd m, n) sectors of the
+  singular family; entries with odd m + n vanish.
+
+Each kernel steps the degree a by the three-term recurrence of the Laguerre
+(resp. Jacobi) polynomials, vectorized over d.  It carries the normalized
+amplitude ``A_a = h_a Q_a`` with ``Q_a = L_a / L_a(0)`` (resp.
+``P_a / P_a(1)``) and ``h_a`` the factor that makes ``A_a`` the signed square
+root of the entry, so ``|A_a| <= 1``, together with the scaled difference
+``E_a = h_a (Q_a - Q_{a-1})``.  With ``r = h_a / h_{a-1}`` one step reads
+
+    E_a = r (c1 A_{a-1} + c2 E_{a-1}),    A_a = r A_{a-1} + E_a.
+
+The difference form keeps full accuracy as nu or rho goes to zero, where
+Q_a and Q_{a-1} agree to many digits and the plain three-term form cancels.
+Row 0 and column 0 are the closed-form vacuum row (Poisson, resp. the
+negative-binomial ``ground_row``), and the table is symmetric by
+construction.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .series import check_window
+
+__all__ = ["forced_table", "param_table", "singular_table", "singular_vacuum"]
+
+_SHIFT = 600  # binary exponent step of the per-offset rescaling
+
+
+def _seed(first: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running products ``first * factors[0] * ... * factors[d-1]`` as
+    mantissas and binary exponents: a product that would underflow is
+    scaled up by 2^_SHIFT instead, exactly."""
+    mant = np.empty(factors.size + 1)
+    ex = np.zeros(factors.size + 1, dtype=int)
+    x, e = first, 0
+    mant[0] = x
+    for i, f in enumerate(factors.tolist()):
+        if 0.0 < x < 2.0**-_SHIFT:
+            x, e = x * 2.0**_SHIFT, e - _SHIFT
+        x *= f
+        mant[i + 1], ex[i + 1] = x, e
+    return mant, ex
+
+
+def _sweep(vacuum, first, factors, rows: int, cols: int, step) -> np.ndarray:
+    """Table w[m, n] for m < rows, n < cols.
+
+    ``vacuum`` is the closed-form row 0 over max(rows, cols) offsets; its
+    amplitudes are ``first`` times the running products of ``factors``.
+    ``step(a, d)`` returns r, c1 and c2 of the degree-a step for the
+    offsets d.  An offset whose vacuum amplitude lies below the double range
+    can still reach O(1) at larger a; it is carried scaled by a power of two
+    and brought back each time its amplitude has grown by 2^_SHIFT.
+    """
+    width = max(rows, cols)
+    w = np.empty((rows, cols))
+    w[0] = vacuum[:cols]
+    w[:, 0] = vacuum[:rows]
+    d = np.arange(width, dtype=float)
+    amp, ex = _seed(first, factors)
+    scaled = bool(ex.any())
+    diff = np.zeros(width)
+    for a in range(1, min(rows, cols)):
+        n = width - a
+        r, c1, c2 = step(a, d[:n])
+        diff = r * (c1 * amp[:n] + c2 * diff[:n])
+        amp = r * amp[:n] + diff
+        if scaled:
+            big = np.abs(amp) > 2.0**_SHIFT
+            amp[big] *= 2.0**-_SHIFT
+            diff[big] *= 2.0**-_SHIFT
+            ex[:n][big] += _SHIFT
+        sq = np.ldexp(amp, ex[:n]) ** 2
+        w[a, a:] = sq[: cols - a]
+        w[a + 1 :, a] = sq[1 : rows - a]
+    return w
+
+
+def forced_table(nu: float, rows: int, cols: int) -> np.ndarray:
+    """w_mn(nu) of the forced family for m < rows, n < cols."""
+    check_window(rows - 1, cols - 1)
+    i = np.arange(1, max(rows, cols))
+    vacuum = np.cumprod(np.concatenate(([math.exp(-nu)], nu / i)))
+
+    def step(a, d):
+        ad = a + d
+        return np.sqrt(ad / a), -nu / ad, (a - 1) / ad
+
+    return _sweep(vacuum, math.exp(-0.5 * nu), np.sqrt(nu / i), rows, cols, step)
+
+
+def _vacuum_ratios(size: int, rho: float, k: float) -> np.ndarray:
+    i = np.arange(size - 1)
+    return rho * (i + k) / (i + 1)
+
+
+def singular_vacuum(size: int, rho: float, k: float) -> np.ndarray:
+    """Vacuum row w_0n = Gamma(n+k) / (n! Gamma(k)) rho^n (1-rho)^k, n < size."""
+    ratios = _vacuum_ratios(size, rho, k)
+    return np.cumprod(np.concatenate(([(1.0 - rho) ** k], ratios)))
+
+
+def _singular(rho: float, k: float, rows: int, cols: int) -> np.ndarray:
+    width = max(rows, cols)
+    vacuum = singular_vacuum(width, rho, k)
+    ratios = _vacuum_ratios(width, rho, k)
+
+    def step(a, d):
+        ad = a + d
+        q = ad + k - 1.0  # n + alpha + beta of the Jacobi recurrence
+        s = q + a  # 2n + alpha + beta
+        r = np.sqrt(ad * q / (a * (a + k - 1.0)))
+        c1 = -rho * (s - 1.0) * s / (q * ad)
+        c2 = 0.0 if a == 1 else (a + k - 2.0) * (a - 1) * s / (q * (s - 2.0) * ad)
+        return r, c1, c2
+
+    first = (1.0 - rho) ** (0.5 * k)
+    return _sweep(vacuum, first, np.sqrt(ratios), rows, cols, step)
+
+
+def singular_table(rho: float, j: float, rows: int, cols: int) -> np.ndarray:
+    """w_mn(rho) of the singular family with weight j < 0, m < rows, n < cols."""
+    check_window(rows - 1, cols - 1)
+    return _singular(rho, -2.0 * j, rows, cols)
+
+
+def param_table(rho: float, rows: int, cols: int) -> np.ndarray:
+    """w_mn(rho) of the variable-frequency family, m < rows, n < cols: the
+    j = -1/4 sector on even (m, n), j = -3/4 on odd, zero elsewhere."""
+    check_window(rows - 1, cols - 1)
+    w = np.zeros((rows, cols))
+    w[0::2, 0::2] = _singular(rho, 0.5, (rows + 1) // 2, (cols + 1) // 2)
+    if rows > 1 and cols > 1:
+        w[1::2, 1::2] = _singular(rho, 1.5, rows // 2, cols // 2)
+    return w

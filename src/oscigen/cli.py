@@ -7,8 +7,10 @@ Three commands:
 * ``oscigen excite`` -- extract nu or rho from a profile file.
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
-0 success, 1 verification failure, 2 bad parameters or unreadable profile,
-3 integration failure.
+0 success, 1 verification failure, 2 bad parameters (including a malformed
+OSCIGEN_MAX_WINDOW) or unreadable profile, 3 integration failure, 4 table
+invariant violated.  Failures other than 1 print one ``error:`` line and no
+traceback.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import sys
 
 import click
 
-from .errors import IntegrationError, PrecisionError
+from .errors import IntegrationError, PrecisionError, TableInvariantError
 from .excitation import excitation_report
 from .forced import forced_prob_table
 from .parametric import param_prob_table
 from .probtable import ProbTable
 from .profiles import ProfileError, load_profile
+from .series import max_window
 from .singular import singular_prob_table
 from .verify import SUITES, run_suite
 
@@ -70,6 +73,8 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
             table = singular_prob_table(rho, weight_j, size=size)
     except (ValueError, TypeError) as exc:
         _fail(str(exc), 2)
+    except TableInvariantError as exc:
+        _fail(f"table invariant violated: {exc}", 4)
     text = table.to_csv() if fmt == "csv" else json.dumps(table.to_json_dict(), indent=1)
     if output:
         with open(output, "w") as fh:
@@ -91,6 +96,10 @@ def cmd_verify(suite, tol, fmt):
     result (its conventional right-hand side disagrees with the value the tables
     give).  Exit code 0 when nothing failed.
     """
+    try:
+        max_window()
+    except ValueError as exc:
+        _fail(str(exc), 2)
     report = run_suite(suite=suite, tol=tol)
     if fmt == "json":
         click.echo(json.dumps(report.to_json_dict(), indent=1))

@@ -29,6 +29,11 @@ class PrecisionError(RuntimeError):
         self.achieved = achieved
 
 
+class TableInvariantError(RuntimeError):
+    """A probability table broke one of its invariants: entries in [0, 1],
+    symmetry, row sums at most one and covered by the row tail bounds."""
+
+
 class IntegrationError(RuntimeError):
     """Adaptive ODE integration failed (step-size underflow or a profile that
     never settles to its asymptotic value)."""

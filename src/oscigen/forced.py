@@ -4,15 +4,18 @@ The generating function of the transition probabilities is
 
     G(u, v | nu) = (1 - uv)^{-1} exp(-nu (1-u)(1-v) / (1-uv)),
 
-with nu the dimensionless excitation parameter.  For series extraction the
-scalar e^{-nu} is factored out first,
+with nu the dimensionless excitation parameter.  Numeric tables come from
+the Laguerre amplitude kernel of :mod:`oscigen.amplitude`.  For series
+extraction the scalar e^{-nu} is factored out first,
 
     G = e^{-nu} (1-uv)^{-1} exp(nu (u + v - 2uv) / (1-uv)),
 
-so the remaining series has rational coefficients: in exact mode every
-w_mn(nu) is e^{-nu} times a polynomial in nu with rational coefficients.
-That polynomial form makes the moment integrals over nu exact term by term
-(integral of nu^k e^{-nu} is k!).
+so the remaining series has rational coefficients: every w_mn(nu) is e^{-nu}
+times a polynomial in nu with rational coefficients, which exact-mode tables
+carry alongside the numeric values.  That polynomial form makes the moment
+integrals over nu exact term by term (integral of nu^k e^{-nu} is k!).  The
+float series is an independent route that ``verify`` compares the kernel
+against.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .amplitude import forced_table
 from .domains import FLOAT, poly_domain
 from .errors import SingularEvaluationError
-from .probtable import ProbTable, SymbolicTable
+from .probtable import ProbTable, SymbolicTable, make_table
 from .quadrature import gauss_laguerre
 from .series import Series2
 from .specfun import laguerre_sequence
@@ -94,13 +98,6 @@ def _float_grid(nu_val: float, max_m: int, max_n: int) -> np.ndarray:
     return (inv * x.exp()).rows
 
 
-def _clamp_roundoff(values: np.ndarray) -> np.ndarray:
-    floor = values.min()
-    if floor < -1e-12:
-        raise AssertionError(f"negative probability {floor:.3e} beyond roundoff")
-    return np.where(values < 0.0, 0.0, values)
-
-
 def forced_prob_table(nu, size: int = 16, mode: str = "float") -> ProbTable:
     """Table of w_mn(nu) for 0 <= m, n < size.
 
@@ -112,22 +109,12 @@ def forced_prob_table(nu, size: int = 16, mode: str = "float") -> ProbTable:
         raise ValueError("size must be positive")
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    pref = math.exp(-nu_val)
+    values = forced_table(nu_val, size, size)
+    symbolic = None
     if mode == "exact":
-        grid = _exact_grid(size - 1, size - 1)
-        entries = tuple(tuple(row) for row in grid.rows)
-        values = np.array(
-            [[pref * float(p(nu_val)) for p in row] for row in entries]
-        )
+        entries = tuple(tuple(row) for row in _exact_grid(size - 1, size - 1).rows)
         symbolic = SymbolicTable("exp(-nu)", "nu", entries)
-    else:
-        values = pref * _float_grid(nu_val, size - 1, size - 1)
-        symbolic = None
-    values = _clamp_roundoff(values)
-    tails = np.maximum(0.0, 1.0 - values.sum(axis=1))
-    table = ProbTable("forced", {"nu": nu_val}, mode, values, tails, symbolic)
-    table.validate()
-    return table
+    return make_table("forced", {"nu": nu_val}, mode, values, symbolic)
 
 
 @dataclass(frozen=True)

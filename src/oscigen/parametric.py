@@ -12,7 +12,9 @@ sqrt(1 - rho), every entry has the form
 
 where q_mn is a polynomial with rational coefficients, divisible by
 rho^{|m-n|/2}.  The exact-mode table carries those polynomials, which turns
-the weighted integrals over rho into finite Beta-integral sums.
+the weighted integrals over rho into finite Beta-integral sums.  Numeric
+tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`;
+the float series is the independent route ``verify`` compares it against.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .amplitude import param_table
 from .domains import FLOAT, poly_domain
 from .errors import PrecisionError, SingularEvaluationError
-from .probtable import ProbTable, SymbolicTable
+from .probtable import ProbTable, SymbolicTable, make_table
 from .quadrature import gauss_jacobi_half, gauss_legendre
 from .series import Series2, max_window
 from .specfun import arctanh
@@ -130,26 +133,12 @@ def param_prob_table(rho, size: int = 16, mode: str = "float") -> ProbTable:
         raise ValueError("size must be positive")
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    pref = math.sqrt(1.0 - rho_val)
+    values = param_table(rho_val, size, size)
+    symbolic = None
     if mode == "exact":
-        grid = _exact_grid(size - 1, size - 1)
-        entries = tuple(tuple(row) for row in grid.rows)
-        values = np.array([[pref * float(p(rho_val)) for p in row] for row in entries])
+        entries = tuple(tuple(row) for row in _exact_grid(size - 1, size - 1).rows)
         symbolic = SymbolicTable("sqrt(1-rho)", "rho", entries)
-    else:
-        if rho_val == 1.0:
-            values = np.zeros((size, size))
-        else:
-            values = pref * _float_grid(rho_val, size - 1, size - 1)
-        symbolic = None
-    floor = values.min()
-    if floor < -1e-12:
-        raise AssertionError(f"negative probability {floor:.3e} beyond roundoff")
-    values = np.where(values < 0.0, 0.0, values)
-    tails = np.maximum(0.0, 1.0 - values.sum(axis=1))
-    table = ProbTable("parametric", {"rho": rho_val}, mode, values, tails, symbolic)
-    table.validate()
-    return table
+    return make_table("parametric", {"rho": rho_val}, mode, values, symbolic)
 
 
 # -- closed-form identities --------------------------------------------------
@@ -320,14 +309,6 @@ def param_mean_n(m: int, rho) -> float:
     return -0.5 + (m + 0.5) * (1.0 + rho_val) / (1.0 - rho_val)
 
 
-@lru_cache(maxsize=256)
-def _row_values(m: int, rho_val: float, nmax: int) -> np.ndarray:
-    """w_{m,0..nmax} at fixed rho from an asymmetric window (exact in-window
-    coefficients)."""
-    grid = _float_grid(rho_val, m, nmax)
-    return math.sqrt(1.0 - rho_val) * grid[m]
-
-
 def param_row_moments(m: int, rho, tol: float = 1e-10,
                       power: int = 2) -> tuple[np.ndarray, int]:
     """Truncated row moments (sum n^p w_mn for p = 0..power) with the window
@@ -343,7 +324,7 @@ def param_row_moments(m: int, rho, tol: float = 1e-10,
     nmax = max(4 * m + 16, 32)
     cap = min(max_window(), 4096)
     while True:
-        row = _row_values(m, rho_val, nmax)
+        row = param_table(rho_val, m + 1, nmax + 1)[m]
         nz = np.flatnonzero(row > 0.0)
         est = 0.0
         if nz.size >= 2 and nz[-1] >= nmax - 1:

@@ -9,8 +9,9 @@ from fractions import Fraction
 import numpy as np
 
 from .domains import RatPoly
+from .errors import TableInvariantError
 
-__all__ = ["ProbTable", "SymbolicTable"]
+__all__ = ["ProbTable", "SymbolicTable", "make_table"]
 
 
 @dataclass(frozen=True)
@@ -55,22 +56,23 @@ class ProbTable:
         return self.values[m]
 
     def validate(self, sym_tol: float = 1e-12) -> None:
-        """Assert the table invariants: entry bounds, symmetry, row sums."""
+        """Check the table invariants (entry bounds, symmetry, row sums);
+        raise TableInvariantError on the first one that fails."""
         v = self.values
-        if v.min() < 0.0:
-            raise AssertionError(f"negative probability {v.min():.3e}")
+        if not v.min() >= 0.0:
+            raise TableInvariantError(f"negative or NaN probability {v.min():.3e}")
         if v.max() > 1.0 + 1e-12:
-            raise AssertionError(f"probability above one: {v.max():.17g}")
+            raise TableInvariantError(f"probability above one: {v.max():.17g}")
         if v.shape[0] == v.shape[1]:
             asym = float(np.max(np.abs(v - v.T)))
             if asym > sym_tol:
-                raise AssertionError(f"asymmetry {asym:.3e} above {sym_tol:.1e}")
+                raise TableInvariantError(f"asymmetry {asym:.3e} above {sym_tol:.1e}")
         sums = v.sum(axis=1)
         if sums.max() > 1.0 + 1e-12:
-            raise AssertionError(f"row sum {sums.max():.17g} above one")
+            raise TableInvariantError(f"row sum {sums.max():.17g} above one")
         deficit = 1.0 - sums
         if np.any(deficit > self.row_tails + 1e-15):
-            raise AssertionError("row tail bound below the actual deficit")
+            raise TableInvariantError("row tail bound below the actual deficit")
 
     # -- serialization -----------------------------------------------------
 
@@ -122,3 +124,13 @@ class ProbTable:
         for m, row in enumerate(self.values):
             buf.write(str(m) + "," + ",".join(f"{x:.17g}" for x in row) + "\n")
         return buf.getvalue()
+
+
+def make_table(family: str, params: dict, mode: str, values: np.ndarray,
+               symbolic: SymbolicTable | None = None) -> ProbTable:
+    """Attach the row tail bounds to a grid of probabilities and validate the
+    resulting table."""
+    tails = np.maximum(0.0, 1.0 - values.sum(axis=1))
+    table = ProbTable(family, params, mode, values, tails, symbolic)
+    table.validate()
+    return table

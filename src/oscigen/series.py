@@ -30,20 +30,33 @@ import numpy as np
 from .domains import Domain, FLOAT, RATIONAL
 from .errors import OracleFailureError, SingularSeriesError, WindowMismatchError
 
-__all__ = ["Series2", "dft_extract", "dft_extract_table", "max_window"]
+__all__ = ["Series2", "check_window", "dft_extract", "dft_extract_table", "max_window"]
 
 _DEFAULT_MAX_WINDOW = 4096
 
 
 def max_window() -> int:
-    """Window cap; override with the OSCIGEN_MAX_WINDOW environment variable."""
+    """Window cap; override with the OSCIGEN_MAX_WINDOW environment variable,
+    a positive integer."""
     raw = os.environ.get("OSCIGEN_MAX_WINDOW")
     if not raw:
         return _DEFAULT_MAX_WINDOW
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return _DEFAULT_MAX_WINDOW
+        raise ValueError(f"OSCIGEN_MAX_WINDOW must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"OSCIGEN_MAX_WINDOW must be at least 1, got {cap}")
+    return cap
+
+
+def check_window(max_deg_u: int, max_deg_v: int) -> None:
+    """Reject a window beyond the cap of :func:`max_window`."""
+    cap = max_window()
+    if max_deg_u > cap or max_deg_v > cap:
+        raise ValueError(
+            f"window ({max_deg_u},{max_deg_v}) exceeds cap {cap} (OSCIGEN_MAX_WINDOW)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +162,7 @@ class Series2:
     def __init__(self, domain: Domain, max_deg_u: int, max_deg_v: int, rows):
         if max_deg_u < 0 or max_deg_v < 0:
             raise ValueError("truncation degrees must be nonnegative")
-        cap = max_window()
-        if max_deg_u > cap or max_deg_v > cap:
-            raise ValueError(
-                f"window ({max_deg_u},{max_deg_v}) exceeds cap {cap} "
-                "(OSCIGEN_MAX_WINDOW)"
-            )
+        check_window(max_deg_u, max_deg_v)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "max_deg_u", max_deg_u)
         object.__setattr__(self, "max_deg_v", max_deg_v)

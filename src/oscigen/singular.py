@@ -14,7 +14,9 @@ principal branches pinned by lambda(0,0) = 1 - rho.  The weights j = -1/4
 and j = -3/4 reproduce the even and odd sectors of the regular
 variable-frequency oscillator; those reductions double as exact
 cross-checks for this family, whose general tables are float-only (the
-exponent -2j is irrational in general).
+exponent -2j is irrational in general).  Tables come from the Jacobi
+amplitude kernel of :mod:`oscigen.amplitude`; the float series of g(u, v) is
+the independent route ``verify`` compares it against.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .amplitude import singular_table, singular_vacuum
 from .domains import FLOAT
 from .errors import SingularEvaluationError
 from .parametric import _rho_value
-from .probtable import ProbTable
+from .probtable import ProbTable, make_table
 from .series import Series2
-from .specfun import gamma_ratio_coeff
 
 __all__ = [
     "WeightJ",
@@ -158,18 +160,8 @@ def singular_prob_table(rho, j, size: int = 16) -> ProbTable:
     j_val = _j_value(j)
     if size < 1:
         raise ValueError("size must be positive")
-    pref = (1.0 - rho_val) ** (-2.0 * j_val)
-    values = pref * _float_grid(rho_val, j_val, size - 1, size - 1)
-    floor = values.min()
-    if floor < -1e-12:
-        raise AssertionError(f"negative probability {floor:.3e} beyond roundoff")
-    values = np.where(values < 0.0, 0.0, values)
-    tails = np.maximum(0.0, 1.0 - values.sum(axis=1))
-    table = ProbTable(
-        "singular", {"rho": rho_val, "j": j_val}, "float", values, tails, None
-    )
-    table.validate()
-    return table
+    values = singular_table(rho_val, j_val, size, size)
+    return make_table("singular", {"rho": rho_val, "j": j_val}, "float", values)
 
 
 def ground_row(n: int, rho, j) -> float:
@@ -181,11 +173,7 @@ def ground_row(n: int, rho, j) -> float:
         raise ValueError("n must be nonnegative")
     rho_val = _rho_value(rho, open_top=True)
     j_val = _j_value(j)
-    return (
-        gamma_ratio_coeff(n, j_val)
-        * rho_val**n
-        * (1.0 - rho_val) ** (-2.0 * j_val)
-    )
+    return float(singular_vacuum(n + 1, rho_val, -2.0 * j_val)[n])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import forced, parametric, singular
+from . import amplitude, forced, parametric, singular
 from .excitation import bogoliubov_from_frequency, nu_from_force
 from .profiles import ForceProfile, FrequencyProfile
 from .series import dft_extract_table
@@ -109,6 +109,50 @@ def _check(check_id, equation, residual, tol, computed="", expected="", note="")
     status = "pass" if residual <= tol else "fail"
     return CheckResult(
         check_id, equation, computed, expected, float(residual), tol, status, note
+    )
+
+
+def _route_checks(prefix, cases, tol_oracle) -> list[CheckResult]:
+    """Compare the three independent routes to the same 11x11 tables: the
+    amplitude kernel, the float series engine and the contour oracle.
+    ``cases`` holds one (kernel table, series table, generating function)
+    triple per parameter point."""
+    worst_so = worst_ks = worst_ko = 0.0
+    for ker, ser, gf in cases:
+        dft = dft_extract_table(gf, 10, 10, radius=0.5, grid=_ORACLE_GRID_SIZE)
+        worst_so = max(worst_so, float(np.max(np.abs(ser - dft))))
+        worst_ks = max(worst_ks, float(np.max(np.abs(ker - ser))))
+        worst_ko = max(worst_ko, float(np.max(np.abs(ker - dft))))
+    return [
+        _check(
+            f"{prefix}.oracle-dft", "w_mn", worst_so, tol_oracle,
+            computed="series engine vs contour extraction",
+        ),
+        _check(
+            f"{prefix}.kernel-series", "w_mn", worst_ks, 1e-12,
+            computed="amplitude kernel vs series engine",
+        ),
+        _check(
+            f"{prefix}.kernel-oracle", "w_mn", worst_ko, tol_oracle,
+            computed="amplitude kernel vs contour extraction",
+        ),
+    ]
+
+
+def _kernel_exact_check(prefix, kernel, grid, points, prefactor) -> CheckResult:
+    """Kernel tables against the exact-mode polynomials evaluated in rational
+    arithmetic at the binary value of each parameter and rounded once."""
+    size = grid.max_deg_u + 1
+    worst = 0.0
+    for x in points:
+        exact = np.array(
+            [[float(p(Fraction(x))) for p in row] for row in grid.rows]
+        )
+        diff = kernel(x, size, size) - prefactor(x) * exact
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return _check(
+        f"{prefix}.kernel-exact", "w_mn", worst, 1e-14,
+        computed=f"amplitude kernel vs rational polynomials, {size}x{size}",
     )
 
 
@@ -231,19 +275,22 @@ def _forced_checks(tol_oracle: float) -> list[CheckResult]:
         )
     )
 
-    # oracle equivalence
-    worst = 0.0
-    for nu in _NU_GRID:
-        ser = math.exp(-nu) * forced._float_grid(nu, 10, 10)
-        dft = dft_extract_table(
-            lambda U, V, nu=nu: forced.forced_gf_value(U, V, nu),
-            10, 10, radius=0.5, grid=_ORACLE_GRID_SIZE,
-        )
-        worst = max(worst, float(np.max(np.abs(ser - dft))))
+    out += _route_checks(
+        "forced",
+        [
+            (
+                amplitude.forced_table(nu, 11, 11),
+                math.exp(-nu) * forced._float_grid(nu, 10, 10),
+                lambda U, V, nu=nu: forced.forced_gf_value(U, V, nu),
+            )
+            for nu in _NU_GRID
+        ],
+        tol_oracle,
+    )
     out.append(
-        _check(
-            "forced.oracle-dft", "w_mn", worst, tol_oracle,
-            computed="series engine vs contour extraction",
+        _kernel_exact_check(
+            "forced", amplitude.forced_table, exact, _NU_GRID,
+            lambda nu: math.exp(-nu),
         )
     )
     return out
@@ -414,19 +461,22 @@ def _parametric_checks(tol_oracle: float) -> list[CheckResult]:
         )
     )
 
-    # oracle equivalence
-    worst = 0.0
-    for rho in _RHO_GRID:
-        ser = math.sqrt(1.0 - rho) * parametric._float_grid(rho, 10, 10)
-        dft = dft_extract_table(
-            lambda U, V, r=rho: parametric.param_gf_value(U, V, r),
-            10, 10, radius=0.5, grid=_ORACLE_GRID_SIZE,
-        )
-        worst = max(worst, float(np.max(np.abs(ser - dft))))
+    out += _route_checks(
+        "param",
+        [
+            (
+                amplitude.param_table(rho, 11, 11),
+                math.sqrt(1.0 - rho) * parametric._float_grid(rho, 10, 10),
+                lambda U, V, r=rho: parametric.param_gf_value(U, V, r),
+            )
+            for rho in _RHO_GRID
+        ],
+        tol_oracle,
+    )
     out.append(
-        _check(
-            "param.oracle-dft", "w_mn", worst, tol_oracle,
-            computed="series engine vs contour extraction",
+        _kernel_exact_check(
+            "param", amplitude.param_table, grid, _RHO_GRID,
+            lambda rho: math.sqrt(1.0 - rho),
         )
     )
     return out
@@ -556,21 +606,18 @@ def _singular_checks(tol_oracle: float) -> list[CheckResult]:
         )
     )
 
-    # oracle equivalence
-    worst = 0.0
-    for rho in _RHO_GRID:
-        for j in _J_GRID:
-            ser = (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, 10, 10)
-            dft = dft_extract_table(
+    out += _route_checks(
+        "singular",
+        [
+            (
+                amplitude.singular_table(rho, j, 11, 11),
+                (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, 10, 10),
                 lambda U, V, r=rho, jj=j: singular.singular_gf_value(U, V, r, jj),
-                10, 10, radius=0.5, grid=_ORACLE_GRID_SIZE,
             )
-            worst = max(worst, float(np.max(np.abs(ser - dft))))
-    out.append(
-        _check(
-            "singular.oracle-dft", "w_mn", worst, tol_oracle,
-            computed="series engine vs contour extraction",
-        )
+            for rho in _RHO_GRID
+            for j in _J_GRID
+        ],
+        tol_oracle,
     )
     return out
 

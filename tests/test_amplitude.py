@@ -1,0 +1,180 @@
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from oscigen import forced, parametric, singular
+from oscigen.amplitude import forced_table, param_table, singular_table
+from oscigen.errors import TableInvariantError
+from oscigen.forced import forced_prob_table
+from oscigen.parametric import param_prob_table
+from oscigen.probtable import make_table
+from oscigen.series import max_window
+from oscigen.singular import ground_row, singular_prob_table
+
+M = 20
+RHOS = (0.0, 1e-6, 0.1, 0.5, 0.9)
+JS = (-0.25, -0.5, -0.75, -0.6, -1.3, -3.0, -10.0)
+
+
+def _exact_values(table, x, prefactor):
+    """Exact-mode polynomials evaluated in rationals, rounded once."""
+    return prefactor * np.array(
+        [[float(p(Fraction(x))) for p in row] for row in table.symbolic.entries]
+    )
+
+
+# -- kernel vs series engine -------------------------------------------------
+
+def test_forced_kernel_matches_series():
+    # nu = 10 is left to the rational route below: the float series factors
+    # out e^nu and loses about 1e-10 there
+    for nu in (0.0, 1e-6, 0.3, 3.0):
+        ser = math.exp(-nu) * forced._float_grid(nu, M - 1, M - 1)
+        assert np.max(np.abs(forced_table(nu, M, M) - ser)) <= 1e-13
+
+
+def test_singular_and_parametric_kernels_match_series():
+    for rho in RHOS:
+        ser = math.sqrt(1.0 - rho) * parametric._float_grid(rho, M - 1, M - 1)
+        assert np.max(np.abs(param_table(rho, M, M) - ser)) <= 1e-13
+        for j in JS:
+            ser = (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, M - 1, M - 1)
+            assert np.max(np.abs(singular_table(rho, j, M, M) - ser)) <= 1e-13
+
+
+def test_asymmetric_windows_are_slices_of_the_square_table():
+    full = param_table(0.4, 40, 40)
+    assert np.array_equal(param_table(0.4, 5, 40), full[:5])
+    assert np.array_equal(param_table(0.4, 40, 7), full[:, :7])
+    full = singular_table(0.3, -1.3, 30, 30)
+    assert np.array_equal(singular_table(0.3, -1.3, 3, 30), full[:3])
+
+
+# -- vacuum row --------------------------------------------------------------
+
+def test_vacuum_rows_are_the_closed_forms_bit_for_bit():
+    for nu in (0.3, 1.0, 3.0, 12.0):
+        row = forced_prob_table(nu, size=40).values[0]
+        term = math.exp(-nu)
+        for n in range(40):
+            assert row[n] == term
+            term *= nu / (n + 1)
+    for rho in (0.1, 0.5, 0.9):
+        for j in JS:
+            row = singular_prob_table(rho, j, size=30).values[0]
+            assert list(row) == [ground_row(n, rho, j) for n in range(30)]
+        par = param_prob_table(rho, size=30).values
+        assert list(par[0, 0::2]) == [ground_row(n, rho, -0.25) for n in range(15)]
+        assert list(par[1, 1::2]) == [ground_row(n, rho, -0.75) for n in range(15)]
+
+
+# -- large tables and former defects -------------------------------------------
+
+def test_each_family_validates_at_1024():
+    forced_prob_table(25.0, size=1024)
+    param_prob_table(0.7, size=1024)
+    singular_prob_table(0.3, -2.5, size=1024)
+
+
+def test_large_nu_tables_validate():
+    for nu, size in ((12.0, 16), (20.0, 48), (40.0, 64), (50.0, 256)):
+        table = forced_prob_table(nu, size=size)
+        assert table.values.min() >= 0.0
+        assert np.array_equal(table.values, table.values.T)
+
+
+def test_singular_table_that_failed_validation():
+    table = singular_prob_table(0.036862079557348715, -2.5719451095034307, size=256)
+    assert np.all(table.row_tails[:128] < 1e-12)
+
+
+def test_offsets_below_the_double_range_are_carried():
+    # the vacuum amplitudes of offsets d >~ 470 underflow at rho = 0.05, but
+    # rows near m = 1000 reach them; every row below is complete here
+    w = singular_table(0.05, -0.25, 1001, 1700)
+    assert np.max(np.abs(1.0 - w.sum(axis=1))) < 1e-12
+    assert w[1000, 1500] == pytest.approx(0.0007698034016933339, rel=1e-12)
+
+
+def test_exact_forced_values_match_rationals():
+    table = forced_prob_table(10.0, size=16, mode="exact")
+    exact = _exact_values(table, 10.0, math.exp(-10.0))
+    assert np.max(np.abs(table.values - exact)) <= 1e-13
+
+
+def test_exact_parametric_values_at_high_rho():
+    for rho in (0.985, 0.99):
+        table = param_prob_table(rho, size=24, mode="exact")
+        exact = _exact_values(table, rho, math.sqrt(1.0 - rho))
+        assert table.values.min() >= 0.0
+        assert np.max(np.abs(table.values - exact)) <= 1e-13
+
+
+# -- window cap and typed failures ---------------------------------------------
+
+def test_kernel_enforces_the_window_cap(monkeypatch):
+    monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "8")
+    forced_table(1.0, 9, 9)
+    for build in (
+        lambda: forced_table(1.0, 10, 10),
+        lambda: param_table(0.5, 1, 10),
+        lambda: singular_table(0.5, -0.6, 10, 2),
+    ):
+        with pytest.raises(ValueError, match="cap"):
+            build()
+
+
+def test_window_cap_rejects_malformed_values(monkeypatch):
+    for raw in ("abc", "2.5", "0", "-16"):
+        monkeypatch.setenv("OSCIGEN_MAX_WINDOW", raw)
+        with pytest.raises(ValueError, match="OSCIGEN_MAX_WINDOW"):
+            max_window()
+    monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "64")
+    assert max_window() == 64
+
+
+def test_invariant_failures_are_typed():
+    bad = np.array([[0.5, 0.2], [0.1, 0.5]])
+    with pytest.raises(TableInvariantError, match="asymmetry"):
+        make_table("forced", {"nu": 1.0}, "float", bad)
+    with pytest.raises(TableInvariantError, match="negative"):
+        make_table("forced", {"nu": 1.0}, "float", np.array([[-0.1]]))
+    with pytest.raises(TableInvariantError, match="NaN"):
+        make_table("forced", {"nu": 1.0}, "float", np.array([[math.nan]]))
+
+
+# -- certified closed forms --------------------------------------------------
+
+def test_kernel_against_mpmath_closed_forms_at_256():
+    mpmath = pytest.importorskip("mpmath")
+    size = 256
+    spots = [(0, 255), (17, 17), (100, 200), (128, 131), (200, 255), (255, 255)]
+
+    def forced_mp(a, b, nu):
+        x, d = mpmath.mpf(nu), b - a
+        return (
+            mpmath.exp(-x) * mpmath.factorial(a) / mpmath.factorial(b)
+            * x**d * mpmath.laguerre(a, d, x) ** 2
+        )
+
+    def singular_mp(a, b, rho, j):
+        r, k, d = mpmath.mpf(rho), -2 * mpmath.mpf(j), b - a
+        return (
+            mpmath.factorial(a) * mpmath.gamma(b + k)
+            / (mpmath.factorial(b) * mpmath.gamma(a + k))
+            * r**d * (1 - r) ** k * mpmath.jacobi(a, d, k - 1, 1 - 2 * r) ** 2
+        )
+
+    cases = [(forced_table(nu, size, size), forced_mp, (nu,)) for nu in (1e-6, 2.5, 20.0, 50.0)]
+    cases += [
+        (singular_table(rho, j, size, size), singular_mp, (rho, j))
+        for rho, j in ((1e-6, -0.25), (0.3, -0.6), (0.9, -3.0), (0.99, -10.0))
+    ]
+    with mpmath.workdps(40):
+        for w, ref, args in cases:
+            peak = divmod(int(np.argmax(w[100:, 100:])), size - 100)
+            for m, n in spots + [(peak[0] + 100, peak[1] + 100)]:
+                want = float(ref(min(m, n), max(m, n), *args))
+                assert abs(w[m, n] - want) <= 1e-14, (args, m, n)

@@ -190,3 +190,37 @@ def test_verify_text_output_lines(runner):
     assert result.exit_code == 0
     assert "[PASS]" in result.output
     assert "passed" in result.output.splitlines()[-1]
+
+
+def test_table_forced_large_nu(runner):
+    result = runner.invoke(main, ["table", "forced", "--nu", "12", "--max", "16"])
+    assert result.exit_code == 0
+    lines = result.output.strip().splitlines()
+    got = np.array([[float(x) for x in ln.split(",")[1:]] for ln in lines[1:]])
+    assert np.array_equal(got, got.T)
+
+
+def test_table_invariant_violation_exit_4(runner, monkeypatch):
+    from oscigen.errors import TableInvariantError
+
+    def broken(*args, **kwargs):
+        raise TableInvariantError("asymmetry 4.0e-10 above 1.0e-12")
+
+    monkeypatch.setattr("oscigen.cli.forced_prob_table", broken)
+    result = runner.invoke(main, ["table", "forced", "--nu", "1", "--max", "4"])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error: table invariant violated")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_malformed_window_environment_exit_2(runner, monkeypatch):
+    for raw in ("lots", "-1"):
+        monkeypatch.setenv("OSCIGEN_MAX_WINDOW", raw)
+        for args in (
+            ["table", "forced", "--nu", "1", "--max", "4"],
+            ["verify", "--suite", "forced"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (raw, args)
+            assert "OSCIGEN_MAX_WINDOW" in result.stderr
