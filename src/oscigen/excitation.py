@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import IntegrationError
 from .forced import NuParam
@@ -71,7 +70,7 @@ def _force_fourier(profile: ForceProfile, omega: float) -> complex:
 def _tabulated_fourier(profile: ForceProfile, omega: float) -> complex:
     """Oscillation-safe quadrature of spline(t) e^{-i omega t}: fixed-order
     Gauss panels no longer than a sixteenth of the period."""
-    spline = CubicSpline(profile.times, profile.values)
+    spline = profile.spline
     rule = gauss_legendre(8)
     period = 2.0 * math.pi / omega
     total = 0.0 + 0.0j

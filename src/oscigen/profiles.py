@@ -16,10 +16,10 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = ["ForceProfile", "FrequencyProfile", "load_profile", "ProfileError"]
 
@@ -43,8 +43,19 @@ def _tabulated_arrays(times, values):
     return t, v
 
 
+class _Tabulated:
+    @cached_property
+    def spline(self):
+        """Cubic spline through the tabulated samples, built once per
+        profile.  It is smooth: a kinked interpolant would degrade the
+        integrator's order through omega^2(t)."""
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(self.times, self.values)
+
+
 @dataclass(frozen=True)
-class ForceProfile:
+class ForceProfile(_Tabulated):
     """Driving force f(t); kinds: gaussian, rectangular, damped_cosine,
     tabulated."""
 
@@ -109,15 +120,14 @@ class ForceProfile:
         elif self.kind == "damped_cosine":
             out = p["f0"] * np.exp(-p["gamma"] * np.abs(t)) * np.cos(p["omega_d"] * t)
         else:
-            spline = CubicSpline(self.times, self.values)
             out = np.where(
-                (t < self.times[0]) | (t > self.times[-1]), 0.0, spline(t)
+                (t < self.times[0]) | (t > self.times[-1]), 0.0, self.spline(t)
             )
         return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
-class FrequencyProfile:
+class FrequencyProfile(_Tabulated):
     """Oscillator frequency omega(t); kinds: constant, sudden_step,
     tanh_ramp, tabulated.  tanh_ramp interpolates omega^2 between its
     asymptotes: omega^2(t) = w2m + (w2p - w2m)(1 + tanh(t/T))/2."""
@@ -221,16 +231,10 @@ class FrequencyProfile:
             w2m, w2p = p["omega2_minus"], p["omega2_plus"]
             out = w2m + (w2p - w2m) * (1.0 + np.tanh(t / p["T"])) / 2.0
         else:
-            spline = self._spline()
-            inside = spline(np.clip(t, self.times[0], self.times[-1])) ** 2
+            inside = self.spline(np.clip(t, self.times[0], self.times[-1])) ** 2
             out = np.where(t < self.times[0], self.values[0] ** 2, inside)
             out = np.where(t > self.times[-1], self.values[-1] ** 2, out)
         return float(out) if out.ndim == 0 else out
-
-    def _spline(self):
-        # smooth local interpolant; a kinked one would degrade the
-        # integrator's order through omega^2(t)
-        return CubicSpline(self.times, self.values)
 
     def settle_times(self, rel: float = 1e-8) -> tuple[float, float]:
         """(t_start, t_end) outside of which |omega(t) - omega_-+| stays

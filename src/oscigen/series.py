@@ -459,11 +459,13 @@ def _evaluate_on_torus(evaluator, radius: float, grid: int) -> np.ndarray:
     theta = 2.0 * np.pi * np.arange(grid) / grid
     ua = radius * np.exp(1j * theta)
     U, V = np.meshgrid(ua, ua, indexing="ij")
+    # a scalar-only evaluator raises TypeError or ValueError on arrays and
+    # is retried pointwise; any other error is the evaluator's own
     try:
         F = np.asarray(evaluator(U, V), dtype=complex)
         if F.shape != U.shape:
             raise ValueError
-    except Exception:
+    except (TypeError, ValueError):
         F = np.empty((grid, grid), dtype=complex)
         for a in range(grid):
             for b in range(grid):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,52 @@ def test_excite_wrong_family_exit_2(runner, tmp_path):
     path.write_text(json.dumps({"kind": "constant", "omega": 1.0}))
     result = runner.invoke(main, ["excite", "--profile", str(path), "--what", "nu"])
     assert result.exit_code == 2
+
+
+_TS = [float(t) for t in range(64)]
+
+
+@pytest.mark.parametrize("doc, max_steps", [
+    # a tabulated step: the spline rings after the last sample that moves,
+    # so the frequency never settles where the out-state is matched
+    ({"kind": "tabulated", "profile": "frequency", "times": _TS,
+      "values": [1.0 if t < 32 else 2.0 for t in _TS]}, None),
+    # a smooth ramp on a step budget too small to cross it
+    ({"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0}, 10),
+])
+def test_excite_integration_failure_exit_3(runner, tmp_path, monkeypatch, doc, max_steps):
+    if max_steps is not None:
+        from oscigen.ode import integrate_path
+
+        def on_budget(*args, **kwargs):
+            return integrate_path(*args, **kwargs, max_steps=max_steps)
+
+        monkeypatch.setattr("oscigen.excitation.integrate_path", on_budget)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["excite", "--profile", str(path), "--what", "rho"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    import oscigen
+
+    src = str(Path(oscigen.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys, oscigen.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_forced_suite_json(runner):

@@ -242,6 +242,59 @@ def test_integrator_step_budget():
         )
 
 
+def test_integrator_fails_at_a_pole():
+    # y' = y^2, y(0) = 1 has the solution 1/(1-t), which blows up at t = 1
+    with pytest.raises(IntegrationError):
+        integrate_path(
+            lambda t, y: y * y, 0.0, [2.0], np.array([1.0], dtype=complex),
+            rtol=1e-10, atol=1e-12,
+        )
+
+
+def test_integrator_stats_count_rejected_steps():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return y * y
+
+    checkpoints = [0.5, 0.9]
+    states, stats = integrate_path(
+        rhs, 0.0, checkpoints, np.array([1.0], dtype=complex),
+        rtol=1e-10, atol=1e-12,
+    )
+    assert states[1][0].real == pytest.approx(10.0, rel=1e-8)
+    assert stats.rhs_evals == len(calls)
+    # DOP853: 2 evaluations per solver start-up, 12 per attempted step
+    attempts = stats.steps + stats.rejected
+    assert stats.rhs_evals == 2 * len(checkpoints) + 12 * attempts
+    assert stats.rejected > 0  # the step size collapses towards the pole
+
+
+def test_tabulated_spline_built_once(monkeypatch):
+    import scipy.interpolate
+
+    built = []
+
+    class CountingSpline(scipy.interpolate.CubicSpline):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    ts = np.linspace(-10.0, 10.0, 200)
+    prof = FrequencyProfile.tabulated(ts, np.sqrt(2.5 + 1.5 * np.tanh(ts)))
+    for t in np.linspace(-12.0, 12.0, 50):
+        prof.omega_sq(float(t))
+    prof.omega_sq(ts)
+    assert len(built) == 1
+    force = ForceProfile.tabulated(ts, np.exp(-ts * ts))
+    force(0.3)
+    nu_from_force(force, 1.0)
+    force(ts)
+    assert len(built) == 2
+
+
 # -- combined reports --------------------------------------------------------
 
 def test_report_for_constant_frequency():

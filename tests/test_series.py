@@ -325,6 +325,18 @@ def test_dft_scalar_evaluator_fallback():
     assert abs(val - 1.0) < 1e-12
 
 
+def test_dft_evaluator_error_propagates_without_pointwise_retry():
+    calls = []
+
+    def vectorized_but_broken(u, v):
+        calls.append(np.shape(u))
+        raise ZeroDivisionError("pole on the contour")
+
+    with pytest.raises(ZeroDivisionError):
+        dft_extract_table(vectorized_but_broken, 2, 2, radius=0.5, grid=8)
+    assert calls == [(8, 8)]
+
+
 # -- algebraic property tests ------------------------------------------------
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
