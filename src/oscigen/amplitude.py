@@ -26,17 +26,32 @@ Q_a and Q_{a-1} agree to many digits and the plain three-term form cancels.
 Row 0 and column 0 are the closed-form vacuum row (Poisson, resp. the
 negative-binomial ``ground_row``), and the table is symmetric by
 construction.
+
+``forced_poly`` and ``param_poly`` evaluate the same closed forms exactly:
+the rational polynomial of one forced or parametric entry, with the
+e^-nu resp. sqrt(1-rho) prefactor left out, which exact-mode tables and
+the sum rules use.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from .domains import RatPoly
 from .series import check_window
 
-__all__ = ["forced_table", "param_table", "singular_table", "singular_vacuum"]
+__all__ = [
+    "forced_poly",
+    "forced_table",
+    "param_poly",
+    "param_table",
+    "poly_grid",
+    "singular_table",
+    "singular_vacuum",
+]
 
 _SHIFT = 600  # binary exponent step of the per-offset rescaling
 
@@ -148,3 +163,94 @@ def param_table(rho: float, rows: int, cols: int) -> np.ndarray:
     if rows > 1 and cols > 1:
         w[1::2, 1::2] = _singular(rho, 1.5, rows // 2, cols // 2)
     return w
+
+
+# -- exact polynomials ---------------------------------------------------------
+#
+# The same closed forms in integer arithmetic: the Laguerre and Jacobi
+# polynomials, scaled to integer coefficients, are squared as integers and
+# divided once by the integer that collects every normalization.
+
+
+def _alternating_square(mags: list[int]) -> list[int]:
+    """Coefficients of P^2 for P(x) = sum (-1)^i mags[i] x^i, mags >= 0.
+
+    The coefficients of P^2 alternate in sign the same way, and their
+    magnitudes are the square of sum mags[i] x^i, taken as one integer
+    product: the magnitudes are packed into a single integer with one
+    ``bits``-wide slot per power, wide enough that no slot of the square
+    overflows into the next.
+    """
+    bits = 2 * max(mags).bit_length() + len(mags).bit_length()
+    packed = 0
+    for c in reversed(mags):
+        packed = (packed << bits) | c
+    sq = packed * packed
+    mask = (1 << bits) - 1
+    out = []
+    for k in range(2 * len(mags) - 1):
+        out.append(-(sq & mask) if k % 2 else sq & mask)
+        sq >>= bits
+    return out
+
+
+def _poly(shift: int, numer: int, coeffs: list[int], denom: int) -> RatPoly:
+    """x^shift * (numer / denom) * sum coeffs[i] x^i."""
+    return RatPoly([Fraction(0)] * shift + [Fraction(numer * c, denom) for c in coeffs])
+
+
+def forced_poly(m: int, n: int) -> RatPoly:
+    """p_mn(nu) = e^nu w_mn(nu) = (a!/b!) nu^d [L_a^(d)(nu)]^2 exactly.
+
+    ``a! L_a^(d)(x) = sum_i (-1)^i C(a+d, a-i) a!/i! x^i`` has integer
+    coefficients, so p_mn = nu^d [a! L_a^(d)]^2 / (a! b!).
+    """
+    if m < 0 or n < 0:
+        raise ValueError("quantum numbers must be nonnegative")
+    a, b = min(m, n), max(m, n)
+    d = b - a
+    mags = [math.comb(b, a - i) * math.perm(a, a - i) for i in range(a + 1)]
+    denom = math.factorial(a) * math.factorial(b)
+    return _poly(d, 1, _alternating_square(mags), denom)
+
+
+def param_poly(m: int, n: int) -> RatPoly:
+    """q_mn(rho) = w_mn(rho) / sqrt(1 - rho) exactly; zero for odd m + n.
+
+    The entry is the singular amplitude at k = 1/2 (even m, n) or k = 3/2
+    (odd m, n) with a, b the halved quantum numbers, a <= b, and d = b - a:
+
+        q_mn = [a! G(b+k) / (b! G(a+k))] rho^d (1-rho)^(k-1/2) [P_a^(d,k-1)(1-2rho)]^2.
+
+    ``a! 2^a P_a^(d,k-1)(1-2rho) = sum_s (-rho)^s C(a,s) (a+d)!/(s+d)!
+    2^(a-s) prod_{i<s} (2a+2d+2k+2i)`` has integer coefficients, and
+    ``G(b+k)/G(a+k) = prod_{a<=i<b} (2i+2k) / 2^d``.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("quantum numbers must be nonnegative")
+    if (m + n) % 2:
+        return RatPoly()
+    odd = m % 2
+    a, b = min(m, n) // 2, max(m, n) // 2
+    d = b - a
+    two_k = 2 * odd + 1
+    mags, rising = [], 1
+    for s in range(a + 1):
+        mags.append(math.comb(a, s) * math.perm(a + d, a - s) * rising << (a - s))
+        rising *= 2 * (a + d + s) + two_k
+    coeffs = _alternating_square(mags)
+    if odd:  # the extra (1 - rho) of the k = 3/2 sector
+        coeffs = [c - p for c, p in zip(coeffs + [0], [0] + coeffs)]
+    numer = math.prod(range(2 * a + two_k, 2 * b + two_k, 2))
+    denom = math.factorial(a) * math.factorial(b) << (d + 2 * a)
+    return _poly(d, numer, coeffs, denom)
+
+
+def poly_grid(poly, size: int) -> tuple[tuple[RatPoly, ...], ...]:
+    """Entries ``poly(m, n)`` for m, n < size; each symmetric pair is built
+    once."""
+    rows = [[None] * size for _ in range(size)]
+    for m in range(size):
+        for n in range(m, size):
+            rows[m][n] = rows[n][m] = poly(m, n)
+    return tuple(tuple(row) for row in rows)

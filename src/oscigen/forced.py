@@ -4,18 +4,21 @@ The generating function of the transition probabilities is
 
     G(u, v | nu) = (1 - uv)^{-1} exp(-nu (1-u)(1-v) / (1-uv)),
 
-with nu the dimensionless excitation parameter.  Numeric tables come from
-the Laguerre amplitude kernel of :mod:`oscigen.amplitude`.  For series
-extraction the scalar e^{-nu} is factored out first,
+with nu the dimensionless excitation parameter.  Every w_mn(nu) is e^{-nu}
+times a polynomial p_mn(nu) with rational coefficients, the squared
+Laguerre amplitude (a!/b!) nu^d [L_a^(d)(nu)]^2.  Numeric tables come from
+the amplitude kernel of :mod:`oscigen.amplitude`, and exact-mode tables
+carry the polynomials, which :func:`oscigen.amplitude.forced_poly` builds in
+integer arithmetic.  That polynomial form makes the moment integrals over
+nu exact term by term (integral of nu^k e^{-nu} is k!).
+
+The series engine is the independent route ``verify`` checks both against:
+with e^{-nu} factored out,
 
     G = e^{-nu} (1-uv)^{-1} exp(nu (u + v - 2uv) / (1-uv)),
 
-so the remaining series has rational coefficients: every w_mn(nu) is e^{-nu}
-times a polynomial in nu with rational coefficients, which exact-mode tables
-carry alongside the numeric values.  That polynomial form makes the moment
-integrals over nu exact term by term (integral of nu^k e^{-nu} is k!).  The
-float series is an independent route that ``verify`` compares the kernel
-against.
+the remaining series has polynomial coefficients (``_exact_grid``) or, at a
+fixed nu, float ones (``_float_grid``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitude import forced_table
+from .amplitude import forced_poly, forced_table, poly_grid
 from .domains import FLOAT, poly_domain
 from .errors import SingularEvaluationError
 from .probtable import ProbTable, SymbolicTable, make_table
@@ -80,7 +83,7 @@ def forced_gf_value(u, v, nu) -> complex:
 @lru_cache(maxsize=32)
 def _exact_grid(max_m: int, max_n: int) -> Series2:
     """Series of e^{nu} G without the e^{-nu} prefactor, coefficients
-    polynomial in nu."""
+    polynomial in nu: the cross-check of :func:`forced_poly`."""
     dom = poly_domain("nu")
     nu = dom.variable()
     inv = Series2.from_terms(dom, max_m, max_n, {(0, 0): 1, (1, 1): -1}).inverse()
@@ -112,8 +115,7 @@ def forced_prob_table(nu, size: int = 16, mode: str = "float") -> ProbTable:
     values = forced_table(nu_val, size, size)
     symbolic = None
     if mode == "exact":
-        entries = tuple(tuple(row) for row in _exact_grid(size - 1, size - 1).rows)
-        symbolic = SymbolicTable("exp(-nu)", "nu", entries)
+        symbolic = SymbolicTable("exp(-nu)", "nu", poly_grid(forced_poly, size))
     return make_table("forced", {"nu": nu_val}, mode, values, symbolic)
 
 
@@ -136,9 +138,7 @@ def forced_sum_rules(m: int, n: int) -> SumRuleRecord:
     Exact route: integrate the symbolic e^{-nu} * polynomial form term by
     term.  Numeric route: Gauss-Laguerre of matching degree.
     """
-    if m < 0 or n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
-    poly = _exact_grid(m, n).coeff(m, n)
+    poly = forced_poly(m, n)
     fact = [Fraction(math.factorial(k)) for k in range(poly.degree + 3)]
     norm = sum((c * fact[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
     mean = sum((c * fact[k + 1] for k, c in enumerate(poly.coeffs)), Fraction(0))

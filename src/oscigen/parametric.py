@@ -13,8 +13,11 @@ sqrt(1 - rho), every entry has the form
 where q_mn is a polynomial with rational coefficients, divisible by
 rho^{|m-n|/2}.  The exact-mode table carries those polynomials, which turns
 the weighted integrals over rho into finite Beta-integral sums.  Numeric
-tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`;
-the float series is the independent route ``verify`` compares it against.
+tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`,
+and the polynomials from the same closed form in integer arithmetic
+(:func:`oscigen.amplitude.param_poly`).  The series engine, exact
+(``_exact_grid``) and float (``_float_grid``), is the independent route
+``verify`` checks both against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .amplitude import param_table
+from .amplitude import param_poly, param_table, poly_grid
 from .domains import FLOAT, poly_domain
 from .errors import PrecisionError, SingularEvaluationError
 from .probtable import ProbTable, SymbolicTable, make_table
@@ -114,7 +117,8 @@ def _den_terms(rho=None) -> dict:
 
 @lru_cache(maxsize=32)
 def _exact_grid(max_m: int, max_n: int) -> Series2:
-    """q_mn polynomials: G / sqrt(1 - rho) expanded over poly[rho]."""
+    """q_mn polynomials, G / sqrt(1 - rho) expanded over poly[rho]: the
+    cross-check of :func:`param_poly`."""
     dom = poly_domain("rho")
     den = Series2.from_terms(dom, max_m, max_n, _den_terms())
     return den.pow_real(Fraction(-1, 2))
@@ -136,8 +140,7 @@ def param_prob_table(rho, size: int = 16, mode: str = "float") -> ProbTable:
     values = param_table(rho_val, size, size)
     symbolic = None
     if mode == "exact":
-        entries = tuple(tuple(row) for row in _exact_grid(size - 1, size - 1).rows)
-        symbolic = SymbolicTable("sqrt(1-rho)", "rho", entries)
+        symbolic = SymbolicTable("sqrt(1-rho)", "rho", poly_grid(param_poly, size))
     return make_table("parametric", {"rho": rho_val}, mode, values, symbolic)
 
 
@@ -221,9 +224,7 @@ def param_weighted_integrals(m: int, n: int) -> WeightedIntegralRecord:
     Both reduce to exact finite sums through the polynomial form of w_mn;
     quadrature confirmations ride along.  The second integral is undefined
     for m = n (its fields come back None)."""
-    if m < 0 or n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
-    poly = _exact_grid(m, n).coeff(m, n)
+    poly = param_poly(m, n)
     b1 = _beta_weight_minus_half(max(poly.degree, 0))
     first = sum((c * b1[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
     expected_first = Fraction(1 + (-1) ** (m + n), m + n + 1)
@@ -267,7 +268,7 @@ def param_jnn(n: int) -> JnnRecord:
     if n < 0:
         raise ValueError("n must be nonnegative")
     closed = Fraction(1, 2 * n + 1) * (1 + Fraction(1, (2 * n + 3) * (2 * n - 1)))
-    poly = _exact_grid(n, n).coeff(n, n)
+    poly = param_poly(n, n)
     b3 = _beta_weight_plus_half(max(poly.degree, 0))
     symbolic = sum((c * b3[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
     rule = gauss_jacobi_half(n + 3)
@@ -283,7 +284,7 @@ def param_j_offdiag(m: int, n: int) -> float:
         raise ValueError("use param_jnn for diagonal entries")
     if (m + n) % 2 == 1:
         raise ValueError("odd m + n entries vanish identically")
-    poly = _exact_grid(m, n).coeff(m, n)
+    poly = param_poly(m, n)
     rule = gauss_jacobi_half((m + n) // 2 + 3)
     vals = np.array([(1.0 - float(x)) * poly(float(x)) for x in rule.nodes])
     return float(np.dot(rule.weights, vals))
@@ -309,6 +310,33 @@ def param_mean_n(m: int, rho) -> float:
     return -0.5 + (m + 0.5) * (1.0 + rho_val) / (1.0 - rho_val)
 
 
+_TAIL_TERMS = 100001  # most terms the tail estimate sums
+
+
+def _tail_estimate(w_last: float, ratio: float, last: int, power: int) -> float:
+    """Geometric extrapolation sum_j (last+2j)^power * w_last * ratio^j over
+    j >= 1, summed in order until a term falls below 1e-16 of the running
+    sum or _TAIL_TERMS terms are in.
+
+    The terms and running sums are sequential products and sums (numpy's
+    ``cumprod``/``cumsum``), so the result is that of the term-by-term loop
+    bit for bit; they are taken in chunks that grow eightfold, which keeps
+    the usual few dozen terms cheap.
+    """
+    term, est, j, chunk = w_last, 0.0, 1, 64
+    while True:
+        js = np.arange(j, min(j + chunk, _TAIL_TERMS + 1))
+        terms = np.cumprod(np.concatenate(([term], np.full(js.size, ratio))))[1:]
+        contrib = terms * (last + 2 * js) ** power
+        sums = np.cumsum(np.concatenate(([est], contrib)))[1:]
+        stop = np.flatnonzero(contrib < sums * 1e-16)
+        if stop.size:
+            return float(sums[stop[0]])
+        if js[-1] == _TAIL_TERMS:
+            return float(sums[-1])
+        term, est, j, chunk = terms[-1], sums[-1], js[-1] + 1, 8 * chunk
+
+
 def param_row_moments(m: int, rho, tol: float = 1e-10,
                       power: int = 2) -> tuple[np.ndarray, int]:
     """Truncated row moments (sum n^p w_mn for p = 0..power) with the window
@@ -332,16 +360,7 @@ def param_row_moments(m: int, rho, tol: float = 1e-10,
             w_last = row[last]
             ratio = row[last] / row[last - 2] if last >= 2 and row[last - 2] > 0 else rho_val
             ratio = min(max(ratio, rho_val), 0.999999)
-            # geometric extrapolation of sum (last+2j)^power * w_last * ratio^j
-            term = w_last
-            j = 1
-            while True:
-                term *= ratio
-                contrib = term * (last + 2 * j) ** power
-                est += contrib
-                if contrib < est * 1e-16 or j > 100000:
-                    break
-                j += 1
+            est = _tail_estimate(w_last, ratio, last, power)
         if est < tol:
             ns = np.arange(row.size, dtype=float)
             moments = np.array(

@@ -12,12 +12,16 @@ Laguerre and Jacobi start from the symmetric tridiagonal (Golub-Welsch)
 eigenproblem, with Laguerre nodes polished by Newton and its weights
 recomputed from the derivative formula (raw eigenvector weights lose
 relative accuracy in the tiny-weight tail).
+
+Each rule is built once per node count and cached; its arrays are
+read-only, so callers share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +70,7 @@ def _legendre_newton(n: int, tol: float = 1e-15) -> tuple[np.ndarray, np.ndarray
     return x[order], w[order]
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadRule:
     """n-point rule for the plain integral over [0, 1]."""
     if not 1 <= n <= 256:
@@ -85,6 +90,7 @@ def _laguerre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
+@lru_cache(maxsize=None)
 def gauss_laguerre(n: int) -> QuadRule:
     """n-point rule for integrals of e^{-x} g(x) over [0, inf)."""
     if not 1 <= n <= 128:
@@ -102,6 +108,7 @@ def gauss_laguerre(n: int) -> QuadRule:
     return QuadRule("laguerre", n, x, w)
 
 
+@lru_cache(maxsize=None)
 def gauss_jacobi_half(n: int) -> QuadRule:
     """n-point rule for integrals of (1-x)^{-1/2} g(x) over [0, 1].
 

@@ -156,6 +156,22 @@ def _kernel_exact_check(prefix, kernel, grid, points, prefactor) -> CheckResult:
     )
 
 
+def _series_exact_check(prefix, grid, poly) -> CheckResult:
+    """Exact series polynomials against the closed-form ones, coefficient
+    for coefficient."""
+    size = grid.max_deg_u + 1
+    bad = sum(
+        grid.coeff(m, n).coeffs != poly(m, n).coeffs
+        for m in range(size)
+        for n in range(size)
+    )
+    return _check(
+        f"{prefix}.series-exact", "w_mn", float(bad), 0.0,
+        computed=f"{size * size - bad}/{size * size} series polynomials equal the closed form",
+        expected=f"{size * size}/{size * size}",
+    )
+
+
 # ---------------------------------------------------------------------------
 # forced oscillator
 
@@ -293,6 +309,7 @@ def _forced_checks(tol_oracle: float) -> list[CheckResult]:
             lambda nu: math.exp(-nu),
         )
     )
+    out.append(_series_exact_check("forced", exact, amplitude.forced_poly))
     return out
 
 
@@ -479,6 +496,7 @@ def _parametric_checks(tol_oracle: float) -> list[CheckResult]:
             lambda rho: math.sqrt(1.0 - rho),
         )
     )
+    out.append(_series_exact_check("param", grid, amplitude.param_poly))
     return out
 
 
@@ -579,24 +597,18 @@ def _singular_checks(tol_oracle: float) -> list[CheckResult]:
         )
     )
 
-    # unitarity and symmetry
+    # unitarity of the kernel rows, symmetry of the series
     worst_sum = worst_sym = 0.0
     for rho in (0.5, 0.8):
         for j in (-0.25, -0.75, -1.3, -2.0):
-            nmax = 64
-            while True:
-                grid = (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, 8, nmax)
-                deficit = float((1.0 - grid.sum(axis=1)).max())
-                if deficit < 1e-8 or nmax >= 2048:
-                    break
-                nmax *= 2
-            worst_sum = max(worst_sum, deficit)
+            grid = amplitude.singular_table(rho, j, 9, 2049)
+            worst_sum = max(worst_sum, float((1.0 - grid.sum(axis=1)).max()))
             square = (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, 8, 8)
             worst_sym = max(worst_sym, float(np.max(np.abs(square - square.T))))
     out.append(
         _check(
             "singular.unitarity", "row sums", worst_sum, 1e-8,
-            computed="1 - sum_n w_mn, m <= 8, rho <= 0.8, |j| <= 2",
+            computed="1 - sum_n w_mn, m <= 8, n <= 2048, rho <= 0.8, |j| <= 2",
         )
     )
     out.append(

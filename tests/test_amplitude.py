@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from oscigen import forced, parametric, singular
-from oscigen.amplitude import forced_table, param_table, singular_table
+from oscigen.amplitude import (
+    forced_poly,
+    forced_table,
+    param_poly,
+    param_table,
+    poly_grid,
+    singular_table,
+)
 from oscigen.errors import TableInvariantError
-from oscigen.forced import forced_prob_table
-from oscigen.parametric import param_prob_table
+from oscigen.forced import forced_prob_table, forced_sum_rules
+from oscigen.parametric import param_prob_table, param_row_moments, param_weighted_integrals
 from oscigen.probtable import make_table
-from oscigen.series import max_window
+from oscigen.quadrature import gauss_jacobi_half, gauss_laguerre, gauss_legendre
+from oscigen.series import Series2, max_window
 from oscigen.singular import ground_row, singular_prob_table
 
 M = 20
@@ -50,6 +58,50 @@ def test_asymmetric_windows_are_slices_of_the_square_table():
     assert np.array_equal(param_table(0.4, 40, 7), full[:, :7])
     full = singular_table(0.3, -1.3, 30, 30)
     assert np.array_equal(singular_table(0.3, -1.3, 3, 30), full[:3])
+
+
+# -- exact polynomials -------------------------------------------------------
+
+def test_closed_form_polynomials_equal_the_series_ones():
+    for grid, poly, size in (
+        (forced._exact_grid(15, 15), forced_poly, 16),
+        (parametric._exact_grid(23, 23), param_poly, 24),
+    ):
+        closed = poly_grid(poly, size)
+        for m in range(size):
+            for n in range(size):
+                assert closed[m][n].coeffs == grid.coeff(m, n).coeffs, (poly, m, n)
+
+
+def test_exact_paths_build_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact series built")
+
+    monkeypatch.setattr(Series2, "exp", refuse)
+    monkeypatch.setattr(Series2, "pow_real", refuse)
+    forced._exact_grid.cache_clear()
+    parametric._exact_grid.cache_clear()
+    assert forced_prob_table(1.5, size=20, mode="exact").symbolic.poly(19, 3) == forced_poly(3, 19)
+    assert param_prob_table(0.4, size=20, mode="exact").symbolic.poly(5, 17) == param_poly(17, 5)
+    r = forced_sum_rules(6, 9)
+    assert (r.norm, r.mean, r.variance) == (1, 16, 124)
+    assert param_weighted_integrals(4, 10).first == Fraction(2, 15)
+
+
+def test_gauss_rules_are_cached_and_read_only():
+    for build, n in ((gauss_legendre, 12), (gauss_laguerre, 9), (gauss_jacobi_half, 64)):
+        rule = build(n)
+        assert build(n) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.5
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.5
+
+
+def test_row_moment_window_at_high_rho():
+    moments, window = param_row_moments(3, 0.8)
+    assert window == 512
+    assert moments[1] == pytest.approx(parametric.param_mean_n(3, 0.8), rel=1e-10)
 
 
 # -- vacuum row --------------------------------------------------------------

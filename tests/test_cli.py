@@ -82,6 +82,18 @@ def test_table_json_round_trip(runner, tmp_path):
     assert doc["symbolic"]["entries"][1][1] == ["1/1", "-2/1", "1/1"]
 
 
+def test_table_forced_exact_at_48(runner):
+    result = runner.invoke(
+        main,
+        ["table", "forced", "--nu", "2", "--max", "48", "--mode", "exact", "--format", "json"],
+    )
+    assert result.exit_code == 0
+    table = ProbTable.from_json_dict(json.loads(result.output))
+    table.validate()
+    assert table.size == (48, 48)
+    assert table.symbolic.poly(47, 47).degree == 94
+
+
 def test_table_invalid_parameters_exit_2(runner):
     cases = [
         ["table", "forced", "--max", "4"],
