@@ -67,22 +67,36 @@ def _force_fourier(profile: ForceProfile, omega: float) -> complex:
     return _tabulated_fourier(profile, omega)
 
 
+# Gauss nodes per spline evaluation in _tabulated_fourier: large enough to
+# amortize the call, small enough to bound the node arrays (the per-panel
+# start and width arrays still hold one entry per panel)
+_FOURIER_BLOCK = 4096
+
+
 def _tabulated_fourier(profile: ForceProfile, omega: float) -> complex:
     """Oscillation-safe quadrature of spline(t) e^{-i omega t}: fixed-order
-    Gauss panels no longer than a sixteenth of the period."""
+    Gauss panels no longer than a sixteenth of the period, evaluated in
+    blocks of _FOURIER_BLOCK nodes."""
     spline = profile.spline
     rule = gauss_legendre(8)
     period = 2.0 * math.pi / omega
+    widths = np.diff(profile.times)
+    pieces = np.maximum(1, np.ceil(widths / (period / 16.0))).astype(np.intp)
+    # sample interval i splits into pieces[i] equal panels; panel j of it
+    # starts at times[i] + j * width
+    interval = np.repeat(np.arange(widths.size), pieces)
+    j = np.arange(interval.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    width = (widths / pieces)[interval]
+    lo = profile.times[interval] + j * width
+    per_block = _FOURIER_BLOCK // rule.nodes.size
     total = 0.0 + 0.0j
-    for a, b in zip(profile.times[:-1], profile.times[1:]):
-        width = b - a
-        pieces = max(1, math.ceil(width / (period / 16.0)))
-        edges = np.linspace(a, b, pieces + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            ts = lo + (hi - lo) * rule.nodes
-            total += (hi - lo) * np.dot(
-                rule.weights, spline(ts) * np.exp(-1j * omega * ts)
-            )
+    for start in range(0, lo.size, per_block):
+        w = width[start:start + per_block, None]
+        ts = lo[start:start + per_block, None] + w * rule.nodes
+        f = spline(ts) * np.exp(-1j * omega * ts)
+        # np.sum, not a complex matrix product: a threaded OpenBLAS zgemv
+        # of this shape takes milliseconds
+        total += complex(np.sum(w * rule.weights * f))
     return total
 
 
@@ -163,7 +177,7 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
         )
 
     def rhs(t, y):
-        return np.array([y[1], -profile.omega_sq(t) * y[0]], dtype=complex)
+        return np.array((y[1], -profile.omega_sq(t) * y[0]))
 
     xi0 = cmath.exp(-1j * wm * t_start) / math.sqrt(2.0 * wm)
     y0 = np.array([xi0, -1j * wm * xi0], dtype=complex)

@@ -38,10 +38,11 @@ def integrate_path(f, t0: float, checkpoints, y0: np.ndarray, rtol: float,
                    atol: float, max_steps: int = 2_000_000):
     """Integrate y' = f(t, y) from t0 through increasing checkpoint times.
 
-    Returns (list of states at the checkpoints, stats).  ``steps`` counts
-    accepted steps, ``rejected`` the attempts beyond them and ``rhs_evals``
-    the calls of ``f``; accepted plus rejected steps may not exceed
-    ``max_steps``.
+    ``f`` returns a new complex array on every call; it reaches the solver
+    as a float view, not as a copy.  Returns (list of states at the
+    checkpoints, stats).  ``steps`` counts accepted steps, ``rejected``
+    the attempts beyond them and ``rhs_evals`` the calls of ``f``; accepted
+    plus rejected steps may not exceed ``max_steps``.
     """
     from scipy.integrate import DOP853
 
@@ -51,7 +52,7 @@ def integrate_path(f, t0: float, checkpoints, y0: np.ndarray, rtol: float,
     # the real state interleaves real and imaginary parts, so it and the
     # complex state are views of each other
     def fun(t, z):
-        return np.array(f(t, z.view(complex)), dtype=complex).view(float)
+        return np.asarray(f(t, z.view(complex)), dtype=complex).view(float)
 
     t = float(t0)
     z = np.array(y0, dtype=complex).view(float)

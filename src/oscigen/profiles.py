@@ -220,9 +220,27 @@ class FrequencyProfile(_Tabulated):
         return float(self.values[-1])
 
     def omega_sq(self, t):
-        """omega^2(t), vectorized; this is what enters the oscillator ODE."""
-        t = np.asarray(t, dtype=float)
+        """omega^2(t); this is what enters the oscillator ODE.
+
+        The ODE solver asks one float time (a ``numpy.float64``) at a time,
+        and only for the kinds it integrates: ``tanh_ramp`` and
+        ``tabulated`` answer it on a scalar path that returns a Python
+        float.  Everything else is evaluated as an array; a 0-d result is
+        returned as a float too."""
         p = self.params
+        if isinstance(t, float) and self.kind in ("tanh_ramp", "tabulated"):
+            t = float(t)
+            if self.kind == "tanh_ramp":
+                w2m, w2p = p["omega2_minus"], p["omega2_plus"]
+                return float(w2m + (w2p - w2m) * (1.0 + math.tanh(t / p["T"])) / 2.0)
+            if t < self.times[0]:
+                return float(self.values[0] ** 2)
+            if t > self.times[-1]:
+                return float(self.values[-1] ** 2)
+            # v * v, not v ** 2: the array path squares by multiplication
+            v = float(self.spline(t))
+            return v * v
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             out = np.full_like(t, p["omega"] ** 2)
         elif self.kind == "sudden_step":

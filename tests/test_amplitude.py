@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from oscigen import forced, parametric, singular
+from oscigen import errors, forced, parametric, singular
 from oscigen.amplitude import (
     forced_poly,
     forced_table,
@@ -230,3 +232,40 @@ def test_kernel_against_mpmath_closed_forms_at_256():
             for m, n in spots + [(peak[0] + 100, peak[1] + 100)]:
                 want = float(ref(min(m, n), max(m, n), *args))
                 assert abs(w[m, n] - want) <= 1e-14, (args, m, n)
+
+
+# the errors a table outside the tested box may raise: every oscigen error
+# except TableInvariantError, which make_table raises for a broken table
+TYPED_ERRORS = tuple(
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception)
+    and cls is not TableInvariantError
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(("forced", "parametric", "singular")),
+    nu=st.floats(0.0, 50.0),
+    rho=st.floats(0.0, 0.999),
+    j=st.floats(-10.0, -0.25),
+    size=st.integers(1, 512),
+)
+def test_supported_domain_validates_or_fails_typed(family, nu, rho, j, size):
+    """Every point of the stress grid returns a table, which make_table has
+    validated; only outside the README's tested box (rho > 0.99) may a table
+    raise one of oscigen's own errors instead.  `--hypothesis-show-statistics`
+    reports how many examples raised which error."""
+    try:
+        if family == "forced":
+            table = forced_prob_table(nu, size)
+        elif family == "parametric":
+            table = param_prob_table(rho, size)
+        else:
+            table = singular_prob_table(rho, j, size)
+    except TYPED_ERRORS as exc:
+        event(f"{family} raised {type(exc).__name__}")
+        assert family != "forced" and rho > 0.99, exc
+        return
+    event(f"{family} validated")
+    assert table.size == (size, size)

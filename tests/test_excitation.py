@@ -295,6 +295,109 @@ def test_tabulated_spline_built_once(monkeypatch):
     assert len(built) == 2
 
 
+def _panel_loop_fourier(profile, omega):
+    """Reference quadrature, one spline call per Gauss panel; returns the
+    integral and the number of panels."""
+    from oscigen.quadrature import gauss_legendre
+
+    rule = gauss_legendre(8)
+    period = 2.0 * math.pi / omega
+    total = 0.0 + 0.0j
+    panels = 0
+    for a, b in zip(profile.times[:-1], profile.times[1:]):
+        pieces = max(1, math.ceil((b - a) / (period / 16.0)))
+        edges = np.linspace(a, b, pieces + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ts = lo + (hi - lo) * rule.nodes
+            total += (hi - lo) * np.dot(
+                rule.weights, profile.spline(ts) * np.exp(-1j * omega * ts)
+            )
+            panels += 1
+    return total, panels
+
+
+@pytest.mark.parametrize("grid", ["coarse_nonuniform", "gaussian_4000"])
+def test_blocked_fourier_matches_panel_loop(monkeypatch, grid):
+    import scipy.interpolate
+
+    from oscigen.excitation import _FOURIER_BLOCK, _tabulated_fourier
+
+    calls = []
+
+    class CountingSpline(scipy.interpolate.CubicSpline):
+        def __call__(self, *args, **kwargs):
+            calls.append(1)
+            return super().__call__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    if grid == "coarse_nonuniform":
+        # 1.5-wide intervals in the wings need four panels each at omega = 1
+        ts = np.concatenate((
+            np.linspace(-15.0, -3.0, 9),
+            np.linspace(-2.8, 2.8, 41),
+            np.linspace(3.0, 15.0, 9),
+        ))
+        values = np.exp(-ts * ts / 8.0)
+    else:
+        ts = np.linspace(-12.0, 12.0, 4000)
+        values = np.exp(-ts * ts)
+    prof = ForceProfile.tabulated(ts, values)
+    omega = 1.0
+    want, panels = _panel_loop_fourier(prof, omega)
+    if grid == "coarse_nonuniform":
+        assert panels > ts.size - 1
+    calls.clear()
+    got = _tabulated_fourier(prof, omega)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    # one spline call per block of nodes, not one per panel
+    assert len(calls) == math.ceil(8 * panels / _FOURIER_BLOCK)
+
+
+def _freq_profiles():
+    ts = np.linspace(-10.0, 10.0, 200)
+    return {
+        "constant": FrequencyProfile.constant(1.3),
+        "sudden_step": FrequencyProfile.sudden_step(0.7, 1.9, t_jump=0.25),
+        "tanh_ramp": FrequencyProfile.tanh_ramp(1.0, 4.0, 1.5),
+        "tabulated": FrequencyProfile.tabulated(ts, np.sqrt(2.5 + 1.5 * np.tanh(ts))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["constant", "sudden_step", "tanh_ramp", "tabulated"])
+def test_scalar_omega_sq_matches_array_path(kind):
+    prof = _freq_profiles()[kind]
+    # both ends of the table and the jump exactly, and times beyond them
+    times = [-12.0, -10.0, -3.3, -1e-300, 0.0, 0.25, 0.7, 9.99, 10.0, 12.5]
+    for t in times:
+        array = prof.omega_sq(np.array([t]))[0]
+        for arg in (t, np.float64(t)):
+            got = prof.omega_sq(arg)
+            assert type(got) is float
+            if kind == "tanh_ramp":
+                assert abs(got - array) <= 2.0 * np.spacing(array)
+            else:
+                assert got == array
+
+
+@pytest.mark.parametrize("kind", ["tanh_ramp", "tabulated"])
+def test_ode_asks_omega_sq_only_for_scalars(monkeypatch, kind):
+    prof = _freq_profiles()[kind]
+    seen = []
+    original = FrequencyProfile.omega_sq
+
+    def recording(self, t):
+        seen.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(FrequencyProfile, "omega_sq", recording)
+    bogoliubov_from_frequency(prof, tol=1e-8)
+    arrays = [t for t in seen if isinstance(t, np.ndarray)]
+    # only the settle probe over five periods is an array
+    assert [a.shape for a in arrays] == [(64,)]
+    assert len(seen) > 100
+    assert all(isinstance(t, float) for t in seen if not isinstance(t, np.ndarray))
+
+
 # -- combined reports --------------------------------------------------------
 
 def test_report_for_constant_frequency():
