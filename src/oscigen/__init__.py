@@ -7,9 +7,8 @@ singular oscillator with an inverse-square barrier (parameter rho plus the
 level weight j).  Units are hbar = m = 1 throughout.
 """
 
-from .domains import COMPLEX, FLOAT, RATIONAL, RatPoly, poly_domain
-from .series import Series2, dft_extract, dft_extract_table
-from .specfun import arctanh, gamma_ratio_coeff, laguerre
+from .domains import FLOAT, RATIONAL, RatPoly, poly_domain
+from .series import Series2, dft_extract_table
 from .quadrature import QuadRule, gauss_jacobi_half, gauss_laguerre, gauss_legendre
 from .probtable import ProbTable
 from .forced import NuParam, forced_gf_value, forced_prob_table, forced_sk, forced_sum_rules

@@ -46,6 +46,7 @@ from .series import check_window
 __all__ = [
     "forced_poly",
     "forced_table",
+    "forced_vacuum",
     "param_poly",
     "param_table",
     "poly_grid",
@@ -106,11 +107,17 @@ def _sweep(vacuum, first, factors, rows: int, cols: int, step) -> np.ndarray:
     return w
 
 
+def forced_vacuum(size: int, nu: float) -> np.ndarray:
+    """Vacuum row w_0n = e^-nu nu^n / n!, n < size."""
+    i = np.arange(1, size)
+    return np.cumprod(np.concatenate(([math.exp(-nu)], nu / i)))
+
+
 def forced_table(nu: float, rows: int, cols: int) -> np.ndarray:
     """w_mn(nu) of the forced family for m < rows, n < cols."""
     check_window(rows - 1, cols - 1)
     i = np.arange(1, max(rows, cols))
-    vacuum = np.cumprod(np.concatenate(([math.exp(-nu)], nu / i)))
+    vacuum = forced_vacuum(max(rows, cols), nu)
 
     def step(a, d):
         ad = a + d

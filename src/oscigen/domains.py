@@ -6,12 +6,11 @@ and inversion for one kind of coefficient:
 * ``RATIONAL``      -- exact rationals (``fractions.Fraction``),
 * ``poly_domain(p)``-- univariate polynomials in a named parameter with
                        exact rational coefficients (:class:`RatPoly`),
-* ``FLOAT``         -- double-precision reals,
-* ``COMPLEX``       -- double-precision complex numbers.
+* ``FLOAT``         -- double-precision reals.
 
 Elements themselves carry the arithmetic through the usual operators, so the
-series code stays generic.  The two numeric domains flag themselves with a
-numpy dtype, which the series engine uses to switch to vectorized rows.
+series code stays generic.  The numeric domain flags itself with a numpy
+dtype, which the series engine uses to switch to vectorized rows.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ __all__ = [
     "RationalDomain",
     "PolyDomain",
     "FloatDomain",
-    "ComplexDomain",
     "RATIONAL",
     "FLOAT",
-    "COMPLEX",
     "poly_domain",
 ]
 
@@ -168,7 +165,7 @@ class Domain:
     """Commutative-ring contract used by the series engine.
 
     ``dtype`` is None for exact (object-coefficient) domains and a numpy
-    dtype for the two hardware domains.
+    dtype for the float domain.
     """
 
     name: str
@@ -182,10 +179,6 @@ class Domain:
 
     def invert(self, x):
         raise NotImplementedError
-
-    @property
-    def exact(self) -> bool:
-        return self.dtype is None
 
     def __repr__(self):
         return f"<domain {self.name}>"
@@ -269,27 +262,8 @@ class FloatDomain(Domain):
         return 1.0 / x
 
 
-class ComplexDomain(Domain):
-    name = "complex"
-    zero = 0.0 + 0.0j
-    one = 1.0 + 0.0j
-    dtype = np.complex128
-
-    def coerce(self, x):
-        return complex(x)
-
-    def is_zero(self, x) -> bool:
-        return x == 0.0
-
-    def invert(self, x):
-        if x == 0.0:
-            raise SingularSeriesError("zero is not invertible")
-        return 1.0 / complex(x)
-
-
 RATIONAL = RationalDomain()
 FLOAT = FloatDomain()
-COMPLEX = ComplexDomain()
 
 _poly_cache: dict[str, PolyDomain] = {}
 

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitude import forced_vacuum, singular_vacuum
 from .errors import IntegrationError
 from .forced import NuParam
 from .ode import integrate_path
 from .parametric import RhoParam
 from .profiles import ForceProfile, FrequencyProfile
 from .quadrature import gauss_legendre
-from .specfun import gamma_ratio_coeff
 
 __all__ = [
     "BogoliubovResult",
@@ -223,28 +223,6 @@ class ExcitationReport:
         return out
 
 
-def _poisson_row(nu: float, count: int) -> tuple[float, ...]:
-    out = []
-    term = math.exp(-nu)
-    for n in range(count):
-        out.append(term)
-        term *= nu / (n + 1)
-    return tuple(out)
-
-
-def _parametric_vacuum_row(rho: float, count: int) -> tuple[float, ...]:
-    # w_{0,2k} = sqrt(1-rho) rho^k (2k-1)!!/(2k)!!, odd entries vanish
-    out = []
-    pref = math.sqrt(1.0 - rho)
-    for n in range(count):
-        if n % 2 == 1:
-            out.append(0.0)
-        else:
-            k = n // 2
-            out.append(pref * float(gamma_ratio_coeff(k, -0.25)) * rho**k)
-    return tuple(out)
-
-
 def excitation_report(profile, omega: float | None = None,
                       tol: float = 1e-10) -> ExcitationReport:
     """Excitation parameter plus the vacuum-row picture it implies: the mean
@@ -253,16 +231,18 @@ def excitation_report(profile, omega: float | None = None,
         if omega is None:
             raise ValueError("force profiles need the oscillator frequency omega")
         nu = nu_from_force(profile, omega).value
-        return ExcitationReport("nu", nu, nu, _poisson_row(nu, 8))
+        return ExcitationReport("nu", nu, nu, tuple(forced_vacuum(8, nu).tolist()))
     if isinstance(profile, FrequencyProfile):
         result = bogoliubov_from_frequency(profile, tol=tol)
         rho = result.rho
         RhoParam(rho)
+        row = np.zeros(8)  # odd n vanish; even n are the j = -1/4 sector
+        row[0::2] = singular_vacuum(4, rho, 0.5)
         return ExcitationReport(
             "rho",
             rho,
             rho / (1.0 - rho),
-            _parametric_vacuum_row(rho, 8),
+            tuple(row.tolist()),
             wronskian_residual=result.wronskian_residual,
         )
     raise TypeError(f"not a profile: {type(profile).__name__}")

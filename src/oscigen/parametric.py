@@ -35,7 +35,6 @@ from .errors import PrecisionError, SingularEvaluationError
 from .probtable import ProbTable, SymbolicTable, make_table
 from .quadrature import gauss_jacobi_half, gauss_legendre
 from .series import Series2, max_window
-from .specfun import arctanh
 
 __all__ = [
     "RhoParam",
@@ -169,25 +168,16 @@ def param_identity_eq6(u: float, v: float, n_nodes: int = 64) -> Eq6Record:
     if abs(u - v) < 1e-12:
         rhs = 2.0 / (1.0 - u * u)
     else:
-        rhs = 2.0 * (arctanh(u) - arctanh(v)) / (u - v)
+        rhs = 2.0 * (math.atanh(u) - math.atanh(v)) / (u - v)
     return Eq6Record(lhs, rhs, abs(lhs - rhs))
 
 
-def _beta_weight_minus_half(kmax: int) -> list[Fraction]:
-    """Exact moments of (1-rho)^{-1/2}: integral of rho^k (1-rho)^{-1/2}
-    equals k! 2^{k+1} / (2k+1)!!."""
-    out = [Fraction(2)]
+def _beta_moments(a: Fraction, kmax: int) -> list[Fraction]:
+    """Exact moments of (1-rho)^a: the integrals of rho^k (1-rho)^a over
+    [0, 1] for k <= kmax, from 1/(a+1) by the ratio k/(k+a+1)."""
+    out = [1 / (a + 1)]
     for k in range(1, kmax + 1):
-        out.append(out[-1] * Fraction(2 * k, 2 * k + 1))
-    return out
-
-
-def _beta_weight_plus_half(kmax: int) -> list[Fraction]:
-    """Exact moments of (1-rho)^{1/2}: integral of rho^k sqrt(1-rho) equals
-    k! 2^{k+1} / (2k+3)!!."""
-    out = [Fraction(2, 3)]
-    for k in range(1, kmax + 1):
-        out.append(out[-1] * Fraction(2 * k, 2 * k + 3))
+        out.append(out[-1] * k / (k + a + 1))
     return out
 
 
@@ -225,7 +215,7 @@ def param_weighted_integrals(m: int, n: int) -> WeightedIntegralRecord:
     quadrature confirmations ride along.  The second integral is undefined
     for m = n (its fields come back None)."""
     poly = param_poly(m, n)
-    b1 = _beta_weight_minus_half(max(poly.degree, 0))
+    b1 = _beta_moments(Fraction(-1, 2), max(poly.degree, 0))
     first = sum((c * b1[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
     expected_first = Fraction(1 + (-1) ** (m + n), m + n + 1)
 
@@ -269,7 +259,7 @@ def param_jnn(n: int) -> JnnRecord:
         raise ValueError("n must be nonnegative")
     closed = Fraction(1, 2 * n + 1) * (1 + Fraction(1, (2 * n + 3) * (2 * n - 1)))
     poly = param_poly(n, n)
-    b3 = _beta_weight_plus_half(max(poly.degree, 0))
+    b3 = _beta_moments(Fraction(1, 2), max(poly.degree, 0))
     symbolic = sum((c * b3[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
     rule = gauss_jacobi_half(n + 3)
     vals = np.array([(1.0 - float(x)) * poly(float(x)) for x in rule.nodes])

@@ -7,11 +7,12 @@ All rules are returned on their working interval:
 * ``gauss_laguerre``    -- integrals of e^{-x} * polynomial over [0, inf),
 * ``gauss_jacobi_half`` -- integrals of (1-x)^{-1/2} * polynomial over [0, 1].
 
-Legendre nodes come from vectorized Newton iteration on the recurrence;
-Laguerre and Jacobi start from the symmetric tridiagonal (Golub-Welsch)
-eigenproblem, with Laguerre nodes polished by Newton and its weights
-recomputed from the derivative formula (raw eigenvector weights lose
-relative accuracy in the tiny-weight tail).
+Legendre nodes come from vectorized Newton iteration on the recurrence
+(numpy's ``leggauss`` misses the [0, 1] spot integrals by a few ulp).
+Laguerre is numpy's ``laggauss``.  The Jacobi rule needs no code of its
+own: x = 1 - s^2 turns (1-x)^{-1/2} dx into 2 ds, so the n negative nodes s
+of the 2n-point Legendre rule, with weights 2 w_s, integrate every
+polynomial of degree up to 2n - 1 exactly.
 
 Each rule is built once per node count and cached; its arrays are
 read-only, so callers share it.
@@ -19,7 +20,6 @@ read-only, so callers share it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,55 +81,21 @@ def gauss_legendre(n: int) -> QuadRule:
     return QuadRule("legendre", n, (x + 1.0) / 2.0, w / 2.0)
 
 
-def _laguerre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # returns (L_n(x), L_{n-1}(x))
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for s in range(n):
-        prev, cur = cur, ((2 * s + 1 - x) * cur - s * prev) / (s + 1)
-    return cur, prev
-
-
 @lru_cache(maxsize=None)
 def gauss_laguerre(n: int) -> QuadRule:
     """n-point rule for integrals of e^{-x} g(x) over [0, inf)."""
     if not 1 <= n <= 128:
         raise ValueError("node count out of range 1..128")
-    if n == 1:
-        return QuadRule("laguerre", 1, np.array([1.0]), np.array([1.0]))
-    diag = 2.0 * np.arange(n) + 1.0
-    off = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
-    for _ in range(3):
-        ln, lm = _laguerre_pair(n, x)
-        x = x - ln * x / (n * (ln - lm))
-    lnp1, _ = _laguerre_pair(n + 1, x)
-    w = x / ((n + 1) * lnp1) ** 2
+    from numpy.polynomial.laguerre import laggauss
+
+    x, w = laggauss(n)
     return QuadRule("laguerre", n, x, w)
 
 
 @lru_cache(maxsize=None)
 def gauss_jacobi_half(n: int) -> QuadRule:
-    """n-point rule for integrals of (1-x)^{-1/2} g(x) over [0, 1].
-
-    Built from the Jacobi(alpha=-1/2, beta=0) rule on [-1, 1] by the affine
-    map x -> (1+x)/2, which turns the canonical weight into the endpoint
-    singularity above (weights pick up an overall 1/sqrt(2)).
-    """
+    """n-point rule for integrals of (1-x)^{-1/2} g(x) over [0, 1]."""
     if not 1 <= n <= 128:
         raise ValueError("node count out of range 1..128")
-    a, b = -0.5, 0.0
-    apb = a + b
-    diag = np.zeros(n)
-    offsq = np.zeros(n)  # offsq[k] = b_k, the squared off-diagonal entries
-    diag[0] = (b - a) / (apb + 2.0)
-    mu0 = 2.0 ** (apb + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(apb + 2.0)
-    for k in range(1, n):
-        den = (2.0 * k + apb) * (2.0 * k + apb + 2.0)
-        diag[k] = (b * b - a * a) / den
-        num = 4.0 * k * (k + a) * (k + b) * (k + apb)
-        offsq[k] = num / (((2.0 * k + apb) ** 2 - 1.0) * (2.0 * k + apb) ** 2)
-    J = np.diag(diag) + np.diag(np.sqrt(offsq[1:]), -1) + np.diag(np.sqrt(offsq[1:]), 1)
-    vals, vecs = np.linalg.eigh(J)
-    w = mu0 * vecs[0] ** 2
-    return QuadRule("jacobi_half", n, (vals + 1.0) / 2.0, w / math.sqrt(2.0))
+    s, w = _legendre_newton(2 * n)
+    return QuadRule("jacobi_half", n, 1.0 - s[:n] ** 2, 2.0 * w[:n])

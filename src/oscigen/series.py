@@ -15,9 +15,10 @@ along u with rows over v as the scalar ring.  The results are identical to
 the defining series (geometric, Taylor, binomial) term by term; the test
 suite checks this against direct partial-sum evaluation.
 
-``dft_extract`` is an independent numeric oracle: it recovers a coefficient
-of an analytic function on a bidisk by a double trapezoidal contour average,
-touching none of the series arithmetic above.
+``dft_extract_table`` is an independent numeric oracle: it recovers the
+coefficients of an analytic function on a bidisk by a double trapezoidal
+contour average (one 2-D FFT), touching none of the series arithmetic
+above.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import Domain, FLOAT, RATIONAL
+from .domains import Domain
 from .errors import OracleFailureError, SingularSeriesError, WindowMismatchError
 
-__all__ = ["Series2", "check_window", "dft_extract", "dft_extract_table", "max_window"]
+__all__ = ["Series2", "check_window", "dft_extract_table", "max_window"]
 
 _DEFAULT_MAX_WINDOW = 4096
 
@@ -455,7 +456,26 @@ class Series2:
 # ---------------------------------------------------------------------------
 # contour-integral oracle
 
-def _evaluate_on_torus(evaluator, radius: float, grid: int) -> np.ndarray:
+def dft_extract_table(evaluator, max_m: int, max_n: int, radius: float = 0.5,
+                      grid: int | None = None,
+                      imag_tol: float | None = 1e-10) -> np.ndarray:
+    """Coefficients of ``u^m v^n`` for ``m <= max_m``, ``n <= max_n`` of an
+    analytic function, as a real ``(max_m+1, max_n+1)`` array.
+
+    Approximates the double Cauchy integral on the torus ``|u| = |v| =
+    radius`` with the trapezoidal rule on ``grid x grid`` points, all
+    coefficients in one FFT.  For functions with real coefficients the
+    imaginary parts are an error indicator; the largest must stay below
+    ``imag_tol`` (None skips the check).
+    """
+    if max_m < 0 or max_n < 0:
+        raise ValueError("negative coefficient index")
+    if grid is None:
+        grid = 4 * (max(max_m, max_n) + 1)
+    if grid <= max(max_m, max_n):
+        raise ValueError("grid must exceed the requested degrees")
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must sit in (0, 1)")
     theta = 2.0 * np.pi * np.arange(grid) / grid
     ua = radius * np.exp(1j * theta)
     U, V = np.meshgrid(ua, ua, indexing="ij")
@@ -470,57 +490,9 @@ def _evaluate_on_torus(evaluator, radius: float, grid: int) -> np.ndarray:
         for a in range(grid):
             for b in range(grid):
                 F[a, b] = evaluator(complex(U[a, b]), complex(V[a, b]))
-    return F
-
-
-def dft_extract(evaluator, m: int, n: int, radius: float = 0.5,
-                grid: int | None = None, imag_tol: float | None = 1e-10) -> complex:
-    """Coefficient of ``u^m v^n`` of an analytic function by contour average.
-
-    Approximates the double Cauchy integral on the torus ``|u| = |v| =
-    radius`` with the trapezoidal rule on ``grid x grid`` points.  For
-    functions with real coefficients the imaginary part of the answer is an
-    error indicator; it must stay below ``imag_tol`` (set it to None for
-    genuinely complex coefficients).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("negative coefficient index")
-    if grid is None:
-        grid = 4 * (max(m, n) + 1)
-    if grid <= max(m, n):
-        raise ValueError("grid must exceed the requested degree")
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must sit in (0, 1)")
-    F = _evaluate_on_torus(evaluator, radius, grid)
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    wm = np.exp(-1j * m * theta)
-    wn = np.exp(-1j * n * theta)
-    value = (wm @ F @ wn) / (grid * grid * radius ** (m + n))
-    if imag_tol is not None and abs(value.imag) > imag_tol:
-        raise OracleFailureError(
-            f"imaginary residue {value.imag:.3e} above {imag_tol:.1e} "
-            f"at coefficient ({m},{n})"
-        )
-    return complex(value)
-
-
-def dft_extract_table(evaluator, max_m: int, max_n: int, radius: float = 0.5,
-                      grid: int | None = None,
-                      imag_tol: float | None = 1e-10) -> np.ndarray:
-    """All coefficients up to ``(max_m, max_n)`` in one FFT pass.
-
-    Same trapezoidal mathematics as :func:`dft_extract`; returns the real
-    parts as a ``(max_m+1, max_n+1)`` array after checking imaginary residues.
-    """
-    if grid is None:
-        grid = 4 * (max(max_m, max_n) + 1)
-    if grid <= max(max_m, max_n):
-        raise ValueError("grid must exceed the requested degrees")
-    F = _evaluate_on_torus(evaluator, radius, grid)
     C = np.fft.fft2(F) / (grid * grid)
-    block = C[: max_m + 1, : max_n + 1].copy()
     powers = radius ** (np.arange(max_m + 1)[:, None] + np.arange(max_n + 1)[None, :])
-    block /= powers
+    block = C[: max_m + 1, : max_n + 1] / powers
     if imag_tol is not None:
         worst = float(np.max(np.abs(block.imag)))
         if worst > imag_tol:

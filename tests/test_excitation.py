@@ -436,6 +436,30 @@ def test_report_poisson_row_matches_forced_table():
     assert rep.mean_n0 == pytest.approx(rep.value)
 
 
+def test_report_vacuum_rows_match_closed_forms():
+    # parametric: w_0,2k = (2k-1)!!/(2k)!! rho^k sqrt(1-rho), odd entries zero;
+    # sudden steps give rho = ((w1 - w2)/(w1 + w2))^2 analytically
+    for w2 in (2.0, 3.0, 9.0, 199.0):
+        rep = excitation_report(FrequencyProfile.sudden_step(1.0, w2))
+        rho = rep.value
+        dd = 1.0
+        for n, got in enumerate(rep.vacuum_row):
+            if n % 2:
+                assert got == 0.0
+                continue
+            k = n // 2
+            if k:
+                dd *= (2 * k - 1) / (2 * k)
+            assert got == pytest.approx(dd * rho**k * math.sqrt(1.0 - rho), rel=1e-15)
+    # forced: the Poisson row e^-nu nu^n / n!
+    for amp in (0.5, 1.0, 4.0):
+        rep = excitation_report(ForceProfile.gaussian(amp, 1.0, 0.0), omega=1.0)
+        nu = rep.value
+        for n, got in enumerate(rep.vacuum_row):
+            want = math.exp(-nu) * nu**n / math.factorial(n)
+            assert got == pytest.approx(want, rel=1e-15)
+
+
 def test_report_requires_omega_for_force():
     with pytest.raises(ValueError):
         excitation_report(ForceProfile.gaussian(1.0, 1.0, 0.0))

@@ -1,3 +1,9 @@
+"""Special-function values behind the public entry points, each against an
+independent oracle: the alternating Laguerre partial sums of ``forced_sk``,
+the gamma-ratio vacuum row of ``ground_row`` (its j = -1/4 sector is the
+double-factorial row of the parametric family) and the arctanh closed form
+of ``param_identity_eq6``."""
+
 import math
 from fractions import Fraction
 
@@ -6,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscigen.specfun import arctanh, gamma_ratio_coeff, laguerre, laguerre_sequence
+from oscigen import forced_sk, ground_row, param_identity_eq6
 
 
 def exact_laguerre(s: int, x: Fraction) -> Fraction:
@@ -19,21 +25,34 @@ def exact_laguerre(s: int, x: Fraction) -> Fraction:
     return total
 
 
+def laguerre_step(k: int, nu: float) -> float:
+    # S_k - S_{k-1} = e^-nu (-1)^k L_k(2 nu)
+    return (-1) ** k * math.exp(nu) * (forced_sk(k, nu) - forced_sk(k - 1, nu))
+
+
 def test_laguerre_low_orders():
-    assert laguerre(0, 17.3) == 1.0
-    assert laguerre(1, 1.4) == pytest.approx(-0.4, abs=1e-15)
-    assert laguerre(2, 2.0) == pytest.approx(-1.0, abs=1e-14)
+    assert forced_sk(0, 17.3) == math.exp(-17.3)
+    # 1 - L_1(1.4) = 1.4
+    assert forced_sk(1, 0.7) == pytest.approx(1.4 * math.exp(-0.7), abs=1e-15)
+    # 1 - L_1(2) + L_2(2) = 1 + 1 - 1
+    assert forced_sk(2, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-14)
 
 
 def test_laguerre_sequence_agrees_with_scalar():
-    xs = laguerre_sequence(12, 3.7)
-    for s, val in enumerate(xs):
-        assert val == laguerre(s, 3.7)
+    # each partial sum adds exactly one Laguerre polynomial, with its sign
+    from numpy.polynomial import laguerre as npl
+
+    for nu in (0.3, 1.85):
+        for k in range(1, 13):
+            want = float(npl.lagval(2.0 * nu, [0.0] * k + [1.0]))
+            assert laguerre_step(k, nu) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_laguerre_recurrence_residual_small():
-    for x in np.linspace(-20.0, 20.0, 9):
-        seq = laguerre_sequence(51, float(x))
+    for nu in np.linspace(0.0, 10.0, 6):
+        x = 2.0 * float(nu)
+        seq = [math.exp(nu) * forced_sk(0, float(nu))]
+        seq += [laguerre_step(k, float(nu)) for k in range(1, 52)]
         for s in range(1, 50):
             lhs = (s + 1) * seq[s + 1]
             rhs = (2 * s + 1 - x) * seq[s] - s * seq[s - 1]
@@ -43,81 +62,98 @@ def test_laguerre_recurrence_residual_small():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=12),
-    st.fractions(min_value=-8, max_value=8, max_denominator=8),
+    st.integers(min_value=0, max_value=63),
+    st.fractions(min_value=0, max_value=50, max_denominator=8),
 )
-def test_laguerre_matches_exact_sum(s, x):
-    want = float(exact_laguerre(s, x))
-    assert laguerre(s, float(x)) == pytest.approx(want, rel=1e-10, abs=1e-10)
+def test_laguerre_matches_exact_sum(k, nu):
+    partial = sum((-1) ** s * exact_laguerre(s, 2 * nu) for s in range(k + 1))
+    want = math.exp(-float(nu)) * float(partial)
+    assert forced_sk(k, float(nu)) == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_laguerre_matches_numpy_oracle():
+    # numpy's Clenshaw sum is an independent evaluation order
     from numpy.polynomial import laguerre as npl
 
-    for s in (5, 17, 33):
-        coeffs = [0.0] * s + [1.0]
+    for k in (5, 17, 33):
+        signs = [(-1.0) ** s for s in range(k + 1)]
         for x in (0.3, 4.0, 11.5):
-            assert laguerre(s, x) == pytest.approx(
-                float(npl.lagval(x, coeffs)), rel=1e-11, abs=1e-11
-            )
+            want = math.exp(-x / 2) * float(npl.lagval(x, signs))
+            assert forced_sk(k, x / 2) == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
+def test_forced_sk_matches_mpmath_up_to_nu_50():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for nu in (0.0, 0.01, 0.37, 1.0, 2.5, 7.9, 17.3, 33.3, 50.0):
+        x = mpmath.mpf(2 * nu)
+        partial = mpmath.mpf(0)
+        for k in range(64):
+            partial += (-1) ** k * mpmath.laguerre(k, 0, x)
+            want = float(mpmath.exp(-mpmath.mpf(nu)) * partial)
+            assert abs(forced_sk(k, nu) - want) < 1e-13
 
 
 def test_laguerre_rejects_negative_order():
     with pytest.raises(ValueError):
-        laguerre(-1, 0.0)
+        forced_sk(-1, 0.0)
 
 
 def test_gamma_ratio_empty_product():
-    assert gamma_ratio_coeff(0, -0.37) == 1.0
-    assert gamma_ratio_coeff(0, Fraction(-1, 4)) == Fraction(1)
+    assert ground_row(0, 0.0, -0.25) == 1.0
+    assert ground_row(0, 0.4, -0.37) == pytest.approx(0.6**0.74, rel=1e-15)
 
 
 def test_gamma_ratio_quarter_weights():
-    assert gamma_ratio_coeff(1, Fraction(-1, 4)) == Fraction(1, 2)
-    assert gamma_ratio_coeff(2, Fraction(-1, 4)) == Fraction(3, 8)
     # double-factorial pattern of the even-sector vacuum row
-    for n in range(1, 9):
-        got = gamma_ratio_coeff(n, Fraction(-1, 4))
-        dd = Fraction(1)
-        for k in range(1, n + 1):
-            dd *= Fraction(2 * k - 1, 2 * k)
-        assert got == dd
+    for rho in (0.5, 0.3, 0.9):
+        for n in range(1, 9):
+            dd = Fraction(1)
+            for k in range(1, n + 1):
+                dd *= Fraction(2 * k - 1, 2 * k)
+            want = float(dd) * rho**n * math.sqrt(1.0 - rho)
+            assert ground_row(n, rho, -0.25) == pytest.approx(want, rel=1e-15)
 
 
 def test_gamma_ratio_matches_gamma_function():
+    rho = 0.4
     for n in (1, 3, 7):
         for j in (-0.25, -0.6, -1.3):
             want = math.gamma(n - 2 * j) / (
                 math.factorial(n) * math.gamma(-2 * j)
-            )
-            assert gamma_ratio_coeff(n, j) == pytest.approx(want, rel=1e-13)
+            ) * rho**n * (1.0 - rho) ** (-2 * j)
+            assert ground_row(n, rho, j) == pytest.approx(want, rel=1e-13)
 
 
 def test_gamma_ratio_successive_ratio_consistency():
+    rho = 0.4
     for j in (-0.25, -0.6, -1.3):
-        prev = gamma_ratio_coeff(0, j)
+        prev = ground_row(0, rho, j)
         for n in range(12):
-            cur = gamma_ratio_coeff(n + 1, j)
-            assert cur / prev == pytest.approx((n - 2 * j) / (n + 1), rel=1e-14)
+            cur = ground_row(n + 1, rho, j)
+            assert cur / prev == pytest.approx(rho * (n - 2 * j) / (n + 1), rel=1e-14)
             prev = cur
 
 
 def test_gamma_ratio_rejects_poles():
     with pytest.raises(ValueError):
-        gamma_ratio_coeff(2, 0.0)  # Gamma(0)
+        ground_row(2, 0.5, 0.0)  # Gamma(0)
     with pytest.raises(ValueError):
-        gamma_ratio_coeff(2, Fraction(1, 2))  # Gamma(-1)
+        ground_row(2, 0.5, 0.5)  # Gamma(-1)
     with pytest.raises(ValueError):
-        gamma_ratio_coeff(-1, -0.25)
+        ground_row(-1, 0.5, -0.25)
 
 
 def test_arctanh_values_and_symmetry():
-    assert arctanh(0.0) == 0.0
-    assert arctanh(0.5) == pytest.approx(0.5 * math.log(3.0), rel=1e-15)
-    assert arctanh(-0.3) == -arctanh(0.3)
+    assert param_identity_eq6(0.0, 0.0).rhs == 2.0
+    # 4 arctanh(1/2) = 2 ln 3
+    assert param_identity_eq6(0.5, 0.0).rhs == pytest.approx(2.0 * math.log(3.0), rel=1e-15)
+    assert param_identity_eq6(0.3, 0.1).rhs == param_identity_eq6(-0.1, -0.3).rhs
 
 
 def test_arctanh_domain():
     for bad in (1.0, -1.0, 1.5):
         with pytest.raises(ValueError):
-            arctanh(bad)
+            param_identity_eq6(bad, 0.0)
+        with pytest.raises(ValueError):
+            param_identity_eq6(0.0, bad)
