@@ -112,7 +112,7 @@ def cmd_verify(suite, tol, fmt):
 @click.option("--profile", "profile_path", type=click.Path(exists=True, dir_okay=False), required=True, help="JSON profile document.")
 @click.option("--what", type=click.Choice(["nu", "rho"]), required=True, help="Which excitation parameter to extract.")
 @click.option("--omega", type=float, default=None, help="Oscillator frequency (required for nu).")
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="ODE tolerance for rho extraction.")
+@click.option("--tol", type=float, default=1e-10, show_default=True, help="Step-doubling tolerance of the rho extraction.")
 def cmd_excite(profile_path, what, omega, tol):
     """Extract the excitation parameter from a profile file and report the
     vacuum-row picture it implies as JSON."""

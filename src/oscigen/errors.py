@@ -35,5 +35,6 @@ class TableInvariantError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive ODE integration failed (step-size underflow or a profile that
-    never settles to its asymptotic value)."""
+    """Propagation of the oscillator equation failed: no step-doubling
+    agreement within the step cap, or a profile that never settles to its
+    asymptotic value."""

@@ -6,13 +6,18 @@ parameter is the Fourier integral
     nu = (1 / 2 omega) | integral f(t) e^{-i omega t} dt |^2 .
 
 For a variable frequency omega(t) the parameter rho comes from classical
-scattering: the oscillator equation xi'' + omega^2(t) xi = 0 is integrated
-from an in-state xi -> (2 omega_-)^{-1/2} e^{-i omega_- t} and projected at
-late times onto (2 omega_+)^{-1/2} (alpha e^{-i omega_+ t} + beta
-e^{+i omega_+ t}); then rho = |beta / alpha|^2 with |alpha|^2 - |beta|^2 = 1
-up to the reported Wronskian residual.  A piecewise-constant (sudden-step)
-profile is matched analytically; integrating a smooth-ODE method across a
-discontinuity would only converge slowly to the same answer.
+scattering: the oscillator equation xi'' + omega^2(t) xi = 0 is propagated
+from an in-state xi -> (2 omega_-)^{-1/2} e^{-i omega_- t} and projected
+once, where omega(t) has settled to 1e-15 of omega_+, onto
+(2 omega_+)^{-1/2} (alpha e^{-i omega_+ t} + beta e^{+i omega_+ t}); then
+rho = |beta / alpha|^2 with |alpha|^2 - |beta|^2 = 1 up to the reported
+Wronskian residual.  The propagator is a product of 4th-order Magnus steps,
+each a 2x2 real matrix in closed form, evaluated as numpy arrays with no
+Python code per step; the step count doubles until alpha and beta agree to
+the requested tolerance.  Each step is exact where omega is constant, and
+the product is symplectic, so the Wronskian residual stays at rounding
+level and no longer measures accuracy.  A piecewise-constant (sudden-step)
+profile is matched analytically.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import numpy as np
 from .amplitude import forced_vacuum, singular_vacuum
 from .errors import IntegrationError
 from .forced import NuParam
-from .ode import integrate_path
 from .parametric import RhoParam
 from .profiles import ForceProfile, FrequencyProfile
 from .quadrature import gauss_legendre
@@ -148,13 +152,78 @@ def _sudden_result(profile: FrequencyProfile, tol: float) -> BogoliubovResult:
     return BogoliubovResult(alpha, beta, rho, residual, 0, tol)
 
 
+# Magnus steps per omega_sq call in _transfer: large enough to amortize the
+# numpy calls, small enough to bound the node arrays
+_MAGNUS_BLOCK = 4096
+# bogoliubov_from_frequency gives up doubling past this many steps
+_MAX_STEPS = 1 << 22
+# the two Gauss-Legendre nodes on [0, 1]
+_GAUSS2 = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+
+
+def _chain(e: np.ndarray) -> np.ndarray:
+    """E of the product I + E = (I + E_{k-1}) ... (I + E_0) of the 2x2 real
+    matrices I + e[:, :, i], multiplied as a pairwise tree of broadcast
+    elementwise products: no matmul, whose threaded BLAS calls cost
+    milliseconds at these shapes.  Carrying E = M - I, which is small for a
+    short step, keeps the rounding error from growing with the step count."""
+    while e.shape[2] > 1:
+        odd = e.shape[2] % 2
+        a = e[:, :, 0:e.shape[2] - odd:2]  # earlier factor of each pair
+        b = e[:, :, 1::2]
+        # (I + B)(I + A) = I + (A + B + BA)
+        pairs = b[:, :1] * a[0] + b[:, 1:] * a[1] + a + b
+        e = np.concatenate((pairs, e[:, :, -1:]), axis=2) if odd else pairs
+    return e[:, :, 0]
+
+
+def _transfer(omega_sq, t0: float, t1: float, steps: int) -> tuple[float, ...]:
+    """Transfer matrix (m00, m01, m10, m11) of (xi, xi') over [t0, t1] in
+    ``steps`` equal 4th-order Magnus steps (Blanes, Casas, Oteo & Ros 2009,
+    Phys. Rep. 470:151, sec. 4.3).
+
+    With a, b = omega^2 at the Gauss nodes of a step of length h, the step
+    is exp Omega, Omega = [[p, h], [q, -p]], p = (sqrt 3 / 12) h^2 (b - a),
+    q = -h (a + b) / 2.  Omega^2 = s I with s = p^2 + h q, so exp Omega =
+    cos(theta) I + (sin(theta) / theta) Omega with theta^2 = -s (cosh and
+    sinh when s > 0).  The step is exact wherever omega is constant.
+    omega^2 is asked for ``_MAGNUS_BLOCK`` steps at a time.
+    """
+    h = (t1 - t0) / steps
+    blocks = []  # E of each block's product
+    for start in range(0, steps, _MAGNUS_BLOCK):
+        k = np.arange(start, min(start + _MAGNUS_BLOCK, steps), dtype=float)
+        w2 = omega_sq(t0 + h * (k[:, None] + _GAUSS2))
+        a, b = w2[:, 0], w2[:, 1]
+        p = (math.sqrt(3.0) / 12.0 * h * h) * (b - a)
+        q = (-0.5 * h) * (a + b)
+        s = p * p + h * q
+        theta = np.sqrt(np.abs(s))
+        cm1 = np.sin(0.5 * theta)
+        cm1 *= -2.0 * cm1  # cos(theta) - 1
+        f = np.sinc(theta / math.pi)  # sin(theta) / theta, 1 at theta = 0
+        grow = s > 0.0
+        if grow.any():
+            cm1[grow] = 2.0 * np.sinh(0.5 * theta[grow]) ** 2
+            f[grow] = np.sinh(theta[grow]) / theta[grow]
+        fp = f * p
+        blocks.append(_chain(np.array([[cm1 + fp, f * h], [f * q, cm1 - fp]])))
+    (e00, e01), (e10, e11) = _chain(np.stack(blocks, axis=2))
+    return 1.0 + e00, e01, e10, 1.0 + e11
+
+
 def bogoliubov_from_frequency(profile: FrequencyProfile,
                               tol: float = 1e-10) -> BogoliubovResult:
     """Scattering coefficients (alpha, beta) and rho = |beta/alpha|^2.
 
-    The out-projection is taken once the frequency has settled to within
-    1e-8 of omega_plus and is averaged over one final period to wash out
-    residual ripple.
+    The in-state starts where omega(t) leaves omega_minus by more than
+    1e-15 relative and is projected once onto the out-basis where omega(t)
+    has settled to within 1e-15 of omega_plus, after the frequency has been
+    checked to stay there for five periods.  The propagation runs on equal
+    4th-order Magnus steps, at least 64 and two per period of the faster
+    asymptote, doubled until alpha and beta of N and 2N steps agree to
+    ``tol * |alpha|``; ``steps`` is that final 2N.  Needing more than 2^22
+    steps raises ``IntegrationError``.
     """
     if not isinstance(profile, FrequencyProfile):
         raise TypeError("rho extraction needs a frequency profile")
@@ -166,7 +235,7 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
         return _sudden_result(profile, tol)
 
     wm, wp = profile.omega_minus, profile.omega_plus
-    t_start, t_end = profile.settle_times(rel=1e-8)
+    t_start, t_end = profile.settle_times(rel=1e-15)
     period = 2.0 * math.pi / wp
     # the settled frequency must hold for five periods before matching
     probe = np.linspace(t_end, t_end + 5.0 * period, 64)
@@ -176,29 +245,32 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
             "frequency does not stay settled after its matching time"
         )
 
-    def rhs(t, y):
-        return np.array((y[1], -profile.omega_sq(t) * y[0]))
-
     xi0 = cmath.exp(-1j * wm * t_start) / math.sqrt(2.0 * wm)
-    y0 = np.array([xi0, -1j * wm * xi0], dtype=complex)
-    checkpoints = np.concatenate(
-        ([t_end], t_end + period * np.linspace(0.0, 1.0, 17)[1:])
-    )
-    # integrate tighter than the requested tolerance: the Wronskian residual
-    # accumulates over thousands of steps and must land under 10 * tol
-    states, stats = integrate_path(
-        rhs, t_start, checkpoints, y0, rtol=tol / 20.0, atol=tol * 1e-4
-    )
-    alphas, betas = [], []
-    for t, (xi, xip) in zip(checkpoints, states):
-        a, b = _project(wp, float(t), complex(xi), complex(xip))
-        alphas.append(a)
-        betas.append(b)
-    alpha = complex(np.mean(alphas))
-    beta = complex(np.mean(betas))
+    xip0 = -1j * wm * xi0
+
+    def coefficients(steps):
+        m00, m01, m10, m11 = _transfer(profile.omega_sq, t_start, t_end, steps)
+        return _project(wp, t_end, m00 * xi0 + m01 * xip0, m10 * xi0 + m11 * xip0)
+
+    half_periods = (t_end - t_start) * max(wm, wp) / math.pi
+    steps = 64
+    while steps < half_periods:
+        steps *= 2
+    alpha, beta = coefficients(steps)
+    while True:
+        steps *= 2
+        if steps > _MAX_STEPS:
+            raise IntegrationError(
+                f"alpha and beta did not agree to tol {tol:.1e} within "
+                f"{_MAX_STEPS} Magnus steps"
+            )
+        coarse = alpha, beta
+        alpha, beta = coefficients(steps)
+        if max(abs(alpha - coarse[0]), abs(beta - coarse[1])) <= tol * abs(alpha):
+            break
     rho = abs(beta / alpha) ** 2
     residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
-    return BogoliubovResult(alpha, beta, rho, residual, stats.steps, tol)
+    return BogoliubovResult(alpha, beta, rho, residual, steps, tol)
 
 
 # ---------------------------------------------------------------------------

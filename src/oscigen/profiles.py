@@ -48,7 +48,7 @@ class _Tabulated:
     def spline(self):
         """Cubic spline through the tabulated samples, built once per
         profile.  It is smooth: a kinked interpolant would degrade the
-        integrator's order through omega^2(t)."""
+        propagator's order through omega^2(t)."""
         from scipy.interpolate import CubicSpline
 
         return CubicSpline(self.times, self.values)
@@ -220,26 +220,9 @@ class FrequencyProfile(_Tabulated):
         return float(self.values[-1])
 
     def omega_sq(self, t):
-        """omega^2(t); this is what enters the oscillator ODE.
-
-        The ODE solver asks one float time (a ``numpy.float64``) at a time,
-        and only for the kinds it integrates: ``tanh_ramp`` and
-        ``tabulated`` answer it on a scalar path that returns a Python
-        float.  Everything else is evaluated as an array; a 0-d result is
-        returned as a float too."""
+        """omega^2(t), the coefficient of the oscillator equation, for an
+        array of times; a 0-d result is returned as a float."""
         p = self.params
-        if isinstance(t, float) and self.kind in ("tanh_ramp", "tabulated"):
-            t = float(t)
-            if self.kind == "tanh_ramp":
-                w2m, w2p = p["omega2_minus"], p["omega2_plus"]
-                return float(w2m + (w2p - w2m) * (1.0 + math.tanh(t / p["T"])) / 2.0)
-            if t < self.times[0]:
-                return float(self.values[0] ** 2)
-            if t > self.times[-1]:
-                return float(self.values[-1] ** 2)
-            # v * v, not v ** 2: the array path squares by multiplication
-            v = float(self.spline(t))
-            return v * v
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             out = np.full_like(t, p["omega"] ** 2)
@@ -266,10 +249,12 @@ class FrequencyProfile(_Tabulated):
             w2m, w2p = p["omega2_minus"], p["omega2_plus"]
             T = p["T"]
             delta = abs(w2p - w2m)
+            if delta == 0.0:  # no ramp: settled at all times
+                return 0.0, 0.0
             # ramp fraction s(t) = (1 + tanh(t/T))/2 inverts to
             # t = (T/2) ln(s / (1-s)), robust for tiny s
-            s_minus = min(((1 + rel) ** 2 - 1) * w2m / delta, 0.5)
-            s_plus = min(((1 + rel) ** 2 - 1) * w2p / delta, 0.5)
+            s_minus = min((2.0 * rel + rel * rel) * w2m / delta, 0.5)
+            s_plus = min((2.0 * rel + rel * rel) * w2p / delta, 0.5)
             t_start = 0.5 * T * math.log(s_minus / (1.0 - s_minus))
             t_end = 0.5 * T * math.log((1.0 - s_plus) / s_plus)
             return t_start, t_end

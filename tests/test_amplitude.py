@@ -201,37 +201,45 @@ def test_invariant_failures_are_typed():
 
 # -- certified closed forms --------------------------------------------------
 
-def test_kernel_against_mpmath_closed_forms_at_256():
-    mpmath = pytest.importorskip("mpmath")
-    size = 256
-    spots = [(0, 255), (17, 17), (100, 200), (128, 131), (200, 255), (255, 255)]
-
-    def forced_mp(a, b, nu):
-        x, d = mpmath.mpf(nu), b - a
+def _closed_form_mp(mpmath, family, m, n, nu, rho, j):
+    """w_mn from the Laguerre (forced) or Jacobi (singular, parametric)
+    closed form at the current mpmath precision."""
+    if family == "parametric":
+        if (m - n) % 2:
+            return mpmath.mpf(0)
+        family, m, n, j = "singular", m // 2, n // 2, -0.25 - 0.5 * (m % 2)
+    a, b = min(m, n), max(m, n)
+    d = b - a
+    if family == "forced":
+        x = mpmath.mpf(nu)
         return (
             mpmath.exp(-x) * mpmath.factorial(a) / mpmath.factorial(b)
             * x**d * mpmath.laguerre(a, d, x) ** 2
         )
+    r, k = mpmath.mpf(rho), -2 * mpmath.mpf(j)
+    return (
+        mpmath.factorial(a) * mpmath.gamma(b + k)
+        / (mpmath.factorial(b) * mpmath.gamma(a + k))
+        * r**d * (1 - r) ** k * mpmath.jacobi(a, d, k - 1, 1 - 2 * r) ** 2
+    )
 
-    def singular_mp(a, b, rho, j):
-        r, k, d = mpmath.mpf(rho), -2 * mpmath.mpf(j), b - a
-        return (
-            mpmath.factorial(a) * mpmath.gamma(b + k)
-            / (mpmath.factorial(b) * mpmath.gamma(a + k))
-            * r**d * (1 - r) ** k * mpmath.jacobi(a, d, k - 1, 1 - 2 * r) ** 2
-        )
 
-    cases = [(forced_table(nu, size, size), forced_mp, (nu,)) for nu in (1e-6, 2.5, 20.0, 50.0)]
+def test_kernel_against_mpmath_closed_forms_at_256():
+    mpmath = pytest.importorskip("mpmath")
+    size = 256
+    spots = [(0, 255), (17, 17), (100, 200), (128, 131), (200, 255), (255, 255)]
+    cases = [(forced_table(nu, size, size), "forced", nu, 0.0, 0.0)
+             for nu in (1e-6, 2.5, 20.0, 50.0)]
     cases += [
-        (singular_table(rho, j, size, size), singular_mp, (rho, j))
+        (singular_table(rho, j, size, size), "singular", 0.0, rho, j)
         for rho, j in ((1e-6, -0.25), (0.3, -0.6), (0.9, -3.0), (0.99, -10.0))
     ]
     with mpmath.workdps(40):
-        for w, ref, args in cases:
+        for w, family, nu, rho, j in cases:
             peak = divmod(int(np.argmax(w[100:, 100:])), size - 100)
             for m, n in spots + [(peak[0] + 100, peak[1] + 100)]:
-                want = float(ref(min(m, n), max(m, n), *args))
-                assert abs(w[m, n] - want) <= 1e-14, (args, m, n)
+                want = float(_closed_form_mp(mpmath, family, m, n, nu, rho, j))
+                assert abs(w[m, n] - want) <= 1e-14, (family, nu, rho, j, m, n)
 
 
 # the errors a table outside the tested box may raise: every oscigen error
@@ -269,3 +277,36 @@ def test_supported_domain_validates_or_fails_typed(family, nu, rho, j, size):
         return
     event(f"{family} validated")
     assert table.size == (size, size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(("forced", "parametric", "singular")),
+    nu=st.floats(0.0, 50.0),
+    rho=st.floats(0.0, 0.99),
+    j=st.floats(-10.0, -0.25),
+    size=st.integers(1, 512),
+    data=st.data(),
+)
+def test_supported_domain_matches_mpmath_closed_forms(family, nu, rho, j, size, data):
+    """Sampled entries of stress-grid tables inside the tested box against
+    the closed forms in mpmath, each certified by a second evaluation 30
+    digits more precise: two uniform draws and the peak of a drawn row."""
+    mpmath = pytest.importorskip("mpmath")
+    if family == "forced":
+        w = forced_prob_table(nu, size).values
+    elif family == "parametric":
+        w = param_prob_table(rho, size).values
+    else:
+        w = singular_prob_table(rho, j, size).values
+    index = st.integers(0, size - 1)
+    spots = [(data.draw(index), data.draw(index)) for _ in range(2)]
+    row = data.draw(index)
+    spots.append((row, int(np.argmax(w[row]))))
+    for m, n in spots:
+        with mpmath.workdps(40):
+            want = _closed_form_mp(mpmath, family, m, n, nu, rho, j)
+        with mpmath.workdps(70):
+            sure = _closed_form_mp(mpmath, family, m, n, nu, rho, j)
+        assert abs(want - sure) <= 1e-25, (family, m, n)
+        assert abs(w[m, n] - float(sure)) <= 1e-10, (family, m, n, nu, rho, j)

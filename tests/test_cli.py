@@ -179,22 +179,17 @@ def test_excite_wrong_family_exit_2(runner, tmp_path):
 _TS = [float(t) for t in range(64)]
 
 
-@pytest.mark.parametrize("doc, max_steps", [
+@pytest.mark.parametrize("doc, step_cap", [
     # a tabulated step: the spline rings after the last sample that moves,
     # so the frequency never settles where the out-state is matched
     ({"kind": "tabulated", "profile": "frequency", "times": _TS,
       "values": [1.0 if t < 32 else 2.0 for t in _TS]}, None),
-    # a smooth ramp on a step budget too small to cross it
+    # a smooth ramp under a Magnus step cap too small to resolve it
     ({"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0}, 10),
 ])
-def test_excite_integration_failure_exit_3(runner, tmp_path, monkeypatch, doc, max_steps):
-    if max_steps is not None:
-        from oscigen.ode import integrate_path
-
-        def on_budget(*args, **kwargs):
-            return integrate_path(*args, **kwargs, max_steps=max_steps)
-
-        monkeypatch.setattr("oscigen.excitation.integrate_path", on_budget)
+def test_excite_integration_failure_exit_3(runner, tmp_path, monkeypatch, doc, step_cap):
+    if step_cap is not None:
+        monkeypatch.setattr("oscigen.excitation._MAX_STEPS", step_cap)
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(main, ["excite", "--profile", str(path), "--what", "rho"])
@@ -205,21 +200,43 @@ def test_excite_integration_failure_exit_3(runner, tmp_path, monkeypatch, doc, m
     assert "Traceback" not in result.stderr
 
 
-def test_import_leaves_scipy_unloaded():
+def _run_and_list_scipy(statement: str) -> str:
+    """stdout of a fresh interpreter that imports oscigen.cli, runs
+    ``statement`` and prints the scipy modules it loaded."""
     import oscigen
 
     src = str(Path(oscigen.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = (
-        "import sys, oscigen.cli; "
+        f"import sys, oscigen.cli; {statement}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _run_and_list_scipy("pass") == "[]"
+
+
+def test_tanh_excite_leaves_scipy_unloaded(tmp_path):
+    # the Magnus propagator is numpy only; tabulated profiles still import
+    # scipy.interpolate for their spline
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(
+        {"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0}
+    ))
+    out = _run_and_list_scipy(
+        f"oscigen.cli.main(['excite', '--profile', {str(path)!r}, '--what', 'rho'], "
+        "standalone_mode=False)"
+    )
+    report, modules = out.rsplit("\n", 1)
+    assert 0.0 < json.loads(report)["rho"] < 1.0
+    assert modules == "[]"
 
 
 def test_verify_forced_suite_json(runner):

@@ -10,7 +10,6 @@ from oscigen.excitation import (
     excitation_report,
     nu_from_force,
 )
-from oscigen.ode import integrate_path
 from oscigen.profiles import (
     ForceProfile,
     FrequencyProfile,
@@ -217,58 +216,93 @@ def test_tolerance_domain():
         bogoliubov_from_frequency(prof, tol=1e-13)
 
 
-# -- integrator --------------------------------------------------------------
+# -- Magnus propagator --------------------------------------------------------
 
 def test_integrator_reproduces_harmonic_motion():
-    def rhs(t, y):
-        return np.array([y[1], -y[0]], dtype=complex)
+    # constant omega: every Magnus step is the exact rotation, whatever N,
+    # including partial blocks and odd levels of the product tree
+    from oscigen.excitation import _MAGNUS_BLOCK, _transfer
 
-    y0 = np.array([1.0, 0.0], dtype=complex)
-    span = 20.0 * math.pi
-    states, stats = integrate_path(rhs, 0.0, [span], y0, rtol=1e-11, atol=1e-13)
-    assert states[0][0].real == pytest.approx(1.0, abs=1e-8)
-    assert states[0][1].real == pytest.approx(0.0, abs=1e-8)
-    assert stats.steps > 50
+    omega = 1.7
+    span = 10.0 * 2.0 * math.pi / omega
+    c, s = math.cos(omega * span), math.sin(omega * span)
+    want = (c, s / omega, -omega * s, c)
+    for steps in (1, 3, 64, 1000, _MAGNUS_BLOCK + 1, 3 * _MAGNUS_BLOCK):
+        got = _transfer(FrequencyProfile.constant(omega).omega_sq, 0.0, span, steps)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-13, steps
 
 
-def test_integrator_step_budget():
-    def rhs(t, y):
-        return np.array([y[1], -y[0]], dtype=complex)
+def test_magnus_is_fourth_order_on_a_tanh_ramp():
+    from oscigen.excitation import _transfer
 
+    prof = FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0)
+    t0, t1 = prof.settle_times(rel=1e-15)
+    ms = [np.array(_transfer(prof.omega_sq, t0, t1, n)) for n in (256, 512, 1024, 2048)]
+    diffs = [np.max(np.abs(b - a)) for a, b in zip(ms, ms[1:])]
+    for coarse, fine in zip(diffs, diffs[1:]):
+        assert 12.0 <= coarse / fine <= 20.0, diffs
+
+
+def test_magnus_doubling_stops_at_first_agreement(monkeypatch):
+    # `steps` is the final N: the step count doubles, and alpha, beta of N/2
+    # and N are the first pair to agree to tol |alpha|
+    import oscigen.excitation
+
+    levels, projections = [], []
+    transfer, project = oscigen.excitation._transfer, oscigen.excitation._project
+
+    def recording_transfer(omega_sq, t0, t1, steps):
+        levels.append(steps)
+        return transfer(omega_sq, t0, t1, steps)
+
+    def recording_project(*args):
+        projections.append(np.array(project(*args)))
+        return tuple(projections[-1])
+
+    monkeypatch.setattr(oscigen.excitation, "_transfer", recording_transfer)
+    monkeypatch.setattr(oscigen.excitation, "_project", recording_project)
+    tol = 1e-10
+    r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(4.0, 1.0, 0.5), tol=tol)
+    assert levels[0] >= 64 and levels[-1] == r.steps
+    assert levels == [levels[0] << i for i in range(len(levels))]
+    assert len(levels) >= 3
+    assert tuple(projections[-1]) == (r.alpha, r.beta)
+    agree = [
+        np.max(np.abs(fine - coarse)) <= tol * abs(fine[0])
+        for coarse, fine in zip(projections, projections[1:])
+    ]
+    assert agree == [False] * (len(agree) - 1) + [True]
+
+
+def test_integrator_step_budget(monkeypatch):
+    import oscigen.excitation
+
+    prof = FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0)
+    assert bogoliubov_from_frequency(prof, tol=1e-10).steps > 256
+    monkeypatch.setattr(oscigen.excitation, "_MAX_STEPS", 256)
     with pytest.raises(IntegrationError):
-        integrate_path(
-            rhs, 0.0, [1000.0], np.array([1.0, 0.0], dtype=complex),
-            rtol=1e-12, atol=1e-14, max_steps=10,
+        bogoliubov_from_frequency(prof, tol=1e-10)
+
+
+@pytest.mark.parametrize("T", [0.1, 0.5, 1.0, 3.0, 7.0, 15.0])
+@pytest.mark.parametrize("w2m, w2p", [(1.0, 4.0), (4.0, 1.0)])
+def test_rho_tanh_ramp_against_mpmath(T, w2m, w2p):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        wm, wp = mpmath.sqrt(w2m), mpmath.sqrt(w2p)
+        want = float(
+            mpmath.sinh(mpmath.pi * (wp - wm) * T / 2) ** 2
+            / mpmath.sinh(mpmath.pi * (wp + wm) * T / 2) ** 2
         )
+    r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(w2m, w2p, T), tol=1e-10)
+    assert abs(r.rho - want) <= 1e-11
+    assert r.wronskian_residual < 1e-9
 
 
-def test_integrator_fails_at_a_pole():
-    # y' = y^2, y(0) = 1 has the solution 1/(1-t), which blows up at t = 1
-    with pytest.raises(IntegrationError):
-        integrate_path(
-            lambda t, y: y * y, 0.0, [2.0], np.array([1.0], dtype=complex),
-            rtol=1e-10, atol=1e-12,
-        )
-
-
-def test_integrator_stats_count_rejected_steps():
-    calls = []
-
-    def rhs(t, y):
-        calls.append(t)
-        return y * y
-
-    checkpoints = [0.5, 0.9]
-    states, stats = integrate_path(
-        rhs, 0.0, checkpoints, np.array([1.0], dtype=complex),
-        rtol=1e-10, atol=1e-12,
-    )
-    assert states[1][0].real == pytest.approx(10.0, rel=1e-8)
-    assert stats.rhs_evals == len(calls)
-    # DOP853: 2 evaluations per solver start-up, 12 per attempted step
-    attempts = stats.steps + stats.rejected
-    assert stats.rhs_evals == 2 * len(checkpoints) + 12 * attempts
-    assert stats.rejected > 0  # the step size collapses towards the pole
+def test_rho_tanh_ramp_without_a_step():
+    r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(2.0, 2.0, 1.0))
+    assert r.rho == 0.0
+    assert r.wronskian_residual < 1e-15
 
 
 def test_tabulated_spline_built_once(monkeypatch):
@@ -380,7 +414,11 @@ def test_scalar_omega_sq_matches_array_path(kind):
 
 
 @pytest.mark.parametrize("kind", ["tanh_ramp", "tabulated"])
-def test_ode_asks_omega_sq_only_for_scalars(monkeypatch, kind):
+def test_propagator_asks_omega_sq_only_for_arrays(monkeypatch, kind):
+    import oscigen.excitation
+
+    block = 512
+    monkeypatch.setattr(oscigen.excitation, "_MAGNUS_BLOCK", block)
     prof = _freq_profiles()[kind]
     seen = []
     original = FrequencyProfile.omega_sq
@@ -390,12 +428,18 @@ def test_ode_asks_omega_sq_only_for_scalars(monkeypatch, kind):
         return original(self, t)
 
     monkeypatch.setattr(FrequencyProfile, "omega_sq", recording)
-    bogoliubov_from_frequency(prof, tol=1e-8)
-    arrays = [t for t in seen if isinstance(t, np.ndarray)]
-    # only the settle probe over five periods is an array
-    assert [a.shape for a in arrays] == [(64,)]
-    assert len(seen) > 100
-    assert all(isinstance(t, float) for t in seen if not isinstance(t, np.ndarray))
+    steps = bogoliubov_from_frequency(prof, tol=1e-8).steps
+    assert all(isinstance(t, np.ndarray) for t in seen)
+    # the settle probe over five periods, then both Gauss nodes of up to
+    # `block` steps per call
+    assert seen[0].shape == (64,)
+    rows = [t.shape[0] for t in seen[1:]]
+    assert all(t.shape == (n, 2) and n <= block for t, n in zip(seen[1:], rows))
+    # N doubles up to `steps`, so the levels sum to 2 steps - N_first
+    first = 2 * steps - sum(rows)
+    levels = [first << i for i in range((steps // first).bit_length())]
+    assert levels[0] >= 64 and levels[-1] == steps
+    assert len(rows) == sum(-(-n // block) for n in levels)
 
 
 # -- combined reports --------------------------------------------------------
