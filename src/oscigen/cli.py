@@ -75,14 +75,12 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
         _fail(str(exc), 2)
     except TableInvariantError as exc:
         _fail(f"table invariant violated: {exc}", 4)
-    text = table.to_csv() if fmt == "csv" else json.dumps(table.to_json_dict(), indent=1)
+    text = table.to_csv() if fmt == "csv" else table.to_json()
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
-        if fmt == "json":
-            click.echo()
 
 
 @main.command("verify")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,13 +77,17 @@ class ProbTable:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        return self._record(np.asarray(self.values, dtype=float).tolist(),
+                            np.asarray(self.row_tails, dtype=float).tolist())
+
+    def _record(self, values=None, row_tails=None) -> dict:
         out = {
             "family": self.family,
             "mode": self.mode,
             "params": dict(self.params),
             "size": [int(self.values.shape[0]), int(self.values.shape[1])],
-            "values": [[float(x) for x in row] for row in self.values],
-            "row_tails": [float(t) for t in self.row_tails],
+            "values": values,
+            "row_tails": row_tails,
         }
         if self.symbolic is not None:
             out["symbolic"] = {
@@ -118,12 +122,44 @@ class ProbTable:
     def to_csv(self) -> str:
         """Header row/column of quantum numbers, cells with 17 significant
         digits so doubles round-trip exactly."""
-        buf = io.StringIO()
-        ncols = self.values.shape[1]
-        buf.write("m\\n," + ",".join(str(n) for n in range(ncols)) + "\n")
-        for m, row in enumerate(self.values):
-            buf.write(str(m) + "," + ",".join(f"{x:.17g}" for x in row) + "\n")
-        return buf.getvalue()
+        cells = _cells(self.values, lambda xs: list(map("%.17g".__mod__, xs)))
+        lines = ["m\\n," + ",".join(map(str, range(self.values.shape[1])))]
+        lines += [f"{m}," + ",".join(row) for m, row in enumerate(cells)]
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=1)`` plus a final newline,
+        byte for byte, with the float blocks written directly."""
+        # Only top-level keys follow a raw newline and one space, so the
+        # marker cannot match inside params or the symbolic block.
+        head, _, tail = json.dumps(self._record(), indent=1).partition(
+            '\n "values": null,\n "row_tails": null')
+        rows = [_json_list(row, 3) for row in _cells(self.values, _json_floats)]
+        tails = _cells(self.row_tails, _json_floats)
+        return (f'{head}\n "values": {_json_list(rows, 2)},'
+                f'\n "row_tails": {_json_list(tails, 2)}{tail}\n')
+
+
+def _json_floats(xs: list) -> list:
+    """The text json.dumps gives each float (NaN and Infinity included)."""
+    return json.dumps(xs)[1:-1].split(", ") if xs else []
+
+
+def _json_list(items: list, depth: int) -> str:
+    """A list of preformatted items as ``json.dumps(indent=1)`` nests it."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
+
+
+def _cells(a: np.ndarray, fmt) -> list:
+    """``a`` as nested lists of text, formatting each distinct bit pattern
+    once: the kernel's tables are bit-symmetric and often half zeros."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    keys, inv = np.unique(a.view(np.int64), return_inverse=True)
+    text = np.array(fmt(keys.view(np.float64).tolist()), dtype=object)
+    return text[inv.reshape(a.shape)].tolist()
 
 
 def make_table(family: str, params: dict, mode: str, values: np.ndarray,

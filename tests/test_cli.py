@@ -82,6 +82,19 @@ def test_table_json_round_trip(runner, tmp_path):
     assert doc["symbolic"]["entries"][1][1] == ["1/1", "-2/1", "1/1"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_output_file_matches_stdout(runner, tmp_path, fmt):
+    args = ["table", "singular", "--rho", "0.3", "--j", "-0.75", "--max", "8", "--format", fmt]
+    shown = runner.invoke(main, args)
+    assert shown.exit_code == 0
+    out = tmp_path / f"t.{fmt}"
+    written = runner.invoke(main, [*args, "--output", str(out)])
+    assert written.exit_code == 0
+    assert written.stdout == ""
+    assert out.read_bytes() == shown.stdout_bytes
+    assert shown.stdout_bytes.endswith(b"\n")
+
+
 def test_table_forced_exact_at_48(runner):
     result = runner.invoke(
         main,
