@@ -38,20 +38,71 @@ def _tabulated_arrays(times, values):
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape or t.size < 4:
         raise ProfileError("tabulated profile needs two equal 1-d arrays (>= 4 samples)")
+    # before the other checks: NaN passes every comparison they make
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ProfileError("tabulated times and values must be finite")
     if np.any(np.diff(t) <= 0):
         raise ProfileError("tabulated times must increase strictly")
     return t, v
 
 
+class _NotAKnotSpline:
+    """Cubic spline through (x, y) with not-a-knot ends (the third
+    derivative is continuous at x[1] and x[-2]): the interpolant of
+    scipy.interpolate.CubicSpline with its default boundary conditions,
+    for at least four strictly increasing knots.  Outside [x[0], x[-1]] it
+    extrapolates the end cubics."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # tridiagonal system for the knot slopes s:
+        # lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        lower = np.concatenate(([0.0], dx[1:], [d1]))
+        diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([d0], dx[:-1], [0.0]))
+        rhs = np.concatenate((
+            [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+            3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+            [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+        ))
+        # one Thomas sweep over Python floats, normalizing each row by its
+        # pivot; the interior rows are diagonally dominant and the end
+        # rows' eliminations keep every pivot positive
+        ups, rs = [], []
+        u = r = 0.0
+        for lo, di, up, rh in zip(*(a.tolist() for a in (lower, diag, upper, rhs))):
+            pivot = di - lo * u
+            u = up / pivot
+            r = (rh - lo * r) / pivot
+            ups.append(u)
+            rs.append(r)
+        s, v = [], 0.0
+        for u, r in zip(reversed(ups), reversed(rs)):
+            v = r - u * v
+            s.append(v)
+        s = np.array(s[::-1])
+        # per interval: y + s d + c2 d^2 + c3 d^3 with d = t - x[i]
+        g = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.x = x
+        self.coeffs = (g / dx, (slope - s[:-1]) / dx - g, s[:-1], y[:-1])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        d = t - self.x[i]
+        c3, c2, s, y = (c[i] for c in self.coeffs)
+        return ((c3 * d + c2) * d + s) * d + y
+
+
 class _Tabulated:
     @cached_property
-    def spline(self):
+    def spline(self) -> _NotAKnotSpline:
         """Cubic spline through the tabulated samples, built once per
         profile.  It is smooth: a kinked interpolant would degrade the
         propagator's order through omega^2(t)."""
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.times, self.values)
+        return _NotAKnotSpline(self.times, self.values)
 
 
 @dataclass(frozen=True)

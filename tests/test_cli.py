@@ -215,14 +215,20 @@ def test_excite_integration_failure_exit_3(runner, tmp_path, monkeypatch, doc, s
 
 def _run_and_list_scipy(statement: str) -> str:
     """stdout of a fresh interpreter that imports oscigen.cli, runs
-    ``statement`` and prints the scipy modules it loaded."""
+    ``statement`` (a SystemExit with code 0 counts as success) and prints
+    the scipy modules it loaded."""
     import oscigen
 
     src = str(Path(oscigen.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = (
-        f"import sys, oscigen.cli; {statement}; "
+        "import sys, oscigen.cli\n"
+        "try:\n"
+        f"    {statement}\n"
+        "except SystemExit as exc:\n"
+        "    if exc.code:\n"
+        "        raise\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
@@ -237,19 +243,54 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_tanh_excite_leaves_scipy_unloaded(tmp_path):
-    # the Magnus propagator is numpy only; tabulated profiles still import
-    # scipy.interpolate for their spline
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(
-        {"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0}
-    ))
-    out = _run_and_list_scipy(
-        f"oscigen.cli.main(['excite', '--profile', {str(path)!r}, '--what', 'rho'], "
-        "standalone_mode=False)"
-    )
-    report, modules = out.rsplit("\n", 1)
-    assert 0.0 < json.loads(report)["rho"] < 1.0
+    # the Magnus propagator and the spline of tabulated profiles are numpy
+    # only, and verify reaches both
+    ts = np.linspace(-12.0, 12.0, 400)
+    runs = {
+        "tanh": ({"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0,
+                  "T": 1.0}, ["--what", "rho"]),
+        "force": ({"kind": "tabulated", "times": ts.tolist(),
+                   "values": np.exp(-ts * ts).tolist()},
+                  ["--what", "nu", "--omega", "1.0"]),
+        "frequency": ({"kind": "tabulated", "times": ts.tolist(),
+                       "values": np.sqrt(2.5 + 1.5 * np.tanh(ts)).tolist()},
+                      ["--what", "rho"]),
+    }
+    for name, (doc, args) in runs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argv = ["excite", "--profile", str(path), *args]
+        report, modules = _run_and_list_scipy(f"oscigen.cli.main({argv!r})").rsplit("\n", 1)
+        assert 0.0 < json.loads(report)[args[1]] < 1.0, name
+        assert modules == "[]", name
+    out = _run_and_list_scipy("oscigen.cli.main(['verify', '--suite', 'all'])")
+    summary, modules = out.rsplit("\n", 1)
+    assert " 0 failed" in summary
     assert modules == "[]"
+
+
+@pytest.mark.parametrize("what", ["nu", "rho"])
+@pytest.mark.parametrize("bad", ["nan_value", "inf_value", "inf_time"])
+def test_excite_nonfinite_samples_exit_2(runner, tmp_path, what, bad):
+    ts = np.linspace(-8.0, 8.0, 64)
+    vs = np.exp(-ts * ts) if what == "nu" else np.ones_like(ts)
+    if bad == "inf_time":
+        ts[-1] = math.inf
+    else:
+        vs[20] = math.nan if bad == "nan_value" else math.inf
+    path = tmp_path / "p.json"
+    # json writes the non-finite floats as NaN / Infinity and reads them back
+    path.write_text(json.dumps({"kind": "tabulated", "times": ts.tolist(),
+                                "values": vs.tolist()}))
+    result = runner.invoke(
+        main, ["excite", "--profile", str(path), "--what", what, "--omega", "1.0"]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "finite" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
 
 
 def test_verify_forced_suite_json(runner):

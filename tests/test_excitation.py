@@ -14,6 +14,7 @@ from oscigen.profiles import (
     ForceProfile,
     FrequencyProfile,
     ProfileError,
+    _NotAKnotSpline,
     load_profile,
 )
 
@@ -38,6 +39,19 @@ def test_nondecaying_tabulated_force_rejected():
     ts = np.linspace(-1.0, 1.0, 32)
     with pytest.raises(ProfileError):
         ForceProfile.tabulated(ts, np.cos(ts))
+
+
+@pytest.mark.parametrize("cls", [ForceProfile, FrequencyProfile])
+@pytest.mark.parametrize("bad", ["nan_value", "inf_value", "inf_time"])
+def test_nonfinite_tabulated_samples_rejected(cls, bad):
+    ts = np.linspace(-8.0, 8.0, 64)
+    vs = np.exp(-ts * ts) if cls is ForceProfile else np.ones_like(ts)
+    if bad == "inf_time":
+        ts[-1] = np.inf
+    else:
+        vs[20] = np.nan if bad == "nan_value" else np.inf
+    with pytest.raises(ProfileError, match="finite"):
+        cls.tabulated(ts, vs)
 
 
 def test_nonpositive_frequency_rejected():
@@ -306,16 +320,14 @@ def test_rho_tanh_ramp_without_a_step():
 
 
 def test_tabulated_spline_built_once(monkeypatch):
-    import scipy.interpolate
-
     built = []
 
-    class CountingSpline(scipy.interpolate.CubicSpline):
+    class CountingSpline(_NotAKnotSpline):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    monkeypatch.setattr("oscigen.profiles._NotAKnotSpline", CountingSpline)
     ts = np.linspace(-10.0, 10.0, 200)
     prof = FrequencyProfile.tabulated(ts, np.sqrt(2.5 + 1.5 * np.tanh(ts)))
     for t in np.linspace(-12.0, 12.0, 50):
@@ -327,6 +339,46 @@ def test_tabulated_spline_built_once(monkeypatch):
     nu_from_force(force, 1.0)
     force(ts)
     assert len(built) == 2
+
+
+def _nonuniform_knots(rng, n):
+    return np.cumsum(rng.uniform(0.05, 2.0, n)) - 20.0
+
+
+def test_spline_reproduces_cubics():
+    # not-a-knot ends make the spline exact on cubics, extrapolation included
+    rng = np.random.default_rng(3)
+    for n in (4, 5, 40):
+        x = _nonuniform_knots(rng, n)
+
+        def cubic(t):
+            return ((0.3 * t - 1.1) * t + 0.7) * t - 2.0
+
+        spline = _NotAKnotSpline(x, cubic(x))
+        pts = np.linspace(x[0] - 1.0, x[-1] + 1.0, 301)
+        assert np.max(np.abs(spline(pts) - cubic(pts))) <= 1e-11 * np.max(
+            np.abs(cubic(pts))
+        )
+
+
+@pytest.mark.parametrize("n", [4, 5, 10, 200, 4000])
+def test_spline_matches_scipy_cubic_spline(n):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(n)
+    x = _nonuniform_knots(rng, n)
+    y = rng.normal(size=n)
+    span = x[-1] - x[0]
+    pts = np.concatenate((
+        x,
+        rng.uniform(x[0], x[-1], 1000),
+        x[0] - span * np.array([1e-9, 1e-3, 0.05]),
+        x[-1] + span * np.array([1e-9, 1e-3, 0.05]),
+    ))
+    got = _NotAKnotSpline(x, y)(pts)
+    want = interpolate.CubicSpline(x, y)(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # every knot but the last starts its own interval, so it returns its sample
+    assert np.array_equal(got[: n - 1], y[:-1])
 
 
 def _panel_loop_fourier(profile, omega):
@@ -352,18 +404,16 @@ def _panel_loop_fourier(profile, omega):
 
 @pytest.mark.parametrize("grid", ["coarse_nonuniform", "gaussian_4000"])
 def test_blocked_fourier_matches_panel_loop(monkeypatch, grid):
-    import scipy.interpolate
-
     from oscigen.excitation import _FOURIER_BLOCK, _tabulated_fourier
 
     calls = []
 
-    class CountingSpline(scipy.interpolate.CubicSpline):
+    class CountingSpline(_NotAKnotSpline):
         def __call__(self, *args, **kwargs):
             calls.append(1)
             return super().__call__(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    monkeypatch.setattr("oscigen.profiles._NotAKnotSpline", CountingSpline)
     if grid == "coarse_nonuniform":
         # 1.5-wide intervals in the wings need four panels each at omega = 1
         ts = np.concatenate((
