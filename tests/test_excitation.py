@@ -347,13 +347,12 @@ def _nonuniform_knots(rng, n):
 
 def test_spline_reproduces_cubics():
     # not-a-knot ends make the spline exact on cubics, extrapolation included
+    def cubic(t):
+        return ((0.3 * t - 1.1) * t + 0.7) * t - 2.0
+
     rng = np.random.default_rng(3)
     for n in (4, 5, 40):
         x = _nonuniform_knots(rng, n)
-
-        def cubic(t):
-            return ((0.3 * t - 1.1) * t + 0.7) * t - 2.0
-
         spline = _NotAKnotSpline(x, cubic(x))
         pts = np.linspace(x[0] - 1.0, x[-1] + 1.0, 301)
         assert np.max(np.abs(spline(pts) - cubic(pts))) <= 1e-11 * np.max(
