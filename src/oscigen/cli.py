@@ -20,6 +20,7 @@ import sys
 
 import click
 
+from . import __version__
 from .errors import IntegrationError, PrecisionError, TableInvariantError
 from .excitation import excitation_report
 from .forced import forced_prob_table
@@ -37,7 +38,7 @@ def _fail(message: str, code: int):
 
 
 @click.group()
-@click.version_option(package_name="oscigen")
+@click.version_option(version=__version__)
 def main():
     """Transition probabilities and sum rules for driven, parametric and
     singular quantum oscillators (hbar = m = 1)."""
@@ -109,7 +110,7 @@ def cmd_verify(suite, tol, fmt):
 @main.command("excite")
 @click.option("--profile", "profile_path", type=click.Path(exists=True, dir_okay=False), required=True, help="JSON profile document.")
 @click.option("--what", type=click.Choice(["nu", "rho"]), required=True, help="Which excitation parameter to extract.")
-@click.option("--omega", type=float, default=None, help="Oscillator frequency (required for nu).")
+@click.option("--omega", type=float, default=None, help="Oscillator frequency (required for nu, refused for rho).")
 @click.option("--tol", type=float, default=1e-10, show_default=True, help="Step-doubling tolerance of the rho extraction.")
 def cmd_excite(profile_path, what, omega, tol):
     """Extract the excitation parameter from a profile file and report the

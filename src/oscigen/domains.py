@@ -1,7 +1,8 @@
 """Coefficient domains for the truncated series engine.
 
-A domain bundles the ring constants (zero, one) with coercion, zero testing
-and inversion for one kind of coefficient:
+A domain bundles the ring constants (zero, one) with coercion, zero testing,
+inversion and the exponents ``pow_real`` accepts, for one kind of
+coefficient:
 
 * ``RATIONAL``      -- exact rationals (``fractions.Fraction``),
 * ``poly_domain(p)``-- univariate polynomials in a named parameter with
@@ -9,8 +10,10 @@ and inversion for one kind of coefficient:
 * ``FLOAT``         -- double-precision reals.
 
 Elements themselves carry the arithmetic through the usual operators, so the
-series code stays generic.  The numeric domain flags itself with a numpy
-dtype, which the series engine uses to switch to vectorized rows.
+series code stays generic: it keeps float coefficients in float64 arrays and
+exact ones as the elements of object arrays, and runs the same numpy code on
+both.  ``dtype`` is the float domain's numpy dtype and None for the exact
+domains.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ class RatPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -97,21 +104,27 @@ class RatPoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
+        # series rows are mostly zeros, so return a zero operand as it is;
+        # RatPoly goes first because isinstance on Fraction is an ABC check
+        if isinstance(other, RatPoly):
+            if not self.coeffs:
+                return self
+            if not other.coeffs:
+                return other
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in enumerate(other.coeffs):
+                        if b:
+                            out[i + j] += a * b
+            return RatPoly(out)
         if isinstance(other, (int, Fraction)):
+            if not self.coeffs:
+                return self
             if other == 0:
                 return RatPoly()
             return RatPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return RatPoly(out)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -164,8 +177,8 @@ def _as_poly(x):
 class Domain:
     """Commutative-ring contract used by the series engine.
 
-    ``dtype`` is None for exact (object-coefficient) domains and a numpy
-    dtype for the float domain.
+    ``dtype`` is None for exact domains, whose series rows are object
+    arrays, and a numpy dtype for the float domain.
     """
 
     name: str
@@ -174,11 +187,17 @@ class Domain:
     def coerce(self, x):
         raise NotImplementedError
 
-    def is_zero(self, x) -> bool:
-        return not self.coerce(x) != self.zero  # pragma: no cover
-
     def invert(self, x):
         raise NotImplementedError
+
+    def exponent(self, alpha):
+        """A real-power exponent in this domain; exact domains need a
+        rational."""
+        if isinstance(alpha, int):
+            return Fraction(alpha)
+        if not isinstance(alpha, Fraction):
+            raise TypeError("exact domains need a rational exponent")
+        return alpha
 
     def __repr__(self):
         return f"<domain {self.name}>"
@@ -260,6 +279,9 @@ class FloatDomain(Domain):
         if x == 0.0:
             raise SingularSeriesError("zero is not invertible")
         return 1.0 / x
+
+    def exponent(self, alpha):
+        return float(alpha)
 
 
 RATIONAL = RationalDomain()

@@ -305,6 +305,10 @@ def excitation_report(profile, omega: float | None = None,
         nu = nu_from_force(profile, omega).value
         return ExcitationReport("nu", nu, nu, tuple(forced_vacuum(8, nu).tolist()))
     if isinstance(profile, FrequencyProfile):
+        if omega is not None:
+            raise ValueError(
+                "frequency profiles carry their own frequencies; omega applies to force profiles"
+            )
         result = bogoliubov_from_frequency(profile, tol=tol)
         rho = result.rho
         RhoParam(rho)

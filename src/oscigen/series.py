@@ -15,6 +15,11 @@ along u with rows over v as the scalar ring.  The results are identical to
 the defining series (geometric, Taylor, binomial) term by term; the test
 suite checks this against direct partial-sum evaluation.
 
+There is one code path for every domain.  The coefficient grid is a
+read-only numpy array: float64 for the float domain, and an object array of
+``Fraction`` or ``RatPoly`` elements for the exact ones, on which
+``np.convolve`` and ``np.dot`` run the element operators.
+
 ``dft_extract_table`` is an independent numeric oracle: it recovers the
 coefficients of an analytic function on a bidisk by a double trapezoidal
 contour average (one 2-D FFT), touching none of the series arithmetic
@@ -24,12 +29,11 @@ above.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 
 import numpy as np
 
 from .domains import Domain
-from .errors import OracleFailureError, SingularSeriesError, WindowMismatchError
+from .errors import OracleFailureError, WindowMismatchError
 
 __all__ = ["Series2", "check_window", "dft_extract_table", "max_window"]
 
@@ -62,101 +66,50 @@ def check_window(max_deg_u: int, max_deg_v: int) -> None:
 
 # ---------------------------------------------------------------------------
 # row primitives -- a "row" is the coefficient vector over v for one power
-# of u.  Exact domains use plain lists, numeric domains numpy arrays.
+# of u: a float64 array, or an object array of Fraction/RatPoly elements.
 
-def _oconv(a, b, zero):
-    """Truncated convolution of two object rows of equal length."""
-    n = len(a)
-    out = [zero] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(n - i):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _orow_inv(a, dom):
-    n = len(a)
-    c0 = dom.invert(a[0])
-    out = [dom.zero] * n
-    out[0] = c0
-    for k in range(1, n):
-        acc = dom.zero
-        for j in range(1, k + 1):
-            if a[j] and out[k - j]:
-                acc = acc + a[j] * out[k - j]
-        out[k] = -(c0 * acc) if acc else dom.zero
-    return out
-
-
-def _orow_exp(a, dom):
-    n = len(a)
-    out = [dom.zero] * n
-    out[0] = dom.one
-    for k in range(1, n):
-        acc = dom.zero
-        for j in range(1, k + 1):
-            if a[j] and out[k - j]:
-                acc = acc + (a[j] * j) * out[k - j]
-        out[k] = acc * Fraction(1, k) if acc else dom.zero
-    return out
-
-
-def _orow_pow(a, alpha, dom):
-    # requires a[0] == 1
-    n = len(a)
-    out = [dom.zero] * n
-    out[0] = dom.one
-    for k in range(1, n):
-        acc = dom.zero
-        for j in range(1, k + 1):
-            if a[j] and out[k - j]:
-                acc = acc + (a[j] * (alpha * j + j - k)) * out[k - j]
-        out[k] = acc * Fraction(1, k) if acc else dom.zero
-    return out
-
-
-def _nconv(a, b):
+def _conv(a, b):
+    """Truncated convolution of two rows of equal length."""
     return np.convolve(a, b)[: a.shape[0]]
 
 
-def _nrow_inv(a, dom):
+def _row_inv(a, dom):
     n = a.shape[0]
-    if a[0] == 0:
-        raise SingularSeriesError("zero is not invertible")
-    out = np.zeros(n, dtype=a.dtype)
-    out[0] = 1.0 / a[0]
+    out = np.full_like(a, dom.zero)
+    out[0] = dom.invert(a[0])
     for k in range(1, n):
         out[k] = -out[0] * np.dot(a[1 : k + 1], out[k - 1 :: -1])
     return out
 
 
-def _nrow_exp(a, dom):
+def _row_exp(a, dom):
     n = a.shape[0]
-    out = np.zeros(n, dtype=a.dtype)
-    out[0] = 1.0
+    out = np.full_like(a, dom.zero)
+    out[0] = dom.one
     ja = a * np.arange(n)
     for k in range(1, n):
         out[k] = np.dot(ja[1 : k + 1], out[k - 1 :: -1]) / k
     return out
 
 
-def _nrow_pow(a, alpha, dom):
+def _row_pow(a, alpha, dom):
+    # requires a[0] == 1
     n = a.shape[0]
-    out = np.zeros(n, dtype=a.dtype)
-    out[0] = 1.0
+    out = np.full_like(a, dom.zero)
+    out[0] = dom.one
     ks = np.arange(n)
     for k in range(1, n):
-        coef = (alpha + 1.0) * ks[1 : k + 1] - k
+        coef = (alpha + 1) * ks[1 : k + 1] - k
         out[k] = np.dot(coef * a[1 : k + 1], out[k - 1 :: -1]) / k
     return out
 
 
 class Series2:
-    """Dense truncated power series in u and v over a coefficient domain."""
+    """Dense truncated power series in u and v over a coefficient domain.
+
+    ``rows`` is a read-only ``(max_deg_u + 1, max_deg_v + 1)`` array of the
+    domain's dtype, ``object`` for the exact domains.
+    """
 
     __slots__ = ("domain", "max_deg_u", "max_deg_v", "rows")
 
@@ -167,19 +120,13 @@ class Series2:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "max_deg_u", max_deg_u)
         object.__setattr__(self, "max_deg_v", max_deg_v)
-        if domain.dtype is not None:
-            arr = np.array(rows, dtype=domain.dtype)
-            if arr.shape != (max_deg_u + 1, max_deg_v + 1):
-                raise ValueError("coefficient grid does not match window")
-            arr.setflags(write=False)
-            object.__setattr__(self, "rows", arr)
-        else:
-            rows = tuple(tuple(r) for r in rows)
-            if len(rows) != max_deg_u + 1 or any(
-                len(r) != max_deg_v + 1 for r in rows
-            ):
-                raise ValueError("coefficient grid does not match window")
-            object.__setattr__(self, "rows", rows)
+        # a ragged grid fails in np.array, or (as objects) becomes a 1-D
+        # array of rows that the shape test rejects
+        arr = np.array(rows, dtype=domain.dtype or object)
+        if arr.shape != (max_deg_u + 1, max_deg_v + 1):
+            raise ValueError("coefficient grid does not match window")
+        arr.setflags(write=False)
+        object.__setattr__(self, "rows", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series2 is immutable")
@@ -188,25 +135,17 @@ class Series2:
 
     @classmethod
     def zeros(cls, domain: Domain, max_deg_u: int, max_deg_v: int) -> "Series2":
-        if domain.dtype is not None:
-            grid = np.zeros((max_deg_u + 1, max_deg_v + 1), dtype=domain.dtype)
-        else:
-            grid = [[domain.zero] * (max_deg_v + 1) for _ in range(max_deg_u + 1)]
-        return cls(domain, max_deg_u, max_deg_v, grid)
+        return cls.from_terms(domain, max_deg_u, max_deg_v, {})
 
     @classmethod
     def from_terms(cls, domain: Domain, max_deg_u: int, max_deg_v: int, terms) -> "Series2":
         """Series with the given ``{(m, n): coefficient}`` entries."""
-        if domain.dtype is not None:
-            grid = np.zeros((max_deg_u + 1, max_deg_v + 1), dtype=domain.dtype)
-            for (m, n), c in terms.items():
-                if m <= max_deg_u and n <= max_deg_v:
-                    grid[m, n] = domain.coerce(c)
-        else:
-            grid = [[domain.zero] * (max_deg_v + 1) for _ in range(max_deg_u + 1)]
-            for (m, n), c in terms.items():
-                if m <= max_deg_u and n <= max_deg_v:
-                    grid[m][n] = domain.coerce(c)
+        grid = np.full(
+            (max_deg_u + 1, max_deg_v + 1), domain.zero, dtype=domain.dtype or object
+        )
+        for (m, n), c in terms.items():
+            if m <= max_deg_u and n <= max_deg_v:
+                grid[m, n] = domain.coerce(c)
         return cls(domain, max_deg_u, max_deg_v, grid)
 
     @classmethod
@@ -221,11 +160,11 @@ class Series2:
             raise IndexError(
                 f"({m},{n}) outside window ({self.max_deg_u},{self.max_deg_v})"
             )
-        return self.rows[m][n]
+        return self.rows[m, n]
 
     @property
     def constant_term(self):
-        return self.rows[0][0]
+        return self.rows[0, 0]
 
     def window_matches(self, other: "Series2") -> bool:
         return (
@@ -247,75 +186,42 @@ class Series2:
     def __eq__(self, other):
         if not isinstance(other, Series2):
             return NotImplemented
-        if not self.window_matches(other):
-            return False
-        if self.domain.dtype is not None:
-            return bool(np.array_equal(self.rows, other.rows))
-        return self.rows == other.rows
+        return self.window_matches(other) and bool(
+            np.array_equal(self.rows, other.rows)
+        )
 
     def __hash__(self):
         return object.__hash__(self)
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        self._require_match(other)
-        if self.domain.dtype is not None:
-            grid = self.rows + other.rows
-        else:
-            grid = [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
+    def _with(self, grid) -> "Series2":
         return Series2(self.domain, self.max_deg_u, self.max_deg_v, grid)
 
+    def __add__(self, other):
+        self._require_match(other)
+        return self._with(self.rows + other.rows)
+
     def __neg__(self):
-        if self.domain.dtype is not None:
-            grid = -self.rows
-        else:
-            grid = [[-c for c in r] for r in self.rows]
-        return Series2(self.domain, self.max_deg_u, self.max_deg_v, grid)
+        return self._with(-self.rows)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "Series2":
         """Multiply every coefficient by a domain scalar."""
-        c = self.domain.coerce(c)
-        if self.domain.dtype is not None:
-            grid = self.rows * c
-        else:
-            grid = [[x * c if x else self.domain.zero for x in r] for r in self.rows]
-        return Series2(self.domain, self.max_deg_u, self.max_deg_v, grid)
+        return self._with(self.rows * self.domain.coerce(c))
 
     def __mul__(self, other):
         """Product truncated to the common window."""
         self._require_match(other)
-        mu = self.max_deg_u
-        if self.domain.dtype is not None:
-            a, b = self.rows, other.rows
-            grid = np.zeros_like(a)
-            for m in range(mu + 1):
-                acc = grid[m]
-                for i in range(m + 1):
-                    acc += _nconv(a[i], b[m - i])
-        else:
-            zero = self.domain.zero
-            nv = self.max_deg_v
-            grid = []
-            for m in range(mu + 1):
-                acc = [zero] * (nv + 1)
-                for i in range(m + 1):
-                    ra, rb = self.rows[i], other.rows[m - i]
-                    for p, ap in enumerate(ra):
-                        if not ap:
-                            continue
-                        for q in range(nv + 1 - p):
-                            bq = rb[q]
-                            if bq:
-                                acc[p + q] = acc[p + q] + ap * bq
-                grid.append(acc)
-        return Series2(self.domain, self.max_deg_u, self.max_deg_v, grid)
+        a, b = self.rows, other.rows
+        grid = np.full_like(a, self.domain.zero)
+        for m in range(self.max_deg_u + 1):
+            acc = grid[m]
+            for i in range(m + 1):
+                acc += _conv(a[i], b[m - i])
+        return self._with(grid)
 
     def inverse(self) -> "Series2":
         """Multiplicative inverse within the window.
@@ -324,31 +230,15 @@ class Series2:
         SingularSeriesError is raised.
         """
         dom = self.domain
-        mu, nv = self.max_deg_u, self.max_deg_v
-        if dom.dtype is not None:
-            a = self.rows
-            out = np.zeros_like(a)
-            out[0] = _nrow_inv(a[0], dom)
-            inv0 = out[0]
-            for m in range(1, mu + 1):
-                acc = np.zeros(nv + 1, dtype=a.dtype)
-                for i in range(1, m + 1):
-                    acc += _nconv(a[i], out[m - i])
-                out[m] = -_nconv(inv0, acc)
-        else:
-            dom.invert(self.constant_term)  # raises if not a unit
-            a = self.rows
-            inv0 = _orow_inv(list(a[0]), dom)
-            out = [inv0]
-            zero = dom.zero
-            for m in range(1, mu + 1):
-                acc = [zero] * (nv + 1)
-                for i in range(1, m + 1):
-                    conv = _oconv(list(a[i]), out[m - i], zero)
-                    acc = [x + y for x, y in zip(acc, conv)]
-                row = _oconv(inv0, acc, zero)
-                out.append([-x for x in row])
-        return Series2(dom, mu, nv, out)
+        a = self.rows
+        out = np.full_like(a, dom.zero)
+        out[0] = inv0 = _row_inv(a[0], dom)
+        for m in range(1, self.max_deg_u + 1):
+            acc = np.full_like(inv0, dom.zero)
+            for i in range(1, m + 1):
+                acc += _conv(a[i], out[m - i])
+            out[m] = -_conv(inv0, acc)
+        return self._with(out)
 
     def exp(self) -> "Series2":
         """Exponential of a series with zero constant term.
@@ -362,27 +252,15 @@ class Series2:
             raise ValueError(
                 "exp needs a zero constant term; factor the scalar exponential out"
             )
-        mu, nv = self.max_deg_u, self.max_deg_v
-        if dom.dtype is not None:
-            x = self.rows
-            out = np.zeros_like(x)
-            out[0] = _nrow_exp(x[0], dom)
-            for m in range(1, mu + 1):
-                acc = np.zeros(nv + 1, dtype=x.dtype)
-                for k in range(1, m + 1):
-                    acc += k * _nconv(x[k], out[m - k])
-                out[m] = acc / m
-        else:
-            zero = dom.zero
-            out = [_orow_exp(list(self.rows[0]), dom)]
-            for m in range(1, mu + 1):
-                acc = [zero] * (nv + 1)
-                for k in range(1, m + 1):
-                    xk = [c * k if c else zero for c in self.rows[k]]
-                    conv = _oconv(xk, out[m - k], zero)
-                    acc = [x + y for x, y in zip(acc, conv)]
-                out.append([c * Fraction(1, m) if c else zero for c in acc])
-        return Series2(dom, mu, nv, out)
+        x = self.rows
+        out = np.full_like(x, dom.zero)
+        out[0] = _row_exp(x[0], dom)
+        for m in range(1, self.max_deg_u + 1):
+            acc = np.full_like(x[0], dom.zero)
+            for k in range(1, m + 1):
+                acc += k * _conv(x[k], out[m - k])
+            out[m] = acc / m
+        return self._with(out)
 
     def pow_real(self, alpha) -> "Series2":
         """Real power of a series with unit constant term.
@@ -392,46 +270,21 @@ class Series2:
         real.
         """
         dom = self.domain
-        mu, nv = self.max_deg_u, self.max_deg_v
-        if dom.dtype is not None:
-            a = self.rows
-            if a[0][0] != 1.0:
-                raise ValueError("pow_real needs constant term 1; factor the scalar out")
-            alpha = float(alpha)
-            out = np.zeros_like(a)
-            out[0] = _nrow_pow(a[0], alpha, dom)
-            inv0 = _nrow_inv(a[0], dom)
-            for m in range(1, mu + 1):
-                acc = np.zeros(nv + 1, dtype=a.dtype)
-                for k in range(1, m + 1):
-                    acc += (alpha * k) * _nconv(a[k], out[m - k])
-                for i in range(1, m):
-                    acc -= (m - i) * _nconv(a[i], out[m - i])
-                out[m] = _nconv(inv0, acc) / m
-        else:
-            if self.constant_term != dom.one:
-                raise ValueError("pow_real needs constant term 1; factor the scalar out")
-            if isinstance(alpha, int):
-                alpha = Fraction(alpha)
-            if not isinstance(alpha, Fraction):
-                raise TypeError("exact domains need a rational exponent")
-            zero = dom.zero
-            a = [list(r) for r in self.rows]
-            out = [_orow_pow(a[0], alpha, dom)]
-            inv0 = _orow_inv(a[0], dom)
-            for m in range(1, mu + 1):
-                acc = [zero] * (nv + 1)
-                for k in range(1, m + 1):
-                    ak = [c * (alpha * k) if c else zero for c in a[k]]
-                    conv = _oconv(ak, out[m - k], zero)
-                    acc = [x + y for x, y in zip(acc, conv)]
-                for i in range(1, m):
-                    ai = [c * (m - i) if c else zero for c in a[i]]
-                    conv = _oconv(ai, out[m - i], zero)
-                    acc = [x - y for x, y in zip(acc, conv)]
-                row = _oconv(inv0, acc, zero)
-                out.append([c * Fraction(1, m) if c else zero for c in row])
-        return Series2(dom, mu, nv, out)
+        if self.constant_term != dom.one:
+            raise ValueError("pow_real needs constant term 1; factor the scalar out")
+        alpha = dom.exponent(alpha)
+        a = self.rows
+        out = np.full_like(a, dom.zero)
+        out[0] = _row_pow(a[0], alpha, dom)
+        inv0 = _row_inv(a[0], dom)
+        for m in range(1, self.max_deg_u + 1):
+            acc = np.full_like(inv0, dom.zero)
+            for k in range(1, m + 1):
+                acc += (alpha * k) * _conv(a[k], out[m - k])
+            for i in range(1, m):
+                acc -= (m - i) * _conv(a[i], out[m - i])
+            out[m] = _conv(inv0, acc) / m
+        return self._with(out)
 
     # -- evaluation --------------------------------------------------------
 

@@ -293,6 +293,31 @@ def test_excite_nonfinite_samples_exit_2(runner, tmp_path, what, bad):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("omega", ["3", "-1"])
+def test_excite_rho_refuses_omega_exit_2(runner, tmp_path, omega):
+    # rho comes from the profile's own frequencies; an --omega would be
+    # dropped without a word
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"kind": "tanh_ramp", "omega2_minus": 1.0,
+                                "omega2_plus": 4.0, "T": 1.0}))
+    result = runner.invoke(
+        main, ["excite", "--profile", str(path), "--what", "rho", "--omega", omega]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "omega" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_version_from_source_tree(runner):
+    # the version comes from oscigen.__version__, not installed metadata
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert result.output.rstrip().endswith("version 0.1.0")
+
+
 def test_verify_forced_suite_json(runner):
     result = runner.invoke(
         main, ["verify", "--suite", "forced", "--format", "json"]

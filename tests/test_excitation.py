@@ -556,3 +556,8 @@ def test_report_vacuum_rows_match_closed_forms():
 def test_report_requires_omega_for_force():
     with pytest.raises(ValueError):
         excitation_report(ForceProfile.gaussian(1.0, 1.0, 0.0))
+
+
+def test_report_refuses_omega_for_frequency():
+    with pytest.raises(ValueError, match="omega"):
+        excitation_report(FrequencyProfile.constant(1.0), omega=1.0)

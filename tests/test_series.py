@@ -176,15 +176,6 @@ def test_exp_rejects_nonzero_constant():
         Series2.one(RATIONAL, 2, 2).exp()
 
 
-def test_exp_float_matches_exact():
-    xe = Series2.from_terms(RATIONAL, 4, 4, {(1, 0): Fraction(1, 3), (1, 1): -2})
-    xf = Series2.from_terms(FLOAT, 4, 4, {(1, 0): 1.0 / 3.0, (1, 1): -2.0})
-    ee, ef = xe.exp(), xf.exp()
-    for m in range(5):
-        for n in range(5):
-            assert ef.coeff(m, n) == pytest.approx(float(ee.coeff(m, n)), abs=1e-13)
-
-
 # -- real powers -------------------------------------------------------------
 
 def test_pow_binomial_row():
@@ -239,6 +230,56 @@ def test_pow_irrational_exponent_float_domain():
         binom *= (alpha - k) / (k + 1)
     with pytest.raises(TypeError):
         Series2.one(RATIONAL, 2, 2).pow_real(alpha)
+
+
+# -- float and exact domains run the same code ------------------------------
+
+_AGREE_TERMS = {
+    (0, 0): 1, (1, 0): Fraction(1, 3), (1, 1): -2, (0, 2): Fraction(3, 4),
+    (2, 1): Fraction(-1, 5),
+}
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda a: a * a, id="mul"),
+    pytest.param(lambda a: a.inverse(), id="inverse"),
+    pytest.param(
+        lambda a: (a - Series2.one(a.domain, a.max_deg_u, a.max_deg_v)).exp(), id="exp"
+    ),
+    pytest.param(lambda a: a.pow_real(Fraction(-1, 2)), id="pow_real"),
+])
+def test_float_matches_exact(op):
+    def run(dom, convert):
+        terms = {mn: convert(c) for mn, c in _AGREE_TERMS.items()}
+        return op(Series2.from_terms(dom, 4, 5, terms))
+
+    exact = run(RATIONAL, Fraction)
+    poly = run(poly_domain("nu"), lambda c: RatPoly((c,)))
+    flt = run(FLOAT, float)
+    for m in range(5):
+        for n in range(6):
+            want = exact.coeff(m, n)
+            assert type(want) is Fraction and type(poly.coeff(m, n)) is RatPoly
+            assert poly.coeff(m, n) == want
+            assert flt.coeff(m, n) == pytest.approx(float(want), abs=1e-13)
+
+
+@pytest.mark.parametrize("dom", [FLOAT, RATIONAL, poly_domain("rho")],
+                         ids=["float", "rational", "poly"])
+def test_constructor_checks_grid_and_freezes_rows(dom):
+    row = [dom.zero] * 4
+    for rows in ([row, row], [row, row, row[:3]], [row]):
+        with pytest.raises(ValueError):
+            Series2(dom, 2, 3, rows)
+    s = Series2(dom, 2, 3, [row, row, row])
+    for t in (s, s + s, s * s.one(dom, 2, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            t.rows[0, 0] = dom.one
+        with pytest.raises(ValueError, match="read-only"):
+            t.rows[1][2] = dom.one
+    with pytest.raises(AttributeError):
+        s.rows = None
+    assert s == Series2.zeros(dom, 2, 3)
 
 
 # -- coefficient access ------------------------------------------------------
