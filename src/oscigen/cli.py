@@ -21,7 +21,7 @@ import sys
 import click
 
 from . import __version__
-from .errors import IntegrationError, PrecisionError, TableInvariantError
+from .errors import IntegrationError, TableInvariantError
 from .excitation import excitation_report
 from .forced import forced_prob_table
 from .parametric import param_prob_table
@@ -126,7 +126,7 @@ def cmd_excite(profile_path, what, omega, tol):
         report = excitation_report(profile, omega=omega, tol=tol)
     except (ValueError, TypeError) as exc:
         _fail(str(exc), 2)
-    except (IntegrationError, PrecisionError) as exc:
+    except IntegrationError as exc:
         _fail(str(exc), 3)
     click.echo(json.dumps(report.to_json_dict(), indent=1))
 

@@ -20,15 +20,6 @@ class OracleFailureError(RuntimeError):
     residue of a real coefficient exceeded tolerance."""
 
 
-class PrecisionError(RuntimeError):
-    """A requested tolerance could not be certified.  ``achieved`` carries the
-    best bound that was reached."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved {achieved:.3e})")
-        self.achieved = achieved
-
-
 class TableInvariantError(RuntimeError):
     """A probability table broke one of its invariants: entries in [0, 1],
     symmetry, row sums at most one and covered by the row tail bounds."""

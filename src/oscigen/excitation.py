@@ -148,6 +148,10 @@ def _sudden_result(profile: FrequencyProfile, tol: float) -> BogoliubovResult:
     xip = -1j * wm * xi
     alpha, beta = _project(wp, tj, xi, xip)
     rho = abs(beta / alpha) ** 2
+    if not rho < 1.0:  # ((wp - wm) / (wp + wm))^2 rounded to 1
+        raise ValueError(
+            f"frequency ratio omega_plus/omega_minus = {wp / wm:.3g} rounds rho to 1"
+        )
     residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
     return BogoliubovResult(alpha, beta, rho, residual, 0, tol)
 
@@ -223,7 +227,7 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     4th-order Magnus steps, at least 64 and two per period of the faster
     asymptote, doubled until alpha and beta of N and 2N steps agree to
     ``tol * |alpha|``; ``steps`` is that final 2N.  Needing more than 2^22
-    steps raises ``IntegrationError``.
+    steps raises ``IntegrationError``, at once if the first doubling would.
     """
     if not isinstance(profile, FrequencyProfile):
         raise TypeError("rho extraction needs a frequency profile")
@@ -256,6 +260,10 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     steps = 64
     while steps < half_periods:
         steps *= 2
+    if 2 * steps > _MAX_STEPS:
+        raise IntegrationError(
+            f"the profile needs at least {2 * steps} Magnus steps, over the cap {_MAX_STEPS}"
+        )
     alpha, beta = coefficients(steps)
     while True:
         steps *= 2

@@ -17,7 +17,8 @@ tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`,
 and the polynomials from the same closed form in integer arithmetic
 (:func:`oscigen.amplitude.param_poly`).  The series engine, exact
 (``_exact_grid``) and float (``_float_grid``), is the independent route
-``verify`` checks both against.
+``verify`` checks both against.  The row moments sum_n n^p w_mn are series
+coefficients of G(u, e^s), so no table is summed or truncated for them.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import numpy as np
 
 from .amplitude import param_poly, param_table, poly_grid
 from .domains import FLOAT, poly_domain
-from .errors import PrecisionError, SingularEvaluationError
+from .errors import SingularEvaluationError
 from .probtable import ProbTable, SymbolicTable, make_table
 from .quadrature import gauss_jacobi_half, gauss_legendre
-from .series import Series2, max_window
+from .series import Series2
 
 __all__ = [
     "RhoParam",
@@ -300,75 +301,31 @@ def param_mean_n(m: int, rho) -> float:
     return -0.5 + (m + 0.5) * (1.0 + rho_val) / (1.0 - rho_val)
 
 
-_TAIL_TERMS = 100001  # most terms the tail estimate sums
-
-
-def _tail_estimate(w_last: float, ratio: float, last: int, power: int) -> float:
-    """Geometric extrapolation sum_j (last+2j)^power * w_last * ratio^j over
-    j >= 1, summed in order until a term falls below 1e-16 of the running
-    sum or _TAIL_TERMS terms are in.
-
-    The terms and running sums are sequential products and sums (numpy's
-    ``cumprod``/``cumsum``), so the result is that of the term-by-term loop
-    bit for bit; they are taken in chunks that grow eightfold, which keeps
-    the usual few dozen terms cheap.
-    """
-    term, est, j, chunk = w_last, 0.0, 1, 64
-    while True:
-        js = np.arange(j, min(j + chunk, _TAIL_TERMS + 1))
-        terms = np.cumprod(np.concatenate(([term], np.full(js.size, ratio))))[1:]
-        contrib = terms * (last + 2 * js) ** power
-        sums = np.cumsum(np.concatenate(([est], contrib)))[1:]
-        stop = np.flatnonzero(contrib < sums * 1e-16)
-        if stop.size:
-            return float(sums[stop[0]])
-        if js[-1] == _TAIL_TERMS:
-            return float(sums[-1])
-        term, est, j, chunk = terms[-1], sums[-1], js[-1] + 1, 8 * chunk
-
-
-def param_row_moments(m: int, rho, tol: float = 1e-10,
-                      power: int = 2) -> tuple[np.ndarray, int]:
-    """Truncated row moments (sum n^p w_mn for p = 0..power) with the window
-    grown until the estimated missing contribution drops below tol.
-
-    The entries decay geometrically (ratio rho per step of two in n); the
-    estimate extrapolates the computed tail with that ratio.  Raises
-    PrecisionError when no admissible window reaches the tolerance.
-    """
+def _shifted_coeffs(m: int, rho, power: int) -> np.ndarray:
+    """[u^m s^p] of G(u e^{-s}, e^s) = (((1 - u)^2 - rho (u e^{-s} - e^s)^2)
+    / (1 - rho))^{-1/2} for p <= power; p! times it is sum_n (n - m)^p w_mn,
+    as [u^m] G(u, e^s) = sum_n w_mn e^{ns}.  Every s term carries a factor rho,
+    so no moment is a difference of large ones.  s runs outer, u inner:
+    O(power^2) row convolutions of length m + 1; nothing is truncated in n."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     rho_val = _rho_value(rho, open_top=True)
-    nmax = max(4 * m + 16, 32)
-    cap = min(max_window(), 4096)
-    while True:
-        row = param_table(rho_val, m + 1, nmax + 1)[m]
-        nz = np.flatnonzero(row > 0.0)
-        est = 0.0
-        if nz.size >= 2 and nz[-1] >= nmax - 1:
-            last = nz[-1]
-            w_last = row[last]
-            ratio = row[last] / row[last - 2] if last >= 2 and row[last - 2] > 0 else rho_val
-            ratio = min(max(ratio, rho_val), 0.999999)
-            est = _tail_estimate(w_last, ratio, last, power)
-        if est < tol:
-            ns = np.arange(row.size, dtype=float)
-            moments = np.array(
-                [float(np.dot(ns**p, row)) for p in range(power + 1)]
-            )
-            return moments, nmax
-        if nmax >= cap:
-            raise PrecisionError(
-                f"row {m} moments at rho={rho_val} not certified to {tol:.1e}", est
-            )
-        nmax = min(2 * nmax, cap)
+    terms = {(0, 0): 1.0, (0, 1): -2.0, (0, 2): 1.0}
+    for k in range(1, power + 1):
+        c = rho_val / (1.0 - rho_val) * 2.0**k / math.factorial(k)
+        terms.update({(k, 0): -c, (k, 2): -c * (-1) ** k})
+    return Series2.from_terms(FLOAT, power, m, terms).pow_real(-0.5).rows[:, m]
 
 
-def param_dispersion(m: int, rho, tol: float = 1e-10) -> float:
-    """Variance of the final quantum number over row m, from truncated table
-    moments with tail control."""
-    rho_val = _rho_value(rho, open_top=True)
-    if rho_val == 0.0:
-        return 0.0
-    moments, _ = param_row_moments(m, rho_val, tol=tol, power=2)
-    return moments[2] - moments[1] ** 2
+def param_row_moments(m: int, rho, power: int = 2) -> np.ndarray:
+    """Row moments sum_n n^p w_mn for p = 0..power, from the generating
+    function: e^{ms} times the series of :func:`_shifted_coeffs`."""
+    fact = np.cumprod([1.0, *range(1, power + 1)])
+    shift = float(m) ** np.arange(power + 1) / fact
+    return np.convolve(_shifted_coeffs(m, rho, power), shift)[: power + 1] * fact
+
+
+def param_dispersion(m: int, rho) -> float:
+    """Variance of the final quantum number over row m, from the moments of n - m."""
+    c = _shifted_coeffs(m, rho, 2)
+    return 2.0 * c[2] - c[1] ** 2

@@ -100,10 +100,13 @@ def test_gauss_rules_are_cached_and_read_only():
             rule.weights[0] = 0.5
 
 
-def test_row_moment_window_at_high_rho():
-    moments, window = param_row_moments(3, 0.8)
-    assert window == 512
+def test_row_moments_at_high_rho():
+    moments = param_row_moments(3, 0.8)
     assert moments[1] == pytest.approx(parametric.param_mean_n(3, 0.8), rel=1e-10)
+    rho = 0.97
+    mean = rho / (1 - rho)
+    want = [1.0, mean, 2 * rho / (1 - rho) ** 2 + mean**2]
+    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12)
 
 
 # -- vacuum row --------------------------------------------------------------

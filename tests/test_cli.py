@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from oscigen.cli import main
 from oscigen.probtable import ProbTable
+from oscigen.verify import run_suite
 
 
 @pytest.fixture
@@ -213,6 +214,19 @@ def test_excite_integration_failure_exit_3(runner, tmp_path, monkeypatch, doc, s
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("omega_plus", [1e17, 1e-17])
+def test_excite_extreme_sudden_step_exit_2(runner, tmp_path, omega_plus):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(
+        {"kind": "sudden_step", "omega_minus": 1.0, "omega_plus": omega_plus, "t_jump": 0.0}
+    ))
+    result = runner.invoke(main, ["excite", "--profile", str(path), "--what", "rho"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: frequency ratio")
+    assert len(result.stderr.splitlines()) == 1
+
+
 def _run_and_list_scipy(statement: str) -> str:
     """stdout of a fresh interpreter that imports oscigen.cli, runs
     ``statement`` (a SystemExit with code 0 counts as success) and prints
@@ -328,6 +342,36 @@ def test_verify_forced_suite_json(runner):
     assert doc["summary"]["pass"] >= 8
     ids = {c["id"] for c in doc["checks"]}
     assert "forced.sum-rules.exact" in ids
+
+
+_VERIFY_ALL_IDS = (
+    "forced.sum-rules.exact forced.sum-rules.quadrature forced.poisson-row "
+    "forced.poisson-variance forced.antidiagonal forced.antidiagonal.spot "
+    "forced.unitarity forced.symmetry forced.oracle-dft forced.kernel-series "
+    "forced.kernel-oracle forced.kernel-exact forced.series-exact "
+    "param.arctanh-integral param.weighted-first.exact "
+    "param.weighted-first.quadrature param.weighted-second.reported "
+    "param.diagonal-integral.exact param.diagonal-integral.quadrature "
+    "param.antidiagonal param.mean-n param.dispersion-vacuum param.parity "
+    "param.structure param.unitarity param.oracle-dft param.kernel-series "
+    "param.kernel-oracle param.kernel-exact param.series-exact "
+    "singular.reduction-even singular.reduction-odd singular.ground-row "
+    "singular.ground-row-normalization singular.adiabatic-slope "
+    "singular.slope-forms singular.unitarity singular.symmetry "
+    "singular.oracle-dft singular.kernel-series singular.kernel-oracle "
+    "excite.nu-gaussian excite.nu-full-period excite.nu-tabulated "
+    "excite.rho-sudden excite.rho-tanh excite.rho-adiabatic "
+    "excite.rho-sudden-limit excite.wronskian"
+).split()
+
+
+def test_verify_all_contract():
+    report = run_suite("all")
+    assert [c.check_id for c in report.checks] == _VERIFY_ALL_IDS
+    assert len(_VERIFY_ALL_IDS) == 49
+    statuses = {c.check_id: c.status for c in report.checks}
+    assert statuses.pop("param.weighted-second.reported") == "reported-only"
+    assert set(statuses.values()) == {"pass"}
 
 
 def test_verify_reports_second_integral_without_failing(runner):

@@ -177,6 +177,12 @@ def test_rho_sudden_step():
     assert r.rho == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("omega_plus", [1e17, 1e-17])
+def test_rho_sudden_step_ratio_that_rounds_rho_to_one(omega_plus):
+    with pytest.raises(ValueError, match="frequency ratio"):
+        bogoliubov_from_frequency(FrequencyProfile.sudden_step(1.0, omega_plus))
+
+
 def test_rho_tanh_ramp_reflection_formula():
     wm, wp, T = 1.0, 2.0, 1.0
     r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(wm**2, wp**2, T), tol=1e-10)
@@ -286,6 +292,22 @@ def test_magnus_doubling_stops_at_first_agreement(monkeypatch):
         for coarse, fine in zip(projections, projections[1:])
     ]
     assert agree == [False] * (len(agree) - 1) + [True]
+
+
+def test_step_cap_refused_before_propagating_past_it(monkeypatch):
+    import oscigen.excitation
+
+    real = oscigen.excitation._transfer
+
+    def transfer(omega_sq, t0, t1, steps):
+        if steps > oscigen.excitation._MAX_STEPS:
+            raise AssertionError(f"propagated {steps} steps, past the cap")
+        return real(omega_sq, t0, t1, steps)
+
+    monkeypatch.setattr(oscigen.excitation, "_transfer", transfer)
+    prof = FrequencyProfile.tanh_ramp(1.0, 1e12, 1.0)
+    with pytest.raises(IntegrationError, match="Magnus steps"):
+        bogoliubov_from_frequency(prof)
 
 
 def test_integrator_step_budget(monkeypatch):

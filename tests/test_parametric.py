@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oscigen.amplitude import param_table
 from oscigen.domains import RatPoly
-from oscigen.errors import PrecisionError
 from oscigen.parametric import (
     RhoParam,
     param_dispersion,
@@ -165,7 +165,7 @@ def test_mean_quantum_number():
 def test_mean_matches_row_moment():
     for rho in (0.1, 0.5, 0.8):
         for m in range(4):
-            moments, _ = param_row_moments(m, rho, tol=1e-10, power=1)
+            moments = param_row_moments(m, rho, power=1)
             want = param_mean_n(m, rho)
             assert moments[1] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -175,15 +175,61 @@ def test_dispersion_vacuum_closed_form():
     assert param_dispersion(0, 0.5) == pytest.approx(4.0, rel=1e-10)
     for rho in (0.1, 0.8):
         want = 2 * rho / (1 - rho) ** 2
-        assert param_dispersion(0, rho, tol=1e-10) == pytest.approx(want, rel=1e-8)
+        assert param_dispersion(0, rho) == pytest.approx(want, rel=1e-8)
 
 
-def test_row_moments_certify_or_raise(monkeypatch):
-    moments, window = param_row_moments(0, 0.8, tol=1e-10, power=0)
-    assert 1.0 - moments[0] < 1e-10
+def test_row_moments_at_high_rho_are_the_closed_forms(monkeypatch):
+    rho = 0.97
+    mean = rho / (1 - rho)
+    want = [1.0, mean, 2 * rho / (1 - rho) ** 2 + mean**2]
+    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12)
+    # no window grows: only the u degree m meets the cap
     monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "64")
-    with pytest.raises(PrecisionError):
-        param_row_moments(0, 0.97, tol=1e-12, power=2)
+    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError):
+        param_row_moments(65, rho)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.9, 0.99, 0.999])
+def test_row_moments_closed_forms(rho):
+    for m in [*range(9), 50, 200, 1000]:
+        moments = param_row_moments(m, rho)
+        var = 2 * rho * (m * m + m + 1) / (1 - rho) ** 2
+        assert moments[0] == pytest.approx(1.0, rel=1e-12)
+        assert moments[1] == pytest.approx(param_mean_n(m, rho), rel=1e-12)
+        assert moments[2] - moments[1] ** 2 == pytest.approx(var, rel=1e-12)
+        assert param_dispersion(m, rho) == pytest.approx(var, rel=1e-12)
+        if rho == 0.0:
+            assert moments[2] - moments[1] ** 2 == 0.0
+            assert param_dispersion(m, rho) == 0.0
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1e-8, 1e-4])
+def test_dispersion_at_small_rho_keeps_its_digits(rho):
+    # the variance 2 rho (m^2+m+1) is far below the second moment ~ m^2
+    for m in (10, 100, 1000):
+        var = 2 * rho * (m * m + m + 1) / (1 - rho) ** 2
+        assert param_dispersion(m, rho) == pytest.approx(var, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.8])
+def test_row_moments_match_kernel_table(rho):
+    # the entries fall like rho^(n/2): rows m <= 8 hold below 1e-84 past n = 2048
+    table = param_table(rho, 9, 2049)
+    ns = np.arange(2049.0)
+    for m in range(9):
+        want = [np.dot(ns**p, table[m]) for p in range(3)]
+        assert param_row_moments(m, rho) == pytest.approx(want, rel=1e-12)
+
+
+def test_row_moments_input_checks():
+    with pytest.raises(ValueError):
+        param_row_moments(-1, 0.5)
+    with pytest.raises(ValueError):
+        param_row_moments(0, 1.0)
+    with pytest.raises(ValueError):
+        param_dispersion(0, 1.0)
+    assert param_row_moments(4, 0.5, power=0) == pytest.approx([1.0], rel=1e-14)
 
 
 def test_unitarity_and_validation():
