@@ -44,6 +44,7 @@ from .domains import RatPoly
 from .series import check_window
 
 __all__ = [
+    "MAX_EXACT_SIZE",
     "forced_poly",
     "forced_table",
     "forced_vacuum",
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 _SHIFT = 600  # binary exponent step of the per-offset rescaling
+# largest exact-mode table: an exact forced table takes about 14 s to build
+# at M = 128 on two cores, and the cost grows like M^4.4
+MAX_EXACT_SIZE = 128
 
 
 def _seed(first: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,8 +258,10 @@ def param_poly(m: int, n: int) -> RatPoly:
 
 
 def poly_grid(poly, size: int) -> tuple[tuple[RatPoly, ...], ...]:
-    """Entries ``poly(m, n)`` for m, n < size; each symmetric pair is built
-    once."""
+    """Entries ``poly(m, n)`` for m, n < size <= ``MAX_EXACT_SIZE``; each
+    symmetric pair is built once."""
+    if size > MAX_EXACT_SIZE:
+        raise ValueError(f"exact tables are capped at size {MAX_EXACT_SIZE}, got {size}")
     rows = [[None] * size for _ in range(size)]
     for m in range(size):
         for n in range(m, size):

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import forced_vacuum, singular_vacuum
+from .amplitude import forced_vacuum, param_table
 from .errors import IntegrationError
 from .forced import NuParam
-from .parametric import RhoParam
+from .parametric import param_mean_n
 from .profiles import ForceProfile, FrequencyProfile
 from .quadrature import gauss_legendre
 
@@ -319,14 +319,11 @@ def excitation_report(profile, omega: float | None = None,
             )
         result = bogoliubov_from_frequency(profile, tol=tol)
         rho = result.rho
-        RhoParam(rho)
-        row = np.zeros(8)  # odd n vanish; even n are the j = -1/4 sector
-        row[0::2] = singular_vacuum(4, rho, 0.5)
         return ExcitationReport(
             "rho",
             rho,
-            rho / (1.0 - rho),
-            tuple(row.tolist()),
+            param_mean_n(0, rho),
+            tuple(param_table(rho, 1, 8)[0].tolist()),
             wronskian_residual=result.wronskian_residual,
         )
     raise TypeError(f"not a profile: {type(profile).__name__}")

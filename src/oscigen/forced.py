@@ -17,8 +17,9 @@ with e^{-nu} factored out,
 
     G = e^{-nu} (1-uv)^{-1} exp(nu (u + v - 2uv) / (1-uv)),
 
-the remaining series has polynomial coefficients (``_exact_grid``) or, at a
-fixed nu, float ones (``_float_grid``).
+one builder expands the remaining series with polynomial coefficients
+(``_exact_grid``) or, at a fixed nu, float ones (``_float_grid``, which
+multiplies e^{-nu} back in).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -79,25 +79,23 @@ def forced_gf_value(u, v, nu) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=32)
-def _exact_grid(max_m: int, max_n: int) -> Series2:
-    """Series of e^{nu} G without the e^{-nu} prefactor, coefficients
-    polynomial in nu: the cross-check of :func:`forced_poly`."""
-    dom = poly_domain("nu")
-    nu = dom.variable()
+def _series(dom, nu, max_m: int, max_n: int) -> Series2:
+    """Series of e^{nu} G over ``dom``; ``nu`` is a float or the variable of
+    poly[nu]."""
     inv = Series2.from_terms(dom, max_m, max_n, {(0, 0): 1, (1, 1): -1}).inverse()
     lin = Series2.from_terms(dom, max_m, max_n, {(1, 0): 1, (0, 1): 1, (1, 1): -2})
-    x = (lin * inv).scale(nu)
-    return inv * x.exp()
+    return inv * (lin * inv).scale(nu).exp()
 
 
-@lru_cache(maxsize=128)
+def _exact_grid(max_m: int, max_n: int) -> Series2:
+    """The p_mn polynomials: the cross-check of :func:`forced_poly`."""
+    dom = poly_domain("nu")
+    return _series(dom, dom.variable(), max_m, max_n)
+
+
 def _float_grid(nu_val: float, max_m: int, max_n: int) -> np.ndarray:
-    """Numeric coefficient grid of e^{nu} G at a fixed nu."""
-    inv = Series2.from_terms(FLOAT, max_m, max_n, {(0, 0): 1, (1, 1): -1}).inverse()
-    lin = Series2.from_terms(FLOAT, max_m, max_n, {(1, 0): 1, (0, 1): 1, (1, 1): -2})
-    x = (lin * inv).scale(nu_val)
-    return (inv * x.exp()).rows
+    """w_mn at a fixed nu from the series."""
+    return math.exp(-nu_val) * _series(FLOAT, nu_val, max_m, max_n).rows
 
 
 def forced_prob_table(nu, size: int = 16, mode: str = "float") -> ProbTable:

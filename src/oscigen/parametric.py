@@ -15,10 +15,12 @@ rho^{|m-n|/2}.  The exact-mode table carries those polynomials, which turns
 the weighted integrals over rho into finite Beta-integral sums.  Numeric
 tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`,
 and the polynomials from the same closed form in integer arithmetic
-(:func:`oscigen.amplitude.param_poly`).  The series engine, exact
-(``_exact_grid``) and float (``_float_grid``), is the independent route
-``verify`` checks both against.  The row moments sum_n n^p w_mn are series
-coefficients of G(u, e^s), so no table is summed or truncated for them.
+(:func:`oscigen.amplitude.param_poly`).  The series engine is the
+independent route ``verify`` checks both against: one builder expands
+G / sqrt(1 - rho) over poly[rho] (``_exact_grid``) or at a fixed rho
+(``_float_grid``, which multiplies sqrt(1 - rho) back in).  The row
+moments sum_n n^p w_mn are series coefficients of G(u, e^s), so no table
+is summed or truncated for them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,41 +94,22 @@ def param_gf_value(u, v, rho) -> complex:
 
 # -- series extraction -------------------------------------------------------
 
-def _den_terms(rho=None) -> dict:
-    """(1-uv)^2 - rho (u-v)^2 as sparse series terms; ``rho`` is either the
-    polynomial indeterminate marker (None) or a float."""
-    if rho is None:
-        r = poly_domain("rho").variable()
-        one = Fraction(1)
-        return {
-            (0, 0): one,
-            (1, 1): -2 + 2 * r,
-            (2, 2): one,
-            (2, 0): -r,
-            (0, 2): -r,
-        }
-    return {
-        (0, 0): 1.0,
-        (1, 1): -2.0 + 2.0 * rho,
-        (2, 2): 1.0,
-        (2, 0): -rho,
-        (0, 2): -rho,
-    }
+def _series(dom, rho, max_m: int, max_n: int) -> Series2:
+    """G / sqrt(1 - rho) = ((1-uv)^2 - rho (u-v)^2)^{-1/2} over ``dom``;
+    ``rho`` is a float or the variable of poly[rho]."""
+    terms = {(0, 0): 1, (1, 1): 2 * rho - 2, (2, 2): 1, (2, 0): -rho, (0, 2): -rho}
+    return Series2.from_terms(dom, max_m, max_n, terms).pow_real(Fraction(-1, 2))
 
 
-@lru_cache(maxsize=32)
 def _exact_grid(max_m: int, max_n: int) -> Series2:
-    """q_mn polynomials, G / sqrt(1 - rho) expanded over poly[rho]: the
-    cross-check of :func:`param_poly`."""
+    """The q_mn polynomials: the cross-check of :func:`param_poly`."""
     dom = poly_domain("rho")
-    den = Series2.from_terms(dom, max_m, max_n, _den_terms())
-    return den.pow_real(Fraction(-1, 2))
+    return _series(dom, dom.variable(), max_m, max_n)
 
 
-@lru_cache(maxsize=128)
 def _float_grid(rho_val: float, max_m: int, max_n: int) -> np.ndarray:
-    den = Series2.from_terms(FLOAT, max_m, max_n, _den_terms(rho_val))
-    return den.pow_real(-0.5).rows
+    """w_mn at a fixed rho from the series."""
+    return math.sqrt(1.0 - rho_val) * _series(FLOAT, rho_val, max_m, max_n).rows
 
 
 def param_prob_table(rho, size: int = 16, mode: str = "float") -> ProbTable:
@@ -153,17 +135,17 @@ class Eq6Record:
     residual: float
 
 
-def param_identity_eq6(u: float, v: float, n_nodes: int = 64) -> Eq6Record:
+def param_identity_eq6(u: float, v: float) -> Eq6Record:
     """Integral of G(u, v | rho)/(1 - rho) over rho in [0, 1] against its
     closed form 2 (arctanh u - arctanh v) / (u - v).
 
     The integrand equals (1-rho)^{-1/2} / sqrt((1-uv)^2 - rho (u-v)^2), so
-    the Gauss-Jacobi rule handles the endpoint exactly.  At u = v the right
-    side degenerates to the analytic limit 2 / (1 - u^2).
+    the 64-node Gauss-Jacobi rule handles the endpoint exactly.  At u = v
+    the right side degenerates to the analytic limit 2 / (1 - u^2).
     """
     if not (-1.0 < u < 1.0 and -1.0 < v < 1.0):
         raise ValueError("u, v must lie in (-1, 1)")
-    rule = gauss_jacobi_half(n_nodes)
+    rule = gauss_jacobi_half(64)
     den = (1.0 - u * v) ** 2 - rule.nodes * (u - v) ** 2
     lhs = float(np.dot(rule.weights, 1.0 / np.sqrt(den)))
     if abs(u - v) < 1e-12:
@@ -294,11 +276,12 @@ def param_sk(k: int, rho) -> float:
 
 def param_mean_n(m: int, rho) -> float:
     """Mean final quantum number for initial state m:
-    -1/2 + (m + 1/2)(1 + rho)/(1 - rho)."""
+    -1/2 + (m + 1/2)(1 + rho)/(1 - rho), written as m + (2m + 1) rho/(1 - rho)
+    so that nothing cancels at small rho."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     rho_val = _rho_value(rho, open_top=True)
-    return -0.5 + (m + 0.5) * (1.0 + rho_val) / (1.0 - rho_val)
+    return m + (2 * m + 1) * rho_val / (1.0 - rho_val)
 
 
 def _shifted_coeffs(m: int, rho, power: int) -> np.ndarray:

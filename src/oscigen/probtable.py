@@ -55,9 +55,9 @@ class ProbTable:
     def row(self, m: int) -> np.ndarray:
         return self.values[m]
 
-    def validate(self, sym_tol: float = 1e-12) -> None:
-        """Check the table invariants (entry bounds, symmetry, row sums);
-        raise TableInvariantError on the first one that fails."""
+    def validate(self) -> None:
+        """Check the table invariants (entry bounds, symmetry to 1e-12, row
+        sums); raise TableInvariantError on the first one that fails."""
         v = self.values
         if not v.min() >= 0.0:
             raise TableInvariantError(f"negative or NaN probability {v.min():.3e}")
@@ -65,8 +65,8 @@ class ProbTable:
             raise TableInvariantError(f"probability above one: {v.max():.17g}")
         if v.shape[0] == v.shape[1]:
             asym = float(np.max(np.abs(v - v.T)))
-            if asym > sym_tol:
-                raise TableInvariantError(f"asymmetry {asym:.3e} above {sym_tol:.1e}")
+            if asym > 1e-12:
+                raise TableInvariantError(f"asymmetry {asym:.3e} above 1.0e-12")
         sums = v.sum(axis=1)
         if sums.max() > 1.0 + 1e-12:
             raise TableInvariantError(f"row sum {sums.max():.17g} above one")

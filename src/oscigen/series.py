@@ -28,39 +28,21 @@ above.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .domains import Domain
 from .errors import OracleFailureError, WindowMismatchError
 
-__all__ = ["Series2", "check_window", "dft_extract_table", "max_window"]
+__all__ = ["MAX_WINDOW", "Series2", "check_window", "dft_extract_table"]
 
-_DEFAULT_MAX_WINDOW = 4096
-
-
-def max_window() -> int:
-    """Window cap; override with the OSCIGEN_MAX_WINDOW environment variable,
-    a positive integer."""
-    raw = os.environ.get("OSCIGEN_MAX_WINDOW")
-    if not raw:
-        return _DEFAULT_MAX_WINDOW
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"OSCIGEN_MAX_WINDOW must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"OSCIGEN_MAX_WINDOW must be at least 1, got {cap}")
-    return cap
+MAX_WINDOW = 4096
 
 
 def check_window(max_deg_u: int, max_deg_v: int) -> None:
-    """Reject a window beyond the cap of :func:`max_window`."""
-    cap = max_window()
-    if max_deg_u > cap or max_deg_v > cap:
+    """Reject a window beyond ``MAX_WINDOW`` before anything is allocated."""
+    if max_deg_u > MAX_WINDOW or max_deg_v > MAX_WINDOW:
         raise ValueError(
-            f"window ({max_deg_u},{max_deg_v}) exceeds cap {cap} (OSCIGEN_MAX_WINDOW)"
+            f"window ({max_deg_u},{max_deg_v}) exceeds cap {MAX_WINDOW}"
         )
 
 
@@ -310,16 +292,16 @@ class Series2:
 # contour-integral oracle
 
 def dft_extract_table(evaluator, max_m: int, max_n: int, radius: float = 0.5,
-                      grid: int | None = None,
-                      imag_tol: float | None = 1e-10) -> np.ndarray:
+                      grid: int | None = None) -> np.ndarray:
     """Coefficients of ``u^m v^n`` for ``m <= max_m``, ``n <= max_n`` of an
     analytic function, as a real ``(max_m+1, max_n+1)`` array.
 
     Approximates the double Cauchy integral on the torus ``|u| = |v| =
     radius`` with the trapezoidal rule on ``grid x grid`` points, all
-    coefficients in one FFT.  For functions with real coefficients the
-    imaginary parts are an error indicator; the largest must stay below
-    ``imag_tol`` (None skips the check).
+    coefficients in one FFT.  ``evaluator(U, V)`` takes the two complex
+    ``grid x grid`` arrays of the nodes.  For functions with real
+    coefficients the imaginary parts are an error indicator; the largest
+    must stay below 1e-10.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("negative coefficient index")
@@ -332,24 +314,10 @@ def dft_extract_table(evaluator, max_m: int, max_n: int, radius: float = 0.5,
     theta = 2.0 * np.pi * np.arange(grid) / grid
     ua = radius * np.exp(1j * theta)
     U, V = np.meshgrid(ua, ua, indexing="ij")
-    # a scalar-only evaluator raises TypeError or ValueError on arrays and
-    # is retried pointwise; any other error is the evaluator's own
-    try:
-        F = np.asarray(evaluator(U, V), dtype=complex)
-        if F.shape != U.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        F = np.empty((grid, grid), dtype=complex)
-        for a in range(grid):
-            for b in range(grid):
-                F[a, b] = evaluator(complex(U[a, b]), complex(V[a, b]))
-    C = np.fft.fft2(F) / (grid * grid)
+    C = np.fft.fft2(np.asarray(evaluator(U, V), dtype=complex)) / (grid * grid)
     powers = radius ** (np.arange(max_m + 1)[:, None] + np.arange(max_n + 1)[None, :])
     block = C[: max_m + 1, : max_n + 1] / powers
-    if imag_tol is not None:
-        worst = float(np.max(np.abs(block.imag)))
-        if worst > imag_tol:
-            raise OracleFailureError(
-                f"imaginary residue {worst:.3e} above {imag_tol:.1e}"
-            )
+    worst = float(np.max(np.abs(block.imag)))
+    if worst > 1e-10:
+        raise OracleFailureError(f"imaginary residue {worst:.3e} above 1.0e-10")
     return block.real

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,12 +130,12 @@ def singular_gf_value(u, v, rho, j) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=64)
 def _float_grid(rho_val: float, j_val: float, max_m: int, max_n: int) -> np.ndarray:
-    """Coefficient grid of g(u,v) / (1-rho)^{-2j}.
+    """w_mn from the series of g(u, v).
 
     lambda factors as (1-rho) * L with L(0,0) = 1; L comes from nested
-    series square root and inversion, the prefactor stays outside.
+    series square root and inversion, and the prefactor (1-rho)^{-2j} is
+    multiplied in at the end.
     """
     t = Series2.from_terms(
         FLOAT, max_m, max_n,
@@ -150,7 +149,7 @@ def _float_grid(rho_val: float, j_val: float, max_m: int, max_n: int) -> np.ndar
         Series2.one(FLOAT, max_m, max_n)
         - (uv * lam_unit * lam_unit).scale((1.0 - rho_val) ** 2)
     ).inverse()
-    return (power * geom).rows
+    return (1.0 - rho_val) ** (-2.0 * j_val) * (power * geom).rows
 
 
 def singular_prob_table(rho, j, size: int = 16) -> ProbTable:

@@ -29,6 +29,7 @@ _NU_GRID = (0.3, 1.0, 3.0)
 _RHO_GRID = (0.1, 0.5, 0.9)
 _J_GRID = (-0.25, -0.75, -0.6, -1.3)
 _ORACLE_GRID_SIZE = 256
+_TOL_ORACLE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _check(check_id, equation, residual, tol, computed="", expected="", note="")
     )
 
 
-def _route_checks(prefix, cases, tol_oracle) -> list[CheckResult]:
+def _route_checks(prefix, cases) -> list[CheckResult]:
     """Compare the three independent routes to the same 11x11 tables: the
     amplitude kernel, the float series engine and the contour oracle.
     ``cases`` holds one (kernel table, series table, generating function)
@@ -126,7 +127,7 @@ def _route_checks(prefix, cases, tol_oracle) -> list[CheckResult]:
         worst_ko = max(worst_ko, float(np.max(np.abs(ker - dft))))
     return [
         _check(
-            f"{prefix}.oracle-dft", "w_mn", worst_so, tol_oracle,
+            f"{prefix}.oracle-dft", "w_mn", worst_so, _TOL_ORACLE,
             computed="series engine vs contour extraction",
         ),
         _check(
@@ -134,7 +135,7 @@ def _route_checks(prefix, cases, tol_oracle) -> list[CheckResult]:
             computed="amplitude kernel vs series engine",
         ),
         _check(
-            f"{prefix}.kernel-oracle", "w_mn", worst_ko, tol_oracle,
+            f"{prefix}.kernel-oracle", "w_mn", worst_ko, _TOL_ORACLE,
             computed="amplitude kernel vs contour extraction",
         ),
     ]
@@ -176,7 +177,7 @@ def _series_exact_check(prefix, grid, poly) -> CheckResult:
 # ---------------------------------------------------------------------------
 # forced oscillator
 
-def _forced_checks(tol_oracle: float) -> list[CheckResult]:
+def _forced_checks() -> list[CheckResult]:
     out = []
 
     # exact sum rules, m,n <= 8
@@ -267,7 +268,7 @@ def _forced_checks(tol_oracle: float) -> list[CheckResult]:
     # unitarity with a wide window
     worst = 0.0
     for nu in (0.3, 1.0, 3.0, 5.0):
-        grid = math.exp(-nu) * forced._float_grid(nu, 8, 64)
+        grid = forced._float_grid(nu, 8, 64)
         worst = max(worst, float((1.0 - grid.sum(axis=1)).max()))
     out.append(
         _check(
@@ -297,12 +298,11 @@ def _forced_checks(tol_oracle: float) -> list[CheckResult]:
         [
             (
                 amplitude.forced_table(nu, 11, 11),
-                math.exp(-nu) * forced._float_grid(nu, 10, 10),
+                forced._float_grid(nu, 10, 10),
                 lambda U, V, nu=nu: forced.forced_gf_value(U, V, nu),
             )
             for nu in _NU_GRID
         ],
-        tol_oracle,
     )
     out.append(
         _kernel_exact_check(
@@ -317,7 +317,7 @@ def _forced_checks(tol_oracle: float) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # parametric oscillator
 
-def _parametric_checks(tol_oracle: float) -> list[CheckResult]:
+def _parametric_checks() -> list[CheckResult]:
     out = []
 
     # arctanh integral identity on a grid
@@ -482,12 +482,11 @@ def _parametric_checks(tol_oracle: float) -> list[CheckResult]:
         [
             (
                 amplitude.param_table(rho, 11, 11),
-                math.sqrt(1.0 - rho) * parametric._float_grid(rho, 10, 10),
+                parametric._float_grid(rho, 10, 10),
                 lambda U, V, r=rho: parametric.param_gf_value(U, V, r),
             )
             for rho in _RHO_GRID
         ],
-        tol_oracle,
     )
     out.append(
         _kernel_exact_check(
@@ -502,7 +501,7 @@ def _parametric_checks(tol_oracle: float) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # singular oscillator
 
-def _singular_checks(tol_oracle: float) -> list[CheckResult]:
+def _singular_checks() -> list[CheckResult]:
     out = []
 
     worst_even = worst_odd = 0.0
@@ -602,7 +601,7 @@ def _singular_checks(tol_oracle: float) -> list[CheckResult]:
         for j in (-0.25, -0.75, -1.3, -2.0):
             grid = amplitude.singular_table(rho, j, 9, 2049)
             worst_sum = max(worst_sum, float((1.0 - grid.sum(axis=1)).max()))
-            square = (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, 8, 8)
+            square = singular._float_grid(rho, j, 8, 8)
             worst_sym = max(worst_sym, float(np.max(np.abs(square - square.T))))
     out.append(
         _check(
@@ -622,13 +621,12 @@ def _singular_checks(tol_oracle: float) -> list[CheckResult]:
         [
             (
                 amplitude.singular_table(rho, j, 11, 11),
-                (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, 10, 10),
+                singular._float_grid(rho, j, 10, 10),
                 lambda U, V, r=rho, jj=j: singular.singular_gf_value(U, V, r, jj),
             )
             for rho in _RHO_GRID
             for j in _J_GRID
         ],
-        tol_oracle,
     )
     return out
 
@@ -636,7 +634,7 @@ def _singular_checks(tol_oracle: float) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # excitation extraction
 
-def _excitation_checks(tol_oracle: float) -> list[CheckResult]:
+def _excitation_checks() -> list[CheckResult]:
     out = []
     wronskians = []
 
@@ -726,18 +724,14 @@ SUITES = {
 }
 
 
-def run_suite(suite: str = "all", tol: float = 1e-9) -> VerifyReport:
-    """Run one named suite (or all of them) and collect a report.
-
-    ``tol`` is the tolerance of the series-vs-contour oracle comparisons;
-    identity checks keep their own pinned tolerances.
-    """
+def run_suite(suite: str = "all") -> VerifyReport:
+    """Run one named suite (or all of them) and collect a report."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {list(SUITES)} or 'all'")
     names = list(SUITES) if suite == "all" else [suite]
     report = VerifyReport(suite=suite)
     start = time.perf_counter()
     for name in names:
-        report.checks.extend(SUITES[name](tol))
+        report.checks.extend(SUITES[name]())
     report.wall_time = time.perf_counter() - start
     return report

@@ -190,14 +190,14 @@ def test_c08_adiabatic_expansion():
 def test_c09_oracle_equivalence():
     worst = 0.0
     for nu in NU_GRID:
-        ser = math.exp(-nu) * forced._float_grid(nu, 10, 10)
+        ser = forced._float_grid(nu, 10, 10)
         dft = dft_extract_table(
             lambda U, V, p=nu: forced.forced_gf_value(U, V, p),
             10, 10, radius=0.5, grid=256,
         )
         worst = max(worst, float(np.max(np.abs(ser - dft))))
     for rho in RHO_GRID:
-        ser = math.sqrt(1 - rho) * parametric._float_grid(rho, 10, 10)
+        ser = parametric._float_grid(rho, 10, 10)
         dft = dft_extract_table(
             lambda U, V, p=rho: parametric.param_gf_value(U, V, p),
             10, 10, radius=0.5, grid=256,
@@ -205,7 +205,7 @@ def test_c09_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(ser - dft))))
     for rho in RHO_GRID:
         for j in J_GRID:
-            ser = (1 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, 10, 10)
+            ser = singular._float_grid(rho, j, 10, 10)
             dft = dft_extract_table(
                 lambda U, V, p=rho, q=j: singular.singular_gf_value(U, V, p, q),
                 10, 10, radius=0.5, grid=256,

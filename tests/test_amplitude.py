@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oscigen import errors, forced, parametric, singular
 from oscigen.amplitude import (
+    MAX_EXACT_SIZE,
     forced_poly,
     forced_table,
     param_poly,
@@ -20,7 +21,7 @@ from oscigen.forced import forced_prob_table, forced_sum_rules
 from oscigen.parametric import param_prob_table, param_row_moments, param_weighted_integrals
 from oscigen.probtable import make_table
 from oscigen.quadrature import gauss_jacobi_half, gauss_laguerre, gauss_legendre
-from oscigen.series import Series2, max_window
+from oscigen.series import MAX_WINDOW, Series2
 from oscigen.singular import ground_row, singular_prob_table
 
 M = 20
@@ -41,16 +42,16 @@ def test_forced_kernel_matches_series():
     # nu = 10 is left to the rational route below: the float series factors
     # out e^nu and loses about 1e-10 there
     for nu in (0.0, 1e-6, 0.3, 3.0):
-        ser = math.exp(-nu) * forced._float_grid(nu, M - 1, M - 1)
+        ser = forced._float_grid(nu, M - 1, M - 1)
         assert np.max(np.abs(forced_table(nu, M, M) - ser)) <= 1e-13
 
 
 def test_singular_and_parametric_kernels_match_series():
     for rho in RHOS:
-        ser = math.sqrt(1.0 - rho) * parametric._float_grid(rho, M - 1, M - 1)
+        ser = parametric._float_grid(rho, M - 1, M - 1)
         assert np.max(np.abs(param_table(rho, M, M) - ser)) <= 1e-13
         for j in JS:
-            ser = (1.0 - rho) ** (-2.0 * j) * singular._float_grid(rho, j, M - 1, M - 1)
+            ser = singular._float_grid(rho, j, M - 1, M - 1)
             assert np.max(np.abs(singular_table(rho, j, M, M) - ser)) <= 1e-13
 
 
@@ -81,8 +82,6 @@ def test_exact_paths_build_no_series(monkeypatch):
 
     monkeypatch.setattr(Series2, "exp", refuse)
     monkeypatch.setattr(Series2, "pow_real", refuse)
-    forced._exact_grid.cache_clear()
-    parametric._exact_grid.cache_clear()
     assert forced_prob_table(1.5, size=20, mode="exact").symbolic.poly(19, 3) == forced_poly(3, 19)
     assert param_prob_table(0.4, size=20, mode="exact").symbolic.poly(5, 17) == param_poly(17, 5)
     r = forced_sum_rules(6, 9)
@@ -171,25 +170,22 @@ def test_exact_parametric_values_at_high_rho():
 
 # -- window cap and typed failures ---------------------------------------------
 
-def test_kernel_enforces_the_window_cap(monkeypatch):
-    monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "8")
-    forced_table(1.0, 9, 9)
+def test_kernel_enforces_the_window_cap():
+    # the cap is checked before anything is allocated
+    assert forced_table(1.0, MAX_WINDOW + 1, 1).shape == (MAX_WINDOW + 1, 1)
     for build in (
-        lambda: forced_table(1.0, 10, 10),
-        lambda: param_table(0.5, 1, 10),
-        lambda: singular_table(0.5, -0.6, 10, 2),
+        lambda: forced_table(1.0, MAX_WINDOW + 2, MAX_WINDOW + 2),
+        lambda: param_table(0.5, 1, MAX_WINDOW + 2),
+        lambda: singular_table(0.5, -0.6, MAX_WINDOW + 2, 2),
     ):
         with pytest.raises(ValueError, match="cap"):
             build()
 
 
-def test_window_cap_rejects_malformed_values(monkeypatch):
-    for raw in ("abc", "2.5", "0", "-16"):
-        monkeypatch.setenv("OSCIGEN_MAX_WINDOW", raw)
-        with pytest.raises(ValueError, match="OSCIGEN_MAX_WINDOW"):
-            max_window()
-    monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "64")
-    assert max_window() == 64
+def test_exact_tables_enforce_the_size_cap():
+    for build in (forced_prob_table, param_prob_table):
+        with pytest.raises(ValueError, match="capped at size 128"):
+            build(0.5, size=MAX_EXACT_SIZE + 1, mode="exact")
 
 
 def test_invariant_failures_are_typed():

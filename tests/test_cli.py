@@ -10,7 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from oscigen.cli import main
+from oscigen.amplitude import MAX_EXACT_SIZE
 from oscigen.probtable import ProbTable
+from oscigen.series import MAX_WINDOW
 from oscigen.verify import run_suite
 
 
@@ -125,10 +127,32 @@ def test_table_invalid_parameters_exit_2(runner):
 
 
 def test_window_cap_environment(runner, monkeypatch):
+    # OSCIGEN_MAX_WINDOW is not read: the cap is the constant MAX_WINDOW
     monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "8")
-    result = runner.invoke(main, ["table", "forced", "--nu", "1", "--max", "32"])
+    assert runner.invoke(main, ["table", "forced", "--nu", "1", "--max", "32"]).exit_code == 0
+    size = str(MAX_WINDOW + 2)
+    result = runner.invoke(main, ["table", "forced", "--nu", "1", "--max", size])
     assert result.exit_code == 2
+    assert result.stderr.startswith("error: window")
     assert "cap" in result.stderr
+    assert result.stdout == ""
+
+
+def test_exact_size_cap_exit_2(runner):
+    size = str(MAX_EXACT_SIZE + 1)
+    result = runner.invoke(
+        main, ["table", "forced", "--nu", "1", "--max", size, "--mode", "exact"]
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: exact tables are capped")
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stdout == ""
+
+
+def test_verify_has_no_tol_option(runner):
+    result = runner.invoke(main, ["verify", "--tol", "1e-9"])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr
 
 
 def test_excite_constant_profile(runner, tmp_path):
@@ -414,15 +438,3 @@ def test_table_invariant_violation_exit_4(runner, monkeypatch):
     assert result.stderr.startswith("error: table invariant violated")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
-
-
-def test_malformed_window_environment_exit_2(runner, monkeypatch):
-    for raw in ("lots", "-1"):
-        monkeypatch.setenv("OSCIGEN_MAX_WINDOW", raw)
-        for args in (
-            ["table", "forced", "--nu", "1", "--max", "4"],
-            ["verify", "--suite", "forced"],
-        ):
-            result = runner.invoke(main, args)
-            assert result.exit_code == 2, (raw, args)
-            assert "OSCIGEN_MAX_WINDOW" in result.stderr

@@ -19,6 +19,7 @@ from oscigen.parametric import (
     param_sk,
     param_weighted_integrals,
 )
+from oscigen.series import MAX_WINDOW
 
 
 def exact_beta_sqrt(k: int, sign: int) -> Fraction:
@@ -162,6 +163,13 @@ def test_mean_quantum_number():
         param_mean_n(0, 1.0)
 
 
+@pytest.mark.parametrize("rho", [1e-12, 1e-8, 1e-4])
+def test_mean_at_small_rho_keeps_its_digits(rho):
+    for m in (0, 3):
+        want = param_row_moments(m, rho, power=1)[1]
+        assert param_mean_n(m, rho) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_mean_matches_row_moment():
     for rho in (0.1, 0.5, 0.8):
         for m in range(4):
@@ -178,16 +186,14 @@ def test_dispersion_vacuum_closed_form():
         assert param_dispersion(0, rho) == pytest.approx(want, rel=1e-8)
 
 
-def test_row_moments_at_high_rho_are_the_closed_forms(monkeypatch):
+def test_row_moments_at_high_rho_are_the_closed_forms():
     rho = 0.97
     mean = rho / (1 - rho)
     want = [1.0, mean, 2 * rho / (1 - rho) ** 2 + mean**2]
     assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12)
     # no window grows: only the u degree m meets the cap
-    monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "64")
-    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        param_row_moments(65, rho)
+    with pytest.raises(ValueError, match="cap"):
+        param_row_moments(MAX_WINDOW + 1, rho)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.9, 0.99, 0.999])
@@ -209,7 +215,7 @@ def test_dispersion_at_small_rho_keeps_its_digits(rho):
     # the variance 2 rho (m^2+m+1) is far below the second moment ~ m^2
     for m in (10, 100, 1000):
         var = 2 * rho * (m * m + m + 1) / (1 - rho) ** 2
-        assert param_dispersion(m, rho) == pytest.approx(var, rel=1e-12)
+        assert param_dispersion(m, rho) == pytest.approx(var, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.8])

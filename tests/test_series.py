@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscigen.domains import FLOAT, RATIONAL, RatPoly, poly_domain
 from oscigen.errors import OracleFailureError, SingularSeriesError, WindowMismatchError
-from oscigen.series import Series2, dft_extract_table
+from oscigen.series import MAX_WINDOW, Series2, dft_extract_table
 
 
 # -- independent reference arithmetic on plain coefficient dicts ------------
@@ -305,10 +305,11 @@ def test_coeff_product_of_exponentials():
 # -- window cap --------------------------------------------------------------
 
 def test_window_cap_from_environment(monkeypatch):
+    # OSCIGEN_MAX_WINDOW is not read: the cap is the constant MAX_WINDOW
     monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "8")
     with pytest.raises(ValueError, match="cap"):
-        Series2.zeros(FLOAT, 9, 2)
-    Series2.zeros(FLOAT, 8, 8)
+        Series2.zeros(FLOAT, MAX_WINDOW + 1, 2)
+    assert Series2.zeros(FLOAT, MAX_WINDOW, 0).rows.shape == (MAX_WINDOW + 1, 1)
 
 
 # -- contour oracle ----------------------------------------------------------
@@ -368,16 +369,6 @@ def test_dft_table_matches_single_extraction():
             phase = np.exp(-1j * (m * theta[:, None] + n * theta[None, :]))
             single = np.sum(F * phase) / (32 * 32 * 0.5 ** (m + n))
             assert table[m, n] == pytest.approx(single.real, abs=1e-13)
-
-
-def test_dft_scalar_evaluator_fallback():
-    import cmath
-
-    def scalar_only(u, v):
-        return cmath.exp(u * v)
-
-    table = dft_extract_table(scalar_only, 1, 1, radius=0.5, grid=16)
-    assert abs(table[1, 1] - 1.0) < 1e-12
 
 
 def test_dft_evaluator_error_propagates_without_pointwise_retry():
