@@ -7,7 +7,7 @@ singular oscillator with an inverse-square barrier (parameter rho plus the
 level weight j).  Units are hbar = m = 1 throughout.
 """
 
-from .domains import FLOAT, RATIONAL, RatPoly, poly_domain
+from .domains import FLOAT, POLY, RatPoly
 from .series import Series2, dft_extract_table
 from .quadrature import QuadRule, gauss_jacobi_half, gauss_laguerre, gauss_legendre
 from .probtable import ProbTable

@@ -1,39 +1,29 @@
 """Coefficient domains for the truncated series engine.
 
-A domain bundles the ring constants (zero, one) with coercion, zero testing,
+A domain bundles the ring constants (``zero``, ``one``) with coercion,
 inversion and the exponents ``pow_real`` accepts, for one kind of
-coefficient:
+coefficient.  There are two:
 
-* ``RATIONAL``      -- exact rationals (``fractions.Fraction``),
-* ``poly_domain(p)``-- univariate polynomials in a named parameter with
-                       exact rational coefficients (:class:`RatPoly`),
-* ``FLOAT``         -- double-precision reals.
+* ``FLOAT`` -- double-precision reals, kept in float64 arrays;
+* ``POLY``  -- univariate polynomials with exact rational coefficients
+               (:class:`RatPoly`), kept as the elements of object arrays.
+               A rational constant is a degree-0 polynomial.
 
 Elements themselves carry the arithmetic through the usual operators, so the
-series code stays generic: it keeps float coefficients in float64 arrays and
-exact ones as the elements of object arrays, and runs the same numpy code on
-both.  ``dtype`` is the float domain's numpy dtype and None for the exact
-domains.
+series code runs the same numpy code on both.  ``dtype`` is the float
+domain's numpy dtype and None for ``POLY``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import SingularSeriesError
 
-__all__ = [
-    "RatPoly",
-    "Domain",
-    "RationalDomain",
-    "PolyDomain",
-    "FloatDomain",
-    "RATIONAL",
-    "FLOAT",
-    "poly_domain",
-]
+__all__ = ["RatPoly", "FLOAT", "POLY"]
 
 
 class RatPoly:
@@ -174,126 +164,47 @@ def _as_poly(x):
     return NotImplemented
 
 
-class Domain:
-    """Commutative-ring contract used by the series engine.
-
-    ``dtype`` is None for exact domains, whose series rows are object
-    arrays, and a numpy dtype for the float domain.
-    """
-
-    name: str
-    dtype = None
-
-    def coerce(self, x):
-        raise NotImplementedError
-
-    def invert(self, x):
-        raise NotImplementedError
-
-    def exponent(self, alpha):
-        """A real-power exponent in this domain; exact domains need a
-        rational."""
-        if isinstance(alpha, int):
-            return Fraction(alpha)
-        if not isinstance(alpha, Fraction):
-            raise TypeError("exact domains need a rational exponent")
-        return alpha
-
-    def __repr__(self):
-        return f"<domain {self.name}>"
+def _coerce_float(x):
+    if isinstance(x, complex):
+        raise TypeError("complex value in real domain")
+    return float(x)
 
 
-class RationalDomain(Domain):
-    name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into exact rationals")
-
-    def is_zero(self, x) -> bool:
-        return x == 0
-
-    def invert(self, x):
-        if x == 0:
-            raise SingularSeriesError("zero is not invertible")
-        return Fraction(1) / x
+def _invert_float(x):
+    if x == 0.0:
+        raise SingularSeriesError("zero is not invertible")
+    return 1.0 / x
 
 
-class PolyDomain(Domain):
-    """Polynomials in one named parameter over the rationals.
-
-    Only constant polynomials are units, which is exactly what the
-    generating-function factorizations need: non-constant prefactors are kept
-    outside the series.
-    """
-
-    zero = RatPoly()
-    one = RatPoly((1,))
-
-    def __init__(self, var: str):
-        self.var = var
-        self.name = f"poly[{var}]"
-
-    def coerce(self, x):
-        if isinstance(x, RatPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatPoly((x,))
-        raise TypeError(f"cannot coerce {type(x).__name__} into {self.name}")
-
-    def is_zero(self, x) -> bool:
-        return not x
-
-    def invert(self, x):
-        x = self.coerce(x)
-        if x.degree != 0:
-            raise SingularSeriesError(
-                f"{x!r} is not a unit in {self.name}; only nonzero constants invert"
-            )
-        return RatPoly((Fraction(1) / x.coeffs[0],))
-
-    def variable(self) -> RatPoly:
-        return RatPoly((0, 1))
+def _coerce_poly(x):
+    p = _as_poly(x)
+    if p is NotImplemented:
+        raise TypeError(f"cannot coerce {type(x).__name__} into rational polynomials")
+    return p
 
 
-class FloatDomain(Domain):
-    name = "float"
-    zero = 0.0
-    one = 1.0
-    dtype = np.float64
-
-    def coerce(self, x):
-        if isinstance(x, complex):
-            raise TypeError("complex value in real domain")
-        return float(x)
-
-    def is_zero(self, x) -> bool:
-        return x == 0.0
-
-    def invert(self, x):
-        if x == 0.0:
-            raise SingularSeriesError("zero is not invertible")
-        return 1.0 / x
-
-    def exponent(self, alpha):
-        return float(alpha)
+def _invert_poly(x):
+    # only nonzero constants are units, which is all the generating-function
+    # factorizations need: non-constant prefactors are kept outside the series
+    x = _coerce_poly(x)
+    if x.degree != 0:
+        raise SingularSeriesError(f"{x!r} is not a unit; only nonzero constants invert")
+    return RatPoly((Fraction(1) / x.coeffs[0],))
 
 
-RATIONAL = RationalDomain()
-FLOAT = FloatDomain()
+def _rational_exponent(alpha):
+    if isinstance(alpha, int):
+        return Fraction(alpha)
+    if not isinstance(alpha, Fraction):
+        raise TypeError("exact coefficients need a rational exponent")
+    return alpha
 
-_poly_cache: dict[str, PolyDomain] = {}
 
-
-def poly_domain(var: str) -> PolyDomain:
-    """Shared PolyDomain instance for a parameter name (``"nu"``, ``"rho"``)."""
-    try:
-        return _poly_cache[var]
-    except KeyError:
-        dom = _poly_cache.setdefault(var, PolyDomain(var))
-        return dom
+FLOAT = SimpleNamespace(
+    name="float", zero=0.0, one=1.0, dtype=np.float64,
+    coerce=_coerce_float, invert=_invert_float, exponent=float,
+)
+POLY = SimpleNamespace(
+    name="poly", zero=RatPoly(), one=RatPoly((1,)), dtype=None,
+    coerce=_coerce_poly, invert=_invert_poly, exponent=_rational_exponent,
+)

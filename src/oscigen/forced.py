@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .amplitude import forced_poly, forced_table, poly_grid
-from .domains import FLOAT, poly_domain
+from .domains import FLOAT, POLY, RatPoly
 from .errors import SingularEvaluationError
 from .probtable import ProbTable, SymbolicTable, make_table
 from .quadrature import gauss_laguerre
@@ -80,8 +80,8 @@ def forced_gf_value(u, v, nu) -> complex:
 
 
 def _series(dom, nu, max_m: int, max_n: int) -> Series2:
-    """Series of e^{nu} G over ``dom``; ``nu`` is a float or the variable of
-    poly[nu]."""
+    """Series of e^{nu} G over ``dom``; ``nu`` is a float or the polynomial
+    variable."""
     inv = Series2.from_terms(dom, max_m, max_n, {(0, 0): 1, (1, 1): -1}).inverse()
     lin = Series2.from_terms(dom, max_m, max_n, {(1, 0): 1, (0, 1): 1, (1, 1): -2})
     return inv * (lin * inv).scale(nu).exp()
@@ -89,8 +89,7 @@ def _series(dom, nu, max_m: int, max_n: int) -> Series2:
 
 def _exact_grid(max_m: int, max_n: int) -> Series2:
     """The p_mn polynomials: the cross-check of :func:`forced_poly`."""
-    dom = poly_domain("nu")
-    return _series(dom, dom.variable(), max_m, max_n)
+    return _series(POLY, RatPoly((0, 1)), max_m, max_n)
 
 
 def _float_grid(nu_val: float, max_m: int, max_n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`,
 and the polynomials from the same closed form in integer arithmetic
 (:func:`oscigen.amplitude.param_poly`).  The series engine is the
 independent route ``verify`` checks both against: one builder expands
-G / sqrt(1 - rho) over poly[rho] (``_exact_grid``) or at a fixed rho
+G / sqrt(1 - rho) over ``POLY`` (``_exact_grid``) or at a fixed rho
 (``_float_grid``, which multiplies sqrt(1 - rho) back in).  The row
 moments sum_n n^p w_mn are series coefficients of G(u, e^s), so no table
 is summed or truncated for them.
@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .amplitude import param_poly, param_table, poly_grid
-from .domains import FLOAT, poly_domain
+from .domains import FLOAT, POLY, RatPoly
 from .errors import SingularEvaluationError
 from .probtable import ProbTable, SymbolicTable, make_table
 from .quadrature import gauss_jacobi_half, gauss_legendre
@@ -96,15 +96,14 @@ def param_gf_value(u, v, rho) -> complex:
 
 def _series(dom, rho, max_m: int, max_n: int) -> Series2:
     """G / sqrt(1 - rho) = ((1-uv)^2 - rho (u-v)^2)^{-1/2} over ``dom``;
-    ``rho`` is a float or the variable of poly[rho]."""
+    ``rho`` is a float or the polynomial variable."""
     terms = {(0, 0): 1, (1, 1): 2 * rho - 2, (2, 2): 1, (2, 0): -rho, (0, 2): -rho}
     return Series2.from_terms(dom, max_m, max_n, terms).pow_real(Fraction(-1, 2))
 
 
 def _exact_grid(max_m: int, max_n: int) -> Series2:
     """The q_mn polynomials: the cross-check of :func:`param_poly`."""
-    dom = poly_domain("rho")
-    return _series(dom, dom.variable(), max_m, max_n)
+    return _series(POLY, RatPoly((0, 1)), max_m, max_n)
 
 
 def _float_grid(rho_val: float, max_m: int, max_n: int) -> np.ndarray:

@@ -52,9 +52,6 @@ class ProbTable:
     def size(self) -> tuple[int, int]:
         return self.values.shape
 
-    def row(self, m: int) -> np.ndarray:
-        return self.values[m]
-
     def validate(self) -> None:
         """Check the table invariants (entry bounds, symmetry to 1e-12, row
         sums); raise TableInvariantError on the first one that fails."""

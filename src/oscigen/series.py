@@ -2,7 +2,7 @@
 
 A :class:`Series2` holds the coefficients of ``sum c[m,n] u^m v^n`` on a
 dense rectangular window ``0 <= m <= max_deg_u``, ``0 <= n <= max_deg_v``
-over one of the coefficient domains from :mod:`oscigen.domains`.  All
+over one of the two coefficient domains of :mod:`oscigen.domains`.  All
 operations truncate to the common window; because every operation here is
 lower-triangular in total degree, the in-window coefficients of a product,
 inverse, exponential or real power are exact (no truncation error leaks
@@ -15,10 +15,10 @@ along u with rows over v as the scalar ring.  The results are identical to
 the defining series (geometric, Taylor, binomial) term by term; the test
 suite checks this against direct partial-sum evaluation.
 
-There is one code path for every domain.  The coefficient grid is a
-read-only numpy array: float64 for the float domain, and an object array of
-``Fraction`` or ``RatPoly`` elements for the exact ones, on which
-``np.convolve`` and ``np.dot`` run the element operators.
+There is one code path for both domains.  The coefficient grid is a
+read-only numpy array: float64 for ``FLOAT``, and an object array of
+``RatPoly`` elements for ``POLY``, on which ``np.convolve`` and ``np.dot``
+run the element operators.
 
 ``dft_extract_table`` is an independent numeric oracle: it recovers the
 coefficients of an analytic function on a bidisk by a double trapezoidal
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import Domain
 from .errors import OracleFailureError, WindowMismatchError
 
 __all__ = ["MAX_WINDOW", "Series2", "check_window", "dft_extract_table"]
@@ -48,7 +47,7 @@ def check_window(max_deg_u: int, max_deg_v: int) -> None:
 
 # ---------------------------------------------------------------------------
 # row primitives -- a "row" is the coefficient vector over v for one power
-# of u: a float64 array, or an object array of Fraction/RatPoly elements.
+# of u: a float64 array, or an object array of RatPoly elements.
 
 def _conv(a, b):
     """Truncated convolution of two rows of equal length."""
@@ -89,13 +88,14 @@ def _row_pow(a, alpha, dom):
 class Series2:
     """Dense truncated power series in u and v over a coefficient domain.
 
-    ``rows`` is a read-only ``(max_deg_u + 1, max_deg_v + 1)`` array of the
-    domain's dtype, ``object`` for the exact domains.
+    ``domain`` is ``FLOAT`` or ``POLY``; ``rows`` is a read-only
+    ``(max_deg_u + 1, max_deg_v + 1)`` array of the domain's dtype,
+    ``object`` for ``POLY``.
     """
 
     __slots__ = ("domain", "max_deg_u", "max_deg_v", "rows")
 
-    def __init__(self, domain: Domain, max_deg_u: int, max_deg_v: int, rows):
+    def __init__(self, domain, max_deg_u: int, max_deg_v: int, rows):
         if max_deg_u < 0 or max_deg_v < 0:
             raise ValueError("truncation degrees must be nonnegative")
         check_window(max_deg_u, max_deg_v)
@@ -116,11 +116,11 @@ class Series2:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, domain: Domain, max_deg_u: int, max_deg_v: int) -> "Series2":
+    def zeros(cls, domain, max_deg_u: int, max_deg_v: int) -> "Series2":
         return cls.from_terms(domain, max_deg_u, max_deg_v, {})
 
     @classmethod
-    def from_terms(cls, domain: Domain, max_deg_u: int, max_deg_v: int, terms) -> "Series2":
+    def from_terms(cls, domain, max_deg_u: int, max_deg_v: int, terms) -> "Series2":
         """Series with the given ``{(m, n): coefficient}`` entries."""
         grid = np.full(
             (max_deg_u + 1, max_deg_v + 1), domain.zero, dtype=domain.dtype or object
@@ -131,7 +131,7 @@ class Series2:
         return cls(domain, max_deg_u, max_deg_v, grid)
 
     @classmethod
-    def one(cls, domain: Domain, max_deg_u: int, max_deg_v: int) -> "Series2":
+    def one(cls, domain, max_deg_u: int, max_deg_v: int) -> "Series2":
         return cls.from_terms(domain, max_deg_u, max_deg_v, {(0, 0): domain.one})
 
     # -- accessors ---------------------------------------------------------
@@ -148,17 +148,10 @@ class Series2:
     def constant_term(self):
         return self.rows[0, 0]
 
-    def window_matches(self, other: "Series2") -> bool:
-        return (
-            self.domain is other.domain
-            and self.max_deg_u == other.max_deg_u
-            and self.max_deg_v == other.max_deg_v
-        )
-
     def _require_match(self, other: "Series2"):
         if not isinstance(other, Series2):
             raise TypeError("expected a Series2 operand")
-        if not self.window_matches(other):
+        if self.domain is not other.domain or self.rows.shape != other.rows.shape:
             raise WindowMismatchError(
                 f"operands disagree: {self.domain.name}"
                 f"({self.max_deg_u},{self.max_deg_v}) vs "
@@ -168,7 +161,8 @@ class Series2:
     def __eq__(self, other):
         if not isinstance(other, Series2):
             return NotImplemented
-        return self.window_matches(other) and bool(
+        # array_equal also compares the shapes, i.e. the windows
+        return self.domain is other.domain and bool(
             np.array_equal(self.rows, other.rows)
         )
 
@@ -230,7 +224,7 @@ class Series2:
         of ``y' = x' y``.
         """
         dom = self.domain
-        if not dom.is_zero(self.constant_term):
+        if self.constant_term:
             raise ValueError(
                 "exp needs a zero constant term; factor the scalar exponential out"
             )
@@ -248,8 +242,7 @@ class Series2:
         """Real power of a series with unit constant term.
 
         Equals the truncated binomial series ``sum C(alpha, k) (a - 1)^k``.
-        Exact domains need a rational exponent; numeric domains accept any
-        real.
+        ``POLY`` needs a rational exponent; ``FLOAT`` accepts any real.
         """
         dom = self.domain
         if self.constant_term != dom.one:
@@ -267,19 +260,6 @@ class Series2:
                 acc -= (m - i) * _conv(a[i], out[m - i])
             out[m] = _conv(inv0, acc) / m
         return self._with(out)
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, u, v):
-        """Horner evaluation at scalars; unavailable over polynomial domains."""
-        rows = self.rows
-        acc = None
-        for r in reversed(rows):
-            racc = None
-            for c in reversed(r):
-                racc = c if racc is None else racc * v + c
-            acc = racc if acc is None else acc * u + racc
-        return acc
 
     def __repr__(self):
         return (

@@ -29,13 +29,12 @@ import numpy as np
 from .amplitude import singular_table, singular_vacuum
 from .domains import FLOAT
 from .errors import SingularEvaluationError
-from .parametric import _rho_value
+from .parametric import _checked_sqrt, _rho_value
 from .probtable import ProbTable, make_table
 from .series import Series2
 
 __all__ = [
     "WeightJ",
-    "LambdaValue",
     "AdiabaticRecord",
     "j_from_g",
     "energy_level",
@@ -54,7 +53,6 @@ class WeightJ:
     for the regular-oscillator sectors."""
 
     value: float
-    g: float | None = None
 
     def __post_init__(self):
         if not self.value < 0.0:
@@ -72,7 +70,7 @@ def j_from_g(g: float) -> WeightJ:
     defined for g > -1."""
     if not g > -1.0:
         raise ValueError(f"barrier strength must exceed -1, got {g}")
-    return WeightJ(-0.5 - 0.25 * math.sqrt(1.0 + g), g=g)
+    return WeightJ(-0.5 - 0.25 * math.sqrt(1.0 + g))
 
 
 def energy_level(n: int, omega: float, j) -> float:
@@ -85,35 +83,21 @@ def energy_level(n: int, omega: float, j) -> float:
     return 2.0 * omega * (n - _j_value(j))
 
 
-@dataclass(frozen=True)
-class LambdaValue:
-    u: complex
-    v: complex
-    rho: float
-    value: complex
-
-
 def _lambda_raw(u, v, rho_val: float):
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     t = 1.0 - rho_val * (u + v) + u * v
     rad = t * t - 4.0 * u * v * (1.0 - rho_val) ** 2
-    on_cut = (rad.real <= 0.0) & (np.abs(rad.imag) <= 1e-13 * (np.abs(rad) + 1.0))
-    if np.any(on_cut):
-        raise SingularEvaluationError("lambda radicand touched the branch cut")
-    den = t + np.sqrt(rad)
+    den = t + _checked_sqrt(rad, "lambda radicand")
     if np.any(np.abs(den) < 1e-13):
         raise SingularEvaluationError("lambda denominator vanished")
     return 2.0 * (1.0 - rho_val) / den
 
 
-def lambda_value(u, v, rho) -> LambdaValue:
+def lambda_value(u, v, rho) -> complex:
     """The kernel lambda of the generating function, principal branch."""
-    rho_val = _rho_value(rho)
-    lam = _lambda_raw(u, v, rho_val)
-    if lam.ndim == 0:
-        return LambdaValue(complex(u), complex(v), rho_val, complex(lam))
-    return LambdaValue(u, v, rho_val, lam)
+    lam = _lambda_raw(u, v, _rho_value(rho))
+    return complex(lam) if lam.ndim == 0 else lam
 
 
 def singular_gf_value(u, v, rho, j) -> complex:

@@ -504,33 +504,25 @@ def _parametric_checks() -> list[CheckResult]:
 def _singular_checks() -> list[CheckResult]:
     out = []
 
+    # the two series expansions, not the kernel, which computes both the
+    # same way
     worst_even = worst_odd = 0.0
     for rho in _RHO_GRID:
-        par = parametric.param_prob_table(rho, size=15, mode="float").values
-        even = singular.singular_prob_table(rho, -0.25, size=7).values
-        odd = singular.singular_prob_table(rho, -0.75, size=7).values
-        worst_even = max(
-            worst_even,
-            max(abs(even[m][n] - par[2 * m][2 * n]) for m in range(7) for n in range(7)),
-        )
-        worst_odd = max(
-            worst_odd,
-            max(
-                abs(odd[m][n] - par[2 * m + 1][2 * n + 1])
-                for m in range(7)
-                for n in range(7)
-            ),
-        )
+        par = parametric._float_grid(rho, 13, 13)
+        even = singular._float_grid(rho, -0.25, 6, 6)
+        odd = singular._float_grid(rho, -0.75, 6, 6)
+        worst_even = max(worst_even, float(np.max(np.abs(even - par[::2, ::2]))))
+        worst_odd = max(worst_odd, float(np.max(np.abs(odd - par[1::2, 1::2]))))
     out.append(
         _check(
             "singular.reduction-even", "families", worst_even, 1e-10,
-            computed="j=-1/4 table vs even-even variable-frequency table",
+            computed="j=-1/4 series vs even-even variable-frequency series",
         )
     )
     out.append(
         _check(
             "singular.reduction-odd", "families", worst_odd, 1e-10,
-            computed="j=-3/4 table vs odd-odd variable-frequency table",
+            computed="j=-3/4 series vs odd-odd variable-frequency series",
         )
     )
 
@@ -538,11 +530,9 @@ def _singular_checks() -> list[CheckResult]:
     worst = 0.0
     for rho in _RHO_GRID:
         for j in _J_GRID:
-            table = singular.singular_prob_table(rho, j, size=13)
+            row = singular._float_grid(rho, j, 0, 12)[0]
             for n in range(13):
-                worst = max(
-                    worst, abs(table.values[0][n] - singular.ground_row(n, rho, j))
-                )
+                worst = max(worst, abs(row[n] - singular.ground_row(n, rho, j)))
     out.append(
         _check(
             "singular.ground-row", "w_0n", worst, 1e-10,

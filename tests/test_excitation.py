@@ -565,14 +565,16 @@ def test_report_vacuum_rows_match_closed_forms():
             k = n // 2
             if k:
                 dd *= (2 * k - 1) / (2 * k)
-            assert got == pytest.approx(dd * rho**k * math.sqrt(1.0 - rho), rel=1e-15)
+            assert got == pytest.approx(
+                dd * rho**k * math.sqrt(1.0 - rho), rel=1e-15, abs=0.0
+            )
     # forced: the Poisson row e^-nu nu^n / n!
     for amp in (0.5, 1.0, 4.0):
         rep = excitation_report(ForceProfile.gaussian(amp, 1.0, 0.0), omega=1.0)
         nu = rep.value
         for n, got in enumerate(rep.vacuum_row):
             want = math.exp(-nu) * nu**n / math.factorial(n)
-            assert got == pytest.approx(want, rel=1e-15)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_report_requires_omega_for_force():

@@ -155,8 +155,8 @@ def test_antidiagonal_sums():
 
 def test_mean_quantum_number():
     for rho in (0.1, 0.5, 0.8):
-        assert param_mean_n(0, rho) == pytest.approx(rho / (1 - rho), rel=1e-14)
-    assert param_mean_n(1, 1.0 / 3.0) == pytest.approx(2.5, rel=1e-14)
+        assert param_mean_n(0, rho) == pytest.approx(rho / (1 - rho), rel=1e-14, abs=0.0)
+    assert param_mean_n(1, 1.0 / 3.0) == pytest.approx(2.5, rel=1e-14, abs=0.0)
     for m in range(4):
         assert param_mean_n(m, 0.0) == pytest.approx(float(m), abs=1e-15)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscigen import parametric, singular
 from oscigen.errors import SingularEvaluationError
 from oscigen.parametric import param_prob_table
 from oscigen.singular import (
@@ -50,13 +51,13 @@ def test_energy_levels():
 
 def test_lambda_kernel_values():
     for rho in (0.1, 0.5, 0.9):
-        assert lambda_value(0.0, 0.0, rho).value == pytest.approx(1.0 - rho)
+        assert lambda_value(0.0, 0.0, rho) == pytest.approx(1.0 - rho)
     # u = 0 collapses the radicand to (1 - rho v)^2
     for v in (0.2, 0.4j, -0.3):
-        lam = lambda_value(0.0, v, 0.3).value
+        lam = lambda_value(0.0, v, 0.3)
         assert lam == pytest.approx(0.7 / (1.0 - 0.3 * v), rel=1e-14)
-    a = lambda_value(0.2, 0.3, 0.5).value
-    b = lambda_value(0.3, 0.2, 0.5).value
+    a = lambda_value(0.2, 0.3, 0.5)
+    b = lambda_value(0.3, 0.2, 0.5)
     assert a == pytest.approx(b, rel=1e-15)
 
 
@@ -90,6 +91,21 @@ def test_reductions_to_the_regular_oscillator():
             for n in range(7):
                 assert even[m][n] == pytest.approx(par[2 * m][2 * n], abs=1e-10)
                 assert odd[m][n] == pytest.approx(par[2 * m + 1][2 * n + 1], abs=1e-10)
+
+
+def test_series_route_reduces_and_gives_the_vacuum_row():
+    # the series of g(u, v), independent of the kernel behind the tables
+    # and ground_row
+    for rho in (0.1, 0.5, 0.9):
+        par = parametric._float_grid(rho, 13, 13)
+        even = singular._float_grid(rho, -0.25, 6, 6)
+        odd = singular._float_grid(rho, -0.75, 6, 6)
+        np.testing.assert_allclose(even, par[::2, ::2], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(odd, par[1::2, 1::2], rtol=0.0, atol=1e-14)
+        for j in (-0.25, -0.75, -0.6, -1.3):
+            row = singular._float_grid(rho, j, 0, 12)[0]
+            want = [ground_row(n, rho, j) for n in range(13)]
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
 
 
 def test_ground_row_closed_form():
