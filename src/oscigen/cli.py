@@ -25,7 +25,6 @@ from .errors import IntegrationError, TableInvariantError
 from .excitation import excitation_report
 from .forced import forced_prob_table
 from .parametric import param_prob_table
-from .probtable import ProbTable
 from .profiles import ProfileError, load_profile
 from .singular import singular_prob_table
 from .verify import SUITES, run_suite

@@ -179,16 +179,6 @@ class WeightedIntegralRecord:
     second_quad: float | None
     expected_second: Fraction | None
 
-    @property
-    def first_residual(self) -> float:
-        return abs(float(self.first) - self.first_quad)
-
-    @property
-    def second_residual(self) -> float | None:
-        if self.second is None:
-            return None
-        return abs(float(self.second) - self.second_quad)
-
 
 def param_weighted_integrals(m: int, n: int) -> WeightedIntegralRecord:
     """Integrals of w_mn/(1-rho) and w_mn/(rho sqrt(1-rho)) over [0, 1].

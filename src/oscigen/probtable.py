@@ -99,6 +99,8 @@ class ProbTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProbTable":
+        """Rebuild a table from its JSON record and validate it, so a
+        tampered file raises TableInvariantError."""
         symbolic = None
         if d.get("symbolic") is not None:
             s = d["symbolic"]
@@ -107,7 +109,7 @@ class ProbTable:
                 for row in s["entries"]
             )
             symbolic = SymbolicTable(s["prefactor"], s["variable"], entries)
-        return cls(
+        table = cls(
             family=d["family"],
             params=dict(d["params"]),
             mode=d["mode"],
@@ -115,6 +117,8 @@ class ProbTable:
             row_tails=np.array(d["row_tails"], dtype=float),
             symbolic=symbolic,
         )
+        table.validate()
+        return table
 
     def to_csv(self) -> str:
         """Header row/column of quantum numbers, cells with 17 significant

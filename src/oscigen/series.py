@@ -9,11 +9,13 @@ inverse, exponential or real power are exact (no truncation error leaks
 below the window edge).
 
 Multiplication is a straight truncated convolution.  Inverse, exp and real
-powers use the standard coefficient recurrences (the derivative identities
-``y' = x' y`` for exp and ``a y' = alpha a' y`` for ``y = a^alpha``), applied
-along u with rows over v as the scalar ring.  The results are identical to
-the defining series (geometric, Taylor, binomial) term by term; the test
-suite checks this against direct partial-sum evaluation.
+powers run one coefficient recurrence, ``m a_0 y_m = sum_{k=1..m} (p k -
+q (m - k)) a_k y_{m-k}``, along v within the first row and along u with rows
+over v as the scalar ring.  ``y = a^alpha`` (``a y' = alpha a' y``) is
+(p, q) = (alpha, 1), the inverse is (-1, 1) started from ``1 / a_00``, and
+exp (``y' = x' y``) is (1, 0) with no ``a_0`` factor.  The results equal the
+defining series (geometric, Taylor, binomial) term by term; the test suite
+checks this against direct partial-sum evaluation.
 
 There is one code path for both domains.  The coefficient grid is a
 read-only numpy array: float64 for ``FLOAT``, and an object array of
@@ -35,14 +37,13 @@ from .errors import OracleFailureError, WindowMismatchError
 __all__ = ["MAX_WINDOW", "Series2", "check_window", "dft_extract_table"]
 
 MAX_WINDOW = 4096
+_RADIUS = 0.5  # of the torus dft_extract_table integrates on
 
 
 def check_window(max_deg_u: int, max_deg_v: int) -> None:
     """Reject a window beyond ``MAX_WINDOW`` before anything is allocated."""
     if max_deg_u > MAX_WINDOW or max_deg_v > MAX_WINDOW:
-        raise ValueError(
-            f"window ({max_deg_u},{max_deg_v}) exceeds cap {MAX_WINDOW}"
-        )
+        raise ValueError(f"window ({max_deg_u},{max_deg_v}) exceeds cap {MAX_WINDOW}")
 
 
 # ---------------------------------------------------------------------------
@@ -54,34 +55,18 @@ def _conv(a, b):
     return np.convolve(a, b)[: a.shape[0]]
 
 
-def _row_inv(a, dom):
+def _row(a, p, q, y0, lead=None):
+    """The recurrence ``m a_0 y_m = sum_{k=1..m} (p k - q (m - k)) a_k y_{m-k}``
+    along one row, with scalar coefficients: ``y_0 = y0``, and ``lead`` is
+    ``1 / a_0``, or None where ``a_0`` is one or the identity has no ``a_0``."""
     n = a.shape[0]
-    out = np.full_like(a, dom.zero)
-    out[0] = dom.invert(a[0])
-    for k in range(1, n):
-        out[k] = -out[0] * np.dot(a[1 : k + 1], out[k - 1 :: -1])
-    return out
-
-
-def _row_exp(a, dom):
-    n = a.shape[0]
-    out = np.full_like(a, dom.zero)
-    out[0] = dom.one
-    ja = a * np.arange(n)
-    for k in range(1, n):
-        out[k] = np.dot(ja[1 : k + 1], out[k - 1 :: -1]) / k
-    return out
-
-
-def _row_pow(a, alpha, dom):
-    # requires a[0] == 1
-    n = a.shape[0]
-    out = np.full_like(a, dom.zero)
-    out[0] = dom.one
-    ks = np.arange(n)
-    for k in range(1, n):
-        coef = (alpha + 1) * ks[1 : k + 1] - k
-        out[k] = np.dot(coef * a[1 : k + 1], out[k - 1 :: -1]) / k
+    out = np.empty_like(a)
+    out[0] = y0
+    pk, qk = p * np.arange(n), q * np.arange(n)
+    for m in range(1, n):
+        coef = pk[1 : m + 1] - qk[m - 1 :: -1]  # p k - q (m - k)
+        y = np.dot(coef * a[1 : m + 1], out[m - 1 :: -1]) / m
+        out[m] = y if lead is None else lead * y
     return out
 
 
@@ -114,10 +99,6 @@ class Series2:
         raise AttributeError("Series2 is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, domain, max_deg_u: int, max_deg_v: int) -> "Series2":
-        return cls.from_terms(domain, max_deg_u, max_deg_v, {})
 
     @classmethod
     def from_terms(cls, domain, max_deg_u: int, max_deg_v: int, terms) -> "Series2":
@@ -199,22 +180,33 @@ class Series2:
                 acc += _conv(a[i], b[m - i])
         return self._with(grid)
 
+    def _recur(self, p, q, row0, lead) -> "Series2":
+        """:func:`_row` along u, over rows: ``row0`` is the result's first row,
+        ``lead`` the inverse of the first row of ``self`` or None.  Each
+        ``a_k * y_{m-k}`` is one convolution, summed in two passes (``p k``
+        first) and then divided by m; one folded weight, or dividing first,
+        rounds worse on the singular grids."""
+        a = self.rows
+        out = np.empty_like(a)
+        out[0] = row0
+        for m in range(1, self.max_deg_u + 1):
+            convs = [_conv(a[k], out[m - k]) for k in range(1, m + 1)]
+            acc = sum((p * k) * c for k, c in enumerate(convs, 1))
+            if q:
+                for k, c in enumerate(convs[:-1], 1):
+                    acc -= (q * (m - k)) * c
+            out[m] = (acc if lead is None else _conv(lead, acc)) / m
+        return self._with(out)
+
     def inverse(self) -> "Series2":
         """Multiplicative inverse within the window.
 
         The constant term must be a unit of the domain; otherwise a
         SingularSeriesError is raised.
         """
-        dom = self.domain
-        a = self.rows
-        out = np.full_like(a, dom.zero)
-        out[0] = inv0 = _row_inv(a[0], dom)
-        for m in range(1, self.max_deg_u + 1):
-            acc = np.full_like(inv0, dom.zero)
-            for i in range(1, m + 1):
-                acc += _conv(a[i], out[m - i])
-            out[m] = -_conv(inv0, acc)
-        return self._with(out)
+        inv00 = self.domain.invert(self.constant_term)
+        row0 = _row(self.rows[0], -1, 1, inv00, inv00)
+        return self._recur(-1, 1, row0, row0)  # row0 is also 1 / a_0
 
     def exp(self) -> "Series2":
         """Exponential of a series with zero constant term.
@@ -223,20 +215,11 @@ class Series2:
         (x is nilpotent there); computed through the coefficient recurrence
         of ``y' = x' y``.
         """
-        dom = self.domain
         if self.constant_term:
             raise ValueError(
                 "exp needs a zero constant term; factor the scalar exponential out"
             )
-        x = self.rows
-        out = np.full_like(x, dom.zero)
-        out[0] = _row_exp(x[0], dom)
-        for m in range(1, self.max_deg_u + 1):
-            acc = np.full_like(x[0], dom.zero)
-            for k in range(1, m + 1):
-                acc += k * _conv(x[k], out[m - k])
-            out[m] = acc / m
-        return self._with(out)
+        return self._recur(1, 0, _row(self.rows[0], 1, 0, self.domain.one), None)
 
     def pow_real(self, alpha) -> "Series2":
         """Real power of a series with unit constant term.
@@ -248,18 +231,9 @@ class Series2:
         if self.constant_term != dom.one:
             raise ValueError("pow_real needs constant term 1; factor the scalar out")
         alpha = dom.exponent(alpha)
-        a = self.rows
-        out = np.full_like(a, dom.zero)
-        out[0] = _row_pow(a[0], alpha, dom)
-        inv0 = _row_inv(a[0], dom)
-        for m in range(1, self.max_deg_u + 1):
-            acc = np.full_like(inv0, dom.zero)
-            for k in range(1, m + 1):
-                acc += (alpha * k) * _conv(a[k], out[m - k])
-            for i in range(1, m):
-                acc -= (m - i) * _conv(a[i], out[m - i])
-            out[m] = _conv(inv0, acc) / m
-        return self._with(out)
+        a0 = self.rows[0]
+        return self._recur(alpha, 1, _row(a0, alpha, 1, dom.one),
+                           _row(a0, -1, 1, dom.one))
 
     def __repr__(self):
         return (
@@ -271,13 +245,13 @@ class Series2:
 # ---------------------------------------------------------------------------
 # contour-integral oracle
 
-def dft_extract_table(evaluator, max_m: int, max_n: int, radius: float = 0.5,
+def dft_extract_table(evaluator, max_m: int, max_n: int,
                       grid: int | None = None) -> np.ndarray:
     """Coefficients of ``u^m v^n`` for ``m <= max_m``, ``n <= max_n`` of an
     analytic function, as a real ``(max_m+1, max_n+1)`` array.
 
     Approximates the double Cauchy integral on the torus ``|u| = |v| =
-    radius`` with the trapezoidal rule on ``grid x grid`` points, all
+    1/2`` with the trapezoidal rule on ``grid x grid`` points, all
     coefficients in one FFT.  ``evaluator(U, V)`` takes the two complex
     ``grid x grid`` arrays of the nodes.  For functions with real
     coefficients the imaginary parts are an error indicator; the largest
@@ -289,13 +263,11 @@ def dft_extract_table(evaluator, max_m: int, max_n: int, radius: float = 0.5,
         grid = 4 * (max(max_m, max_n) + 1)
     if grid <= max(max_m, max_n):
         raise ValueError("grid must exceed the requested degrees")
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must sit in (0, 1)")
     theta = 2.0 * np.pi * np.arange(grid) / grid
-    ua = radius * np.exp(1j * theta)
+    ua = _RADIUS * np.exp(1j * theta)
     U, V = np.meshgrid(ua, ua, indexing="ij")
     C = np.fft.fft2(np.asarray(evaluator(U, V), dtype=complex)) / (grid * grid)
-    powers = radius ** (np.arange(max_m + 1)[:, None] + np.arange(max_n + 1)[None, :])
+    powers = _RADIUS ** (np.arange(max_m + 1)[:, None] + np.arange(max_n + 1)[None, :])
     block = C[: max_m + 1, : max_n + 1] / powers
     worst = float(np.max(np.abs(block.imag)))
     if worst > 1e-10:

@@ -101,11 +101,11 @@ def test_gauss_rules_are_cached_and_read_only():
 
 def test_row_moments_at_high_rho():
     moments = param_row_moments(3, 0.8)
-    assert moments[1] == pytest.approx(parametric.param_mean_n(3, 0.8), rel=1e-10)
+    assert moments[1] == pytest.approx(parametric.param_mean_n(3, 0.8), rel=1e-10, abs=0.0)
     rho = 0.97
     mean = rho / (1 - rho)
     want = [1.0, mean, 2 * rho / (1 - rho) ** 2 + mean**2]
-    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12)
+    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # -- vacuum row --------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_offsets_below_the_double_range_are_carried():
     # rows near m = 1000 reach them; every row below is complete here
     w = singular_table(0.05, -0.25, 1001, 1700)
     assert np.max(np.abs(1.0 - w.sum(axis=1))) < 1e-12
-    assert w[1000, 1500] == pytest.approx(0.0007698034016933339, rel=1e-12)
+    assert w[1000, 1500] == pytest.approx(0.0007698034016933339, rel=1e-12, abs=0.0)
 
 
 def test_exact_forced_values_match_rationals():

@@ -114,7 +114,7 @@ def test_nu_gaussian_closed_form():
     assert nu.value == pytest.approx(math.pi * math.exp(-0.5) / 2.0, abs=1e-10)
     # t0 only shifts the phase
     nu2 = nu_from_force(ForceProfile.gaussian(1.0, 1.0, 3.7), 1.0)
-    assert nu2.value == pytest.approx(nu.value, rel=1e-14)
+    assert nu2.value == pytest.approx(nu.value, rel=1e-14, abs=0.0)
 
 
 def test_nu_rectangular():
@@ -122,7 +122,7 @@ def test_nu_rectangular():
     f0, t_on, t_off, omega = 1.5, 0.3, 2.1, 1.7
     want = 2.0 * f0**2 * math.sin(omega * (t_off - t_on) / 2.0) ** 2 / omega**3
     nu = nu_from_force(ForceProfile.rectangular(f0, t_on, t_off), omega)
-    assert nu.value == pytest.approx(want, rel=1e-13)
+    assert nu.value == pytest.approx(want, rel=1e-13, abs=0.0)
     # a full-period pulse excites nothing
     zero = nu_from_force(ForceProfile.rectangular(1.0, 0.0, 2.0 * math.pi), 1.0)
     assert zero.value < 1e-30
@@ -135,7 +135,7 @@ def test_nu_damped_cosine_against_tabulated_route():
     ts = np.arange(-30.0, 30.0 + 1e-9, 0.01)
     tab = ForceProfile.tabulated(ts, f0 * np.exp(-gamma * np.abs(ts)) * np.cos(omega_d * ts))
     sampled = nu_from_force(tab, omega)
-    assert sampled.value == pytest.approx(closed.value, rel=1e-4)
+    assert sampled.value == pytest.approx(closed.value, rel=1e-4, abs=0.0)
 
 
 def test_nu_tabulated_gaussian_64_samples_per_period():
@@ -143,7 +143,7 @@ def test_nu_tabulated_gaussian_64_samples_per_period():
     tab = ForceProfile.tabulated(ts, np.exp(-(ts**2)))
     nu = nu_from_force(tab, 1.0)
     want = math.pi * math.exp(-0.5) / 2.0
-    assert nu.value == pytest.approx(want, rel=1e-6)
+    assert nu.value == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 def test_nu_zero_force():
@@ -174,7 +174,7 @@ def test_rho_sudden_step():
     # general jump formula ((w+ - w-)/(w+ + w-))^2
     r = bogoliubov_from_frequency(FrequencyProfile.sudden_step(0.7, 1.9, t_jump=2.0))
     want = ((1.9 - 0.7) / (1.9 + 0.7)) ** 2
-    assert r.rho == pytest.approx(want, rel=1e-12)
+    assert r.rho == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("omega_plus", [1e17, 1e-17])
@@ -190,7 +190,7 @@ def test_rho_tanh_ramp_reflection_formula():
         math.sinh(math.pi * (wp - wm) * T / 2.0) ** 2
         / math.sinh(math.pi * (wp + wm) * T / 2.0) ** 2
     )
-    assert r.rho == pytest.approx(want, rel=1e-6)
+    assert r.rho == pytest.approx(want, rel=1e-6, abs=0.0)
     assert r.wronskian_residual < 1e-9
     assert r.steps > 100
 
@@ -206,7 +206,7 @@ def test_rho_sudden_limit_of_fast_ramp():
     r = bogoliubov_from_frequency(
         FrequencyProfile.tanh_ramp(1.0, 4.0, 1e-3 / 2.0), tol=1e-10
     )
-    assert r.rho == pytest.approx(1.0 / 9.0, rel=1e-2)
+    assert r.rho == pytest.approx(1.0 / 9.0, rel=1e-2, abs=0.0)
 
 
 def test_rho_tabulated_profile():
@@ -218,7 +218,7 @@ def test_rho_tabulated_profile():
     want = (
         math.sinh(math.pi * 0.5) ** 2 / math.sinh(math.pi * 1.5) ** 2
     )
-    assert r.rho == pytest.approx(want, rel=1e-4)
+    assert r.rho == pytest.approx(want, rel=1e-4, abs=0.0)
     assert r.wronskian_residual < 1e-8
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,7 +62,7 @@ def test_first_diagonal_entry_polynomial():
     assert table.symbolic.poly(1, 1) == RatPoly((1, -2, 1))  # (1-nu)^2
     assert table.values[1][1] == pytest.approx(0.0, abs=1e-15)
     t2 = forced_prob_table(0.5, size=4, mode="exact")
-    assert t2.values[1][1] == pytest.approx(0.25 * math.exp(-0.5), rel=1e-13)
+    assert t2.values[1][1] == pytest.approx(0.25 * math.exp(-0.5), rel=1e-13, abs=0.0)
 
 
 def test_off_diagonal_entry_against_contour_oracle():
@@ -71,7 +70,7 @@ def test_off_diagonal_entry_against_contour_oracle():
 
     table = forced_prob_table(0.7, size=5, mode="float")
     oracle = dft_extract_table(
-        lambda u, v: forced_gf_value(u, v, 0.7), 2, 3, radius=0.5, grid=64
+        lambda u, v: forced_gf_value(u, v, 0.7), 2, 3, grid=64
     )
     for m, n in ((0, 3), (1, 2), (2, 2)):
         assert table.values[m][n] == pytest.approx(oracle[m, n], abs=1e-10)
@@ -92,9 +91,9 @@ def test_sum_rule_triples():
 def test_sum_rule_quadrature_cross_check():
     for m, n in ((0, 0), (1, 2), (4, 4), (8, 8)):
         r = forced_sum_rules(m, n)
-        assert r.norm_quad == pytest.approx(float(r.norm), rel=1e-12)
-        assert r.mean_quad == pytest.approx(float(r.mean), rel=1e-12)
-        assert r.variance_quad == pytest.approx(float(r.variance), rel=1e-12)
+        assert r.norm_quad == pytest.approx(float(r.norm), rel=1e-12, abs=0.0)
+        assert r.mean_quad == pytest.approx(float(r.mean), rel=1e-12, abs=0.0)
+        assert r.variance_quad == pytest.approx(float(r.variance), rel=1e-12, abs=0.0)
 
 
 def test_vacuum_rows_have_poisson_variance():
@@ -113,9 +112,9 @@ def test_antidiagonal_sums_match_laguerre_form():
 
 def test_antidiagonal_spot_values():
     for nu in (0.3, 1.0, 3.0):
-        assert forced_sk(0, nu) == pytest.approx(math.exp(-nu), rel=1e-14)
-    assert forced_sk(1, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
-    assert forced_sk(3, 1.0) == pytest.approx(4.0 / 3.0 * math.exp(-1.0), rel=1e-13)
+        assert forced_sk(0, nu) == pytest.approx(math.exp(-nu), rel=1e-14, abs=0.0)
+    assert forced_sk(1, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13, abs=0.0)
+    assert forced_sk(3, 1.0) == pytest.approx(4.0 / 3.0 * math.exp(-1.0), rel=1e-13, abs=0.0)
 
 
 def test_table_symmetry_and_bounds():

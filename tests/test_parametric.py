@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oscigen.amplitude import param_table
-from oscigen.domains import RatPoly
 from oscigen.parametric import (
     RhoParam,
     param_dispersion,
@@ -50,9 +49,9 @@ def test_table_low_entries():
     for rho in (0.2, 0.5, 0.8):
         t = param_prob_table(rho, size=4, mode="float")
         root = math.sqrt(1 - rho)
-        assert t.values[0][0] == pytest.approx(root, rel=1e-14)
-        assert t.values[0][2] == pytest.approx(0.5 * rho * root, rel=1e-13)
-        assert t.values[1][1] == pytest.approx((1 - rho) * root, rel=1e-13)
+        assert t.values[0][0] == pytest.approx(root, rel=1e-14, abs=0.0)
+        assert t.values[0][2] == pytest.approx(0.5 * rho * root, rel=1e-13, abs=0.0)
+        assert t.values[1][1] == pytest.approx((1 - rho) * root, rel=1e-13, abs=0.0)
 
 
 def test_parity_entries_vanish_exactly():
@@ -82,11 +81,11 @@ def test_arctanh_identity_on_points():
     assert rec.residual < 1e-9
     # equal arguments: analytic limit
     rec = param_identity_eq6(0.5, 0.5)
-    assert rec.rhs == pytest.approx(8.0 / 3.0, rel=1e-14)
+    assert rec.rhs == pytest.approx(8.0 / 3.0, rel=1e-14, abs=0.0)
     assert rec.residual < 1e-9
     # odd symmetry point
     rec = param_identity_eq6(0.3, -0.3)
-    assert rec.rhs == pytest.approx(2.0 * math.atanh(0.3) / 0.3, rel=1e-14)
+    assert rec.rhs == pytest.approx(2.0 * math.atanh(0.3) / 0.3, rel=1e-14, abs=0.0)
     assert rec.residual < 1e-9
     with pytest.raises(ValueError):
         param_identity_eq6(1.0, 0.0)
@@ -143,7 +142,7 @@ def test_offdiagonal_rho_integrals_match_beta_values():
 
 
 def test_antidiagonal_sums():
-    assert param_sk(2, 0.19) == pytest.approx(0.9, rel=1e-15)
+    assert param_sk(2, 0.19) == pytest.approx(0.9, rel=1e-15, abs=0.0)
     assert param_sk(3, 0.7) == 0.0
     assert param_sk(0, 0.0) == 1.0
     for rho in (0.19, 0.6):
@@ -180,17 +179,17 @@ def test_mean_matches_row_moment():
 
 def test_dispersion_vacuum_closed_form():
     assert param_dispersion(0, 0.0) == 0.0
-    assert param_dispersion(0, 0.5) == pytest.approx(4.0, rel=1e-10)
+    assert param_dispersion(0, 0.5) == pytest.approx(4.0, rel=1e-10, abs=0.0)
     for rho in (0.1, 0.8):
         want = 2 * rho / (1 - rho) ** 2
-        assert param_dispersion(0, rho) == pytest.approx(want, rel=1e-8)
+        assert param_dispersion(0, rho) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_row_moments_at_high_rho_are_the_closed_forms():
     rho = 0.97
     mean = rho / (1 - rho)
     want = [1.0, mean, 2 * rho / (1 - rho) ** 2 + mean**2]
-    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12)
+    assert param_row_moments(0, rho) == pytest.approx(want, rel=1e-12, abs=0.0)
     # no window grows: only the u degree m meets the cap
     with pytest.raises(ValueError, match="cap"):
         param_row_moments(MAX_WINDOW + 1, rho)
@@ -201,10 +200,10 @@ def test_row_moments_closed_forms(rho):
     for m in [*range(9), 50, 200, 1000]:
         moments = param_row_moments(m, rho)
         var = 2 * rho * (m * m + m + 1) / (1 - rho) ** 2
-        assert moments[0] == pytest.approx(1.0, rel=1e-12)
-        assert moments[1] == pytest.approx(param_mean_n(m, rho), rel=1e-12)
-        assert moments[2] - moments[1] ** 2 == pytest.approx(var, rel=1e-12)
-        assert param_dispersion(m, rho) == pytest.approx(var, rel=1e-12)
+        assert moments[0] == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert moments[1] == pytest.approx(param_mean_n(m, rho), rel=1e-12, abs=0.0)
+        assert moments[2] - moments[1] ** 2 == pytest.approx(var, rel=1e-12, abs=0.0)
+        assert param_dispersion(m, rho) == pytest.approx(var, rel=1e-12, abs=0.0)
         if rho == 0.0:
             assert moments[2] - moments[1] ** 2 == 0.0
             assert param_dispersion(m, rho) == 0.0
@@ -225,7 +224,7 @@ def test_row_moments_match_kernel_table(rho):
     ns = np.arange(2049.0)
     for m in range(9):
         want = [np.dot(ns**p, table[m]) for p in range(3)]
-        assert param_row_moments(m, rho) == pytest.approx(want, rel=1e-12)
+        assert param_row_moments(m, rho) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_row_moments_input_checks():
@@ -235,7 +234,7 @@ def test_row_moments_input_checks():
         param_row_moments(0, 1.0)
     with pytest.raises(ValueError):
         param_dispersion(0, 1.0)
-    assert param_row_moments(4, 0.5, power=0) == pytest.approx([1.0], rel=1e-14)
+    assert param_row_moments(4, 0.5, power=0) == pytest.approx([1.0], rel=1e-14, abs=0.0)
 
 
 def test_unitarity_and_validation():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oscigen.errors import TableInvariantError
 from oscigen.forced import forced_prob_table
 from oscigen.parametric import param_prob_table
 from oscigen.probtable import ProbTable
@@ -53,9 +54,18 @@ def assert_writers_exact(table: ProbTable) -> None:
     got = np.array(cells, dtype=float).reshape(table.values.shape)
     assert np.array_equal(got.view(np.int64), table.values.view(np.int64))
 
-    back = ProbTable.from_json_dict(json.loads(text))
-    assert np.array_equal(back.values.view(np.int64), table.values.view(np.int64))
-    assert np.array_equal(back.row_tails.view(np.int64), table.row_tails.view(np.int64))
+    doc = json.loads(text)
+    for key, want in (("values", table.values), ("row_tails", table.row_tails)):
+        got = np.array(doc[key], dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    try:
+        table.validate()
+    except TableInvariantError:
+        # reading back validates, so a table that fails validate fails there
+        with pytest.raises(TableInvariantError):
+            ProbTable.from_json_dict(doc)
+        return
+    back = ProbTable.from_json_dict(doc)
     assert back.params == table.params
     if table.symbolic is not None:
         assert back.symbolic == table.symbolic
@@ -125,3 +135,24 @@ def test_empty_tables(shape):
     table = ProbTable("forced", {"nu": 1.0}, "float", np.zeros(shape), np.zeros(shape[0]))
     assert table.to_csv() == reference_csv(table)
     assert table.to_json() == reference_json(table)
+
+
+def _negative_entry(values):
+    values[2][3] = values[3][2] = -1e-3
+
+
+def _row_sum_above_one(values):
+    # on the diagonal, so the table stays symmetric and every entry below one
+    values[1][1] += 1.0 - sum(values[1]) + 1e-6
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param(_negative_entry, "negative", id="negative-entry"),
+    pytest.param(_row_sum_above_one, "row sum", id="row-sum-above-one"),
+])
+def test_tampered_json_is_rejected(tamper, message):
+    doc = json.loads(forced_prob_table(1.2, size=6).to_json())
+    ProbTable.from_json_dict(doc)
+    tamper(doc["values"])
+    with pytest.raises(TableInvariantError, match=message):
+        ProbTable.from_json_dict(doc)

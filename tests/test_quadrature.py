@@ -73,17 +73,17 @@ def test_legendre_spot_integrals():
 
 def test_laguerre_spot_integrals():
     rule = gauss_laguerre(4)
-    assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, rel=1e-14)
-    assert rule.integrate(lambda x: x) == pytest.approx(1.0, rel=1e-14)
+    assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    assert rule.integrate(lambda x: x) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     three = gauss_laguerre(3)
-    assert three.integrate(lambda x: x**5) == pytest.approx(120.0, rel=1e-13)
+    assert three.integrate(lambda x: x**5) == pytest.approx(120.0, rel=1e-13, abs=0.0)
 
 
 def test_jacobi_spot_integrals():
     rule = gauss_jacobi_half(6)
-    assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(2.0, rel=1e-14)
-    assert rule.integrate(lambda x: x) == pytest.approx(4.0 / 3.0, rel=1e-14)
-    assert rule.integrate(lambda x: x**2) == pytest.approx(16.0 / 15.0, rel=1e-14)
+    assert rule.integrate(lambda x: np.ones_like(x)) == pytest.approx(2.0, rel=1e-14, abs=0.0)
+    assert rule.integrate(lambda x: x) == pytest.approx(4.0 / 3.0, rel=1e-14, abs=0.0)
+    assert rule.integrate(lambda x: x**2) == pytest.approx(16.0 / 15.0, rel=1e-14, abs=0.0)
 
 
 def test_node_count_bounds():

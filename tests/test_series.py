@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oscigen.domains import FLOAT, POLY, RatPoly
 from oscigen.errors import OracleFailureError, SingularSeriesError, WindowMismatchError
-from oscigen.series import MAX_WINDOW, Series2, dft_extract_table
+from oscigen.series import MAX_WINDOW, Series2, _conv, dft_extract_table
 
 
 # -- independent reference arithmetic on plain coefficient dicts ------------
@@ -149,7 +149,7 @@ def test_inverse_rejects_nonconstant_unit_in_poly_domain():
 # -- exponential -------------------------------------------------------------
 
 def test_exp_of_zero():
-    e = Series2.zeros(POLY, 3, 3).exp()
+    e = Series2.from_terms(POLY, 3, 3, {}).exp()
     assert_matches(e, {(0, 0): Fraction(1)})
 
 
@@ -222,10 +222,20 @@ def test_pow_irrational_exponent_float_domain():
     s = a.pow_real(alpha)
     binom = 1.0
     for k in range(5):
-        assert s.coeff(0, k) == pytest.approx(binom, rel=1e-14)
+        assert s.coeff(0, k) == pytest.approx(binom, rel=1e-14, abs=0.0)
         binom *= (alpha - k) / (k + 1)
     with pytest.raises(TypeError):
         Series2.one(POLY, 2, 2).pow_real(alpha)
+
+
+def test_pow_convolves_each_pair_of_rows_once(monkeypatch):
+    # mu (mu + 1) / 2 products a_k * y_{m-k} plus mu products with the
+    # inverse of the first row: 44 row convolutions at a u-degree of 8
+    calls = []
+    monkeypatch.setattr("oscigen.series._conv", lambda a, b: calls.append(1) or _conv(a, b))
+    a = Series2.from_terms(FLOAT, 8, 8, {(0, 0): 1.0, (0, 1): 0.5, (1, 0): -0.3, (1, 1): 0.2})
+    a.pow_real(-0.5)
+    assert len(calls) == 44
 
 
 # -- float and exact domains run the same code ------------------------------
@@ -272,7 +282,7 @@ def test_constructor_checks_grid_and_freezes_rows(dom):
             t.rows[1][2] = dom.one
     with pytest.raises(AttributeError):
         s.rows = None
-    assert s == Series2.zeros(dom, 2, 3)
+    assert s == Series2.from_terms(dom, 2, 3, {})
 
 
 # -- coefficient access ------------------------------------------------------
@@ -300,14 +310,14 @@ def test_window_cap_from_environment(monkeypatch):
     # OSCIGEN_MAX_WINDOW is not read: the cap is the constant MAX_WINDOW
     monkeypatch.setenv("OSCIGEN_MAX_WINDOW", "8")
     with pytest.raises(ValueError, match="cap"):
-        Series2.zeros(FLOAT, MAX_WINDOW + 1, 2)
-    assert Series2.zeros(FLOAT, MAX_WINDOW, 0).rows.shape == (MAX_WINDOW + 1, 1)
+        Series2.from_terms(FLOAT, MAX_WINDOW + 1, 2, {})
+    assert Series2.from_terms(FLOAT, MAX_WINDOW, 0, {}).rows.shape == (MAX_WINDOW + 1, 1)
 
 
 # -- contour oracle ----------------------------------------------------------
 
 def test_dft_geometric_coefficient():
-    table = dft_extract_table(lambda u, v: 1.0 / (1.0 - u * v), 3, 3, radius=0.5, grid=32)
+    table = dft_extract_table(lambda u, v: 1.0 / (1.0 - u * v), 3, 3, grid=32)
     assert abs(table[2, 2] - 1.0) < 1e-12
     assert abs(table[2, 3]) < 1e-12
 
@@ -315,43 +325,33 @@ def test_dft_geometric_coefficient():
 def test_dft_vacuum_amplitude_of_driven_family():
     from oscigen.forced import forced_gf_value
 
-    table = dft_extract_table(lambda u, v: forced_gf_value(u, v, 1.0), 0, 0, radius=0.5, grid=16)
+    table = dft_extract_table(lambda u, v: forced_gf_value(u, v, 1.0), 0, 0, grid=16)
     assert abs(table[0, 0] - math.exp(-1.0)) < 1e-10
 
 
 def test_dft_parity_zero_of_parametric_family():
     from oscigen.parametric import param_gf_value
 
-    table = dft_extract_table(lambda u, v: param_gf_value(u, v, 0.5), 0, 1, radius=0.5, grid=24)
+    table = dft_extract_table(lambda u, v: param_gf_value(u, v, 0.5), 0, 1, grid=24)
     assert abs(table[0, 1]) < 1e-12
 
 
 def test_dft_flags_imaginary_residue():
     with pytest.raises(OracleFailureError):
-        dft_extract_table(lambda u, v: 1j / (1.0 - u * v), 1, 1, radius=0.5, grid=16)
+        dft_extract_table(lambda u, v: 1j / (1.0 - u * v), 1, 1, grid=16)
 
 
-def test_dft_rejects_degenerate_grid_and_radius():
+def test_dft_rejects_degenerate_grid():
     f = lambda u, v: 1.0 / (1.0 - u * v)
     with pytest.raises(ValueError):
         dft_extract_table(f, 5, 5, grid=4)
-    with pytest.raises(ValueError):
-        dft_extract_table(f, 1, 1, radius=1.5)
     with pytest.raises(ValueError, match="negative"):
         dft_extract_table(f, -1, 2, grid=16)
 
 
-@pytest.mark.parametrize("radius", [0.0, -0.5, 1.0, 1.5])
-def test_dft_table_rejects_radius_outside_unit_interval(radius):
-    # beyond the bidisk the contour sum is silently wrong (-2.3e-6 for the
-    # coefficient 1 of 1/(1-uv) at radius 1.5); radius 0 gives NaN
-    with pytest.raises(ValueError, match="radius"):
-        dft_extract_table(lambda u, v: 1.0 / (1.0 - u * v), 2, 2, radius=radius, grid=16)
-
-
 def test_dft_table_matches_single_extraction():
     f = lambda u, v: np.exp(u + v) / (1.0 - u * v)
-    table = dft_extract_table(f, 3, 3, radius=0.5, grid=32)
+    table = dft_extract_table(f, 3, 3, grid=32)
     # each coefficient on its own: the trapezoidal double contour sum
     theta = 2.0 * np.pi * np.arange(32) / 32
     z = 0.5 * np.exp(1j * theta)
@@ -371,7 +371,7 @@ def test_dft_evaluator_error_propagates_without_pointwise_retry():
         raise ZeroDivisionError("pole on the contour")
 
     with pytest.raises(ZeroDivisionError):
-        dft_extract_table(vectorized_but_broken, 2, 2, radius=0.5, grid=8)
+        dft_extract_table(vectorized_but_broken, 2, 2, grid=8)
     assert calls == [(8, 8)]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from oscigen import parametric, singular
 from oscigen.errors import SingularEvaluationError
-from oscigen.parametric import param_prob_table
 from oscigen.singular import (
     WeightJ,
     adiabatic_diag,
@@ -42,7 +41,7 @@ def test_energy_levels():
     for j in (-0.25, -0.9):
         for n in range(4):
             gap = energy_level(n + 1, 0.7, j) - energy_level(n, 0.7, j)
-            assert gap == pytest.approx(1.4, rel=1e-14)
+            assert gap == pytest.approx(1.4, rel=1e-14, abs=0.0)
     with pytest.raises(ValueError):
         energy_level(-1, 1.0, -0.75)
     with pytest.raises(ValueError):
@@ -55,10 +54,10 @@ def test_lambda_kernel_values():
     # u = 0 collapses the radicand to (1 - rho v)^2
     for v in (0.2, 0.4j, -0.3):
         lam = lambda_value(0.0, v, 0.3)
-        assert lam == pytest.approx(0.7 / (1.0 - 0.3 * v), rel=1e-14)
+        assert lam == pytest.approx(0.7 / (1.0 - 0.3 * v), rel=1e-14, abs=0.0)
     a = lambda_value(0.2, 0.3, 0.5)
     b = lambda_value(0.3, 0.2, 0.5)
-    assert a == pytest.approx(b, rel=1e-15)
+    assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 def test_gf_values():
@@ -79,12 +78,13 @@ def test_branch_guard_raises_on_cut():
 
 def test_table_matches_vacuum_entry():
     table = singular_prob_table(0.5, -0.25, size=4)
-    assert table.values[0][0] == pytest.approx(math.sqrt(0.5), rel=1e-14)
+    assert table.values[0][0] == pytest.approx(math.sqrt(0.5), rel=1e-14, abs=0.0)
 
 
 def test_reductions_to_the_regular_oscillator():
+    # the parametric series, independent of the kernel behind both tables
     for rho in (0.1, 0.5, 0.9):
-        par = param_prob_table(rho, size=15, mode="float").values
+        par = parametric._float_grid(rho, 14, 14)
         even = singular_prob_table(rho, -0.25, size=7).values
         odd = singular_prob_table(rho, -0.75, size=7).values
         for m in range(7):
@@ -109,17 +109,17 @@ def test_series_route_reduces_and_gives_the_vacuum_row():
 
 
 def test_ground_row_closed_form():
-    assert ground_row(0, 0.4, -0.6) == pytest.approx(0.6 ** 1.2, rel=1e-14)
+    assert ground_row(0, 0.4, -0.6) == pytest.approx(0.6 ** 1.2, rel=1e-14, abs=0.0)
     assert ground_row(1, 0.5, -0.25) == pytest.approx(
-        0.5 * 0.5 * math.sqrt(0.5), rel=1e-14
+        0.5 * 0.5 * math.sqrt(0.5), rel=1e-14, abs=0.0
     )
     for rho in (0.1, 0.5, 0.9):
         for j in (-0.25, -0.75, -0.6, -1.3):
             table = singular_prob_table(rho, j, size=13)
             for n in range(13):
-                assert table.values[0][n] == pytest.approx(
-                    ground_row(n, rho, j), abs=1e-10
-                )
+                want = (math.gamma(n - 2 * j) / (math.factorial(n) * math.gamma(-2 * j))
+                        * rho**n * (1 - rho) ** (-2 * j))
+                assert table.values[0][n] == pytest.approx(want, abs=1e-10)
 
 
 def test_ground_row_normalizes():
@@ -157,7 +157,7 @@ def test_adiabatic_slope_matches_small_rho_tables():
                 w_nn = singular_prob_table(eps, j, size=n + 1).values[n][n]
                 s.append((1.0 - w_nn) / eps)
             richardson = 2.0 * s[0] - s[1]
-            assert richardson == pytest.approx(want, rel=1e-4)
+            assert richardson == pytest.approx(want, rel=1e-4, abs=0.0)
 
 
 def test_adiabatic_rejects_negative_radicand():
@@ -170,7 +170,7 @@ def test_vacuum_slope_matches_sqrt_series():
     rec = adiabatic_diag(0, -0.25)
     eps = 1e-6
     numeric = (1.0 - math.sqrt(1.0 - eps)) / eps
-    assert rec.slope == pytest.approx(numeric, rel=1e-5)
+    assert rec.slope == pytest.approx(numeric, rel=1e-5, abs=0.0)
 
 
 def test_table_validation_and_symmetry():

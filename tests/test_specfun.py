@@ -101,7 +101,7 @@ def test_laguerre_rejects_negative_order():
 
 def test_gamma_ratio_empty_product():
     assert ground_row(0, 0.0, -0.25) == 1.0
-    assert ground_row(0, 0.4, -0.37) == pytest.approx(0.6**0.74, rel=1e-15)
+    assert ground_row(0, 0.4, -0.37) == pytest.approx(0.6**0.74, rel=1e-15, abs=0.0)
 
 
 def test_gamma_ratio_quarter_weights():
@@ -112,7 +112,7 @@ def test_gamma_ratio_quarter_weights():
             for k in range(1, n + 1):
                 dd *= Fraction(2 * k - 1, 2 * k)
             want = float(dd) * rho**n * math.sqrt(1.0 - rho)
-            assert ground_row(n, rho, -0.25) == pytest.approx(want, rel=1e-15)
+            assert ground_row(n, rho, -0.25) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_gamma_ratio_matches_gamma_function():
@@ -122,7 +122,7 @@ def test_gamma_ratio_matches_gamma_function():
             want = math.gamma(n - 2 * j) / (
                 math.factorial(n) * math.gamma(-2 * j)
             ) * rho**n * (1.0 - rho) ** (-2 * j)
-            assert ground_row(n, rho, j) == pytest.approx(want, rel=1e-13)
+            assert ground_row(n, rho, j) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_gamma_ratio_successive_ratio_consistency():
@@ -131,7 +131,7 @@ def test_gamma_ratio_successive_ratio_consistency():
         prev = ground_row(0, rho, j)
         for n in range(12):
             cur = ground_row(n + 1, rho, j)
-            assert cur / prev == pytest.approx(rho * (n - 2 * j) / (n + 1), rel=1e-14)
+            assert cur / prev == pytest.approx(rho * (n - 2 * j) / (n + 1), rel=1e-14, abs=0.0)
             prev = cur
 
 
@@ -147,7 +147,7 @@ def test_gamma_ratio_rejects_poles():
 def test_arctanh_values_and_symmetry():
     assert param_identity_eq6(0.0, 0.0).rhs == 2.0
     # 4 arctanh(1/2) = 2 ln 3
-    assert param_identity_eq6(0.5, 0.0).rhs == pytest.approx(2.0 * math.log(3.0), rel=1e-15)
+    assert param_identity_eq6(0.5, 0.0).rhs == pytest.approx(2.0 * math.log(3.0), rel=1e-15, abs=0.0)
     assert param_identity_eq6(0.3, 0.1).rhs == param_identity_eq6(-0.1, -0.3).rhs
 
 
