@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,46 +122,199 @@ class ProbTable:
         return table
 
     def to_csv(self) -> str:
-        """Header row/column of quantum numbers, cells with 17 significant
-        digits so doubles round-trip exactly."""
-        cells = _cells(self.values, lambda xs: list(map("%.17g".__mod__, xs)))
-        lines = ["m\\n," + ",".join(map(str, range(self.values.shape[1])))]
-        lines += [f"{m}," + ",".join(row) for m, row in enumerate(cells)]
-        return "\n".join(lines) + "\n"
+        """Header row/column of quantum numbers, each cell as ``"%.17g" % x``
+        gives it, so doubles round-trip exactly."""
+        rows, cols = self.values.shape
+        width = len(str(rows)) + 2
+        labels = "".join(f"\n{m},".ljust(width, "\0") for m in range(rows))
+        labels = np.frombuffer(labels.encode(), np.uint8).reshape(rows, width)
+        cells = _texts(self.values, shortest=False).reshape(rows, cols, _WIDTH)
+        cells[:, :-1, -1] = ord(",")
+        body = np.concatenate([labels, cells.reshape(rows, cols * _WIDTH)], axis=1)
+        return "m\\n," + ",".join(map(str, range(cols))) + _strip(body) + "\n"
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=1)`` plus a final newline,
         byte for byte, with the float blocks written directly."""
+        rows, cols = self.values.shape
+        if not self.values.size:
+            return json.dumps(self.to_json_dict(), indent=1) + "\n"
         # Only top-level keys follow a raw newline and one space, so the
         # marker cannot match inside params or the symbolic block.
         head, _, tail = json.dumps(self._record(), indent=1).partition(
             '\n "values": null,\n "row_tails": null')
-        rows = [_json_list(row, 3) for row in _cells(self.values, _json_floats)]
-        tails = _cells(self.row_tails, _json_floats)
-        return (f'{head}\n "values": {_json_list(rows, 2)},'
-                f'\n "row_tails": {_json_list(tails, 2)}{tail}\n')
+        # each text followed by a comma, or a semicolon at the end of a row
+        texts = _texts(np.concatenate([np.ravel(self.values), self.row_tails]),
+                       shortest=True)
+        texts[:, -1] = ord(",")
+        texts[cols - 1: rows * cols: cols, -1] = ord(";")
+        values, _, tails = _strip(texts).rpartition(";")
+        values = values.replace(",", ",\n   ").replace(";", "\n  ],\n  [\n   ")
+        tails = tails[:-1].replace(",", ",\n  ")
+        return (f'{head}\n "values": [\n  [\n   {values}\n  ]\n ],'
+                f'\n "row_tails": [\n  {tails}\n ]{tail}\n')
 
 
-def _json_floats(xs: list) -> list:
-    """The text json.dumps gives each float (NaN and Infinity included)."""
-    return json.dumps(xs)[1:-1].split(", ") if xs else []
+# -- float text --------------------------------------------------------------
+#
+# The writers format every cell with one numpy kernel.  Each text is a
+# fixed-width block of NUL-padded bytes, which ``_strip`` removes once per
+# document.  A positive double x below one is scaled to V = x 10^(16-E),
+# E = floor(log10 x), with an exact double-double power of ten and a Dekker
+# two-product (the Grisu idea, Loitsch, PLDI 2010): V lies in
+# [10^16, 10^17) and is known to about 1e-14, so rounding it to 17 digits,
+# or to fewer for the shortest form, is exact unless V lies within _EPS of
+# a rounding boundary.  Such near-ties, values whose E the estimate misses
+# by two, powers of two in the shortest form (their rounding interval is
+# lopsided) and every value outside (0, 1) go to Python's formatter, once
+# per distinct bit pattern.
+
+_WIDTH = 32             # bytes per text: four uint64 words, see _tables
+_EPS = 1e-9             # margin of V against a rounding boundary
+_SCALED = 250           # past this power of ten, x is pre-scaled by 2^600
+_TOP = 342              # largest power needed: 16 - E for E = -324, plus one
+_QUAD = 10**4
+_CHUNK = 1 << 13        # values per kernel pass, so its temporaries stay small
+_PREFIX = 10 ** np.arange(16, -1, -4, dtype=np.int64)[:, None]
 
 
-def _json_list(items: list, depth: int) -> str:
-    """A list of preformatted items as ``json.dumps(indent=1)`` nests it."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * depth
-    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
+@functools.cache
+def _tables():
+    """The kernel's lookup tables, built from Python integers on first use.
+
+    ``power[:, s]`` for s = 0.._TOP holds 10^s 2^-b as a double-double
+    (hi, its Dekker halves, lo) and 2^b, where b is 600 past _SCALED.  Per
+    exponent k = -E, ``head`` holds a text's first word (from _TOP on,
+    without the point that follows a lone digit) and ``tail`` its last:
+    "0.000" in bytes 0-4 or the point in byte 7, then "e-XX" in bytes 24-28;
+    the first digit goes to byte 6 and the next sixteen to bytes 8-23.
+    ``quad`` holds the text of four digits (from _QUAD on with trailing
+    zeros as NUL)."""
+    hi, lo, scale = [], [], []
+    for s in range(_TOP + 1):
+        num, den = 10**s, 1 << (600 if s > _SCALED else 0)
+        hi.append(num / den)    # int / int rounds correctly; hi is integral
+        lo.append((num - int(hi[-1]) * den) / den)
+        scale.append(float(den))
+    hi = np.array(hi)
+    c = hi * 134217729.0
+    power = np.array([hi, c - (c - hi), hi - (c - (c - hi)), lo, scale])
+    words = lambda texts: np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), np.uint64)
+    fixed = [b"", *(b"0." + b"0" * (k - 1) for k in range(1, 5))]
+    sci = _TOP - len(fixed)
+    head = words(fixed + [b"\0" * 7 + b"."] * sci + fixed + [b""] * sci)
+    tail = words([b""] * len(fixed) + [f"e-{k:02d}".encode() for k in range(5, _TOP)])
+    d = np.arange(100)
+    pair = np.stack([d // 10, d % 10], axis=1) + 48
+    quad = np.empty((2, 100, 100, 4), np.uint8)
+    quad[..., :2] = pair[:, None]
+    quad[..., 2:] = pair
+    trailing = True
+    for j in (3, 2, 1, 0):
+        trailing = trailing & (quad[1, ..., j] == 48)
+        quad[1, ..., j][trailing] = 0
+    return power, head, tail, quad.view(np.uint32).reshape(-1)
 
 
-def _cells(a: np.ndarray, fmt) -> list:
-    """``a`` as nested lists of text, formatting each distinct bit pattern
-    once: the kernel's tables are bit-symmetric and often half zeros."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    keys, inv = np.unique(a.view(np.int64), return_inverse=True)
-    text = np.array(fmt(keys.view(np.float64).tolist()), dtype=object)
-    return text[inv.reshape(a.shape)].tolist()
+def _scaled(x, e):
+    """floor(V) as int64 and V - floor(V) in [0, 1), for V = x 10^(16-e)."""
+    hi, hh, hl, lo, scale = _tables()[0].take(16 - e, axis=1)
+    x = x * scale
+    p = x * hi
+    xh = x * 134217729.0        # Dekker split: xh + xl = x, 26 bits each
+    xh -= xh - x
+    xl = x - xh
+    err = xh * hh - p           # p + err = x hi exactly
+    err += xh * hl
+    err += xl * hh
+    err += xl * hl
+    err += x * lo
+    # p is integral where V >= 2^53, and V >= 10^16 > 2^53 once E is right
+    fl = np.floor(err)
+    n = p.astype(np.int64)
+    n += fl.astype(np.int64)
+    return n, err - fl
+
+
+def _texts(a, shortest: bool) -> np.ndarray:
+    """The text of each double in ``a`` as ``"%.17g"`` writes it, or, with
+    ``shortest``, as ``json.dumps`` does (the shortest repr that reads back
+    to x), one NUL-padded row of _WIDTH bytes per value in ravel order."""
+    x = np.ravel(np.asarray(a, dtype=np.float64))
+    words = np.empty((x.size, 4), np.uint64)
+    done = np.empty(x.size, bool)
+    for i in range(0, x.size, _CHUNK):
+        done[i: i + _CHUNK] = _kernel(x[i: i + _CHUNK], shortest, words[i: i + _CHUNK])
+    out = words.view(np.uint8)
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        keys, inv = np.unique(x[rest].view(np.int64), return_inverse=True)
+        keys = keys.view(np.float64).tolist()
+        keys = json.dumps(keys)[1:-1].split(", ") if shortest else map("%.17g".__mod__, keys)
+        text = "".join(k.ljust(_WIDTH, "\0") for k in keys)
+        out[rest] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _WIDTH)[inv]
+    return out
+
+
+def _kernel(x, shortest: bool, words) -> np.ndarray:
+    """Write the text of each value of ``x`` to its row of ``words``; return
+    where it is right, and so where Python's formatter is not needed."""
+    done = (x > 0.0) & (x < 1.0)
+    v = np.where(done, x, 0.5)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    n, f = _scaled(v, e)
+    wrong = (n - 10**16).view(np.uint64) >= 9 * 10**16     # n outside [10^16, 10^17)
+    if wrong.any():             # log10 can miss E next to a power of ten
+        redo = np.flatnonzero(wrong)
+        e[redo] += np.where(n[redo] < 10**16, -1, 1)
+        n[redo], f[redo] = _scaled(v[redo], e[redo])
+        done[redo] &= (n[redo] >= 10**16) & (n[redo] < 10**17)
+    tie = np.abs(f - 0.5)
+    done &= tie >= _EPS
+    digits = n + (f > 0.5)
+    if shortest:
+        # Round V to 16, 15, ... digits while the nearest such number lies
+        # within half the gap to x's neighbours, so it reads back to x.  A
+        # tie at those lengths needs V within _EPS of an integer.
+        mant, ex = np.frexp(v)
+        done &= (mant != 0.5) & (tie < 0.5 - _EPS)
+        live = np.flatnonzero(done)
+        n_, f_, ex = n[live], f[live], ex[live]
+        # x's gap over 2 is x 2^-53 / mant, and 2^-1074 below the normals
+        gap = np.ldexp(n_ / mant[live], np.maximum(ex, -1021) - ex - 54)
+        for unit in (10**k for k in range(1, 17)):
+            low = n_ // unit * unit
+            rem = (n_ - low) + f_
+            up = rem > unit / 2
+            miss = unit / 2 - np.abs(rem - unit / 2) - gap   # < 0: it fits
+            done[live[np.abs(miss) < _EPS]] = False
+            keep = np.flatnonzero(miss < -_EPS)
+            if not keep.size:
+                break
+            live, n_, f_, gap = live[keep], n_[keep], f_[keep], gap[keep]
+            digits[live] = low[keep] + up[keep] * unit
+    carry = digits == 10**17
+    digits -= carry * (9 * 10**16)
+    e += carry
+
+    # prefixes of the 17 digits: the first, then 4 more at a time.  Where
+    # only zeros follow a prefix (times its unit it gives all the digits),
+    # the next group drops its trailing zeros, or a lone first digit its point.
+    _, head, tail, quad = _tables()
+    prefix = digits // _PREFIX
+    groups = prefix[1:] - prefix[:-1] * _QUAD
+    bare = prefix * _PREFIX == digits
+    groups += _QUAD * bare[1:]
+    words[:, 0] = head[_TOP * bare[0] - e]
+    words.view(np.uint32)[:, 2:6] = quad[groups].T
+    words[:, 3] = tail[-e]
+    words.view(np.uint8)[:, 6] = prefix[0] + 48
+    return done
+
+
+def _strip(text: np.ndarray) -> str:
+    """The text of an array of NUL-padded bytes, padding removed."""
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def make_table(family: str, params: dict, mode: str, values: np.ndarray,

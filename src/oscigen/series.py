@@ -103,6 +103,7 @@ class Series2:
     @classmethod
     def from_terms(cls, domain, max_deg_u: int, max_deg_v: int, terms) -> "Series2":
         """Series with the given ``{(m, n): coefficient}`` entries."""
+        check_window(max_deg_u, max_deg_v)
         grid = np.full(
             (max_deg_u + 1, max_deg_v + 1), domain.zero, dtype=domain.dtype or object
         )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,17 @@ def test_row_moments_at_high_rho_are_the_closed_forms():
     # no window grows: only the u degree m meets the cap
     with pytest.raises(ValueError, match="cap"):
         param_row_moments(MAX_WINDOW + 1, rho)
+
+
+def test_row_moments_reject_a_huge_row_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            param_row_moments(10**6, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.9, 0.99, 0.999])

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscigen.errors import TableInvariantError
 from oscigen.forced import forced_prob_table
@@ -78,10 +80,33 @@ BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("size", [1, 2, 16, 257])
-@pytest.mark.parametrize("family", sorted(BUILDERS))
-def test_float_tables_byte_identical(family, size):
-    assert_writers_exact(BUILDERS[family](size, "float"))
+def _forced(nu):
+    return lambda size, mode: forced_prob_table(nu, size=size, mode=mode)
+
+
+def _parametric(rho):
+    return lambda size, mode: param_prob_table(rho, size=size, mode=mode)
+
+
+def _singular(rho, j):
+    return lambda size, mode: singular_prob_table(rho, j, size=size)
+
+
+# The M = 256 cases reach entries below 1e-300 and subnormal (nu = 1e-6,
+# rho = 1e-6), entries next to one (nu = 0, rho = 0.99) and a forced table
+# far from the vacuum (nu = 9.9).
+FLOAT_CASES = [
+    *(pytest.param(BUILDERS[family], size, id=f"{family}-{size}")
+      for size in (1, 2, 16, 257) for family in sorted(BUILDERS)),
+    *(pytest.param(_forced(nu), 256, id=f"forced-256-nu{nu}") for nu in (0.0, 1e-6, 9.9)),
+    *(pytest.param(_parametric(rho), 256, id=f"parametric-256-rho{rho}") for rho in (1e-6, 0.99)),
+    *(pytest.param(_singular(rho, -2.5), 256, id=f"singular-256-rho{rho}") for rho in (1e-6, 0.1, 0.99)),
+]
+
+
+@pytest.mark.parametrize("build, size", FLOAT_CASES)
+def test_float_tables_byte_identical(build, size):
+    assert_writers_exact(build(size, "float"))
 
 
 @pytest.mark.parametrize("size", [1, 2, 16])
@@ -156,3 +181,61 @@ def test_tampered_json_is_rejected(tamper, message):
     tamper(doc["values"])
     with pytest.raises(TableInvariantError, match=message):
         ProbTable.from_json_dict(doc)
+
+
+# -- the cell formatter against Python's, value by value ----------------------
+
+def assert_cells_exact(values) -> None:
+    """Every cell of a one-row table reads as "%.17g" and json.dumps write it."""
+    values = np.asarray(values, dtype=float).reshape(1, -1)
+    xs = values[0].tolist()
+    table = ProbTable("forced", {"nu": 1.0}, "float", values, np.zeros(1))
+    cells = table.to_csv().splitlines()[1].split(",")[1:]
+    want = list(map("%.17g".__mod__, xs))
+    assert cells == want, [(x, c, w) for x, c, w in zip(xs, cells, want) if c != w][:5]
+    text = table.to_json()
+    start = '"values": [\n  ['
+    block = text[text.index(start) + len(start): text.index("\n  ]\n ],")]
+    cells = block.replace("\n   ", "").split(",")
+    want = json.dumps(xs)[1:-1].split(", ")
+    assert cells == want, [(x, c, w) for x, c, w in zip(xs, cells, want) if c != w][:5]
+
+
+def test_cells_of_random_bit_patterns():
+    rng = np.random.default_rng(20100605)
+    bits = rng.integers(-2**63, 2**63, size=10**6, dtype=np.int64)
+    assert_cells_exact(bits.view(np.float64))
+    # positive doubles below one, the values the numpy kernel formats
+    bits = rng.integers(0, np.float64(1.0).view(np.int64), size=2**17, dtype=np.int64)
+    assert_cells_exact(bits.view(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_cells_of_any_floats(xs):
+    assert_cells_exact(xs)
+
+
+def test_cells_of_powers_of_two():
+    assert_cells_exact(np.ldexp(1.0, np.arange(-1074, 1024)))
+
+
+def test_cells_of_powers_of_ten_and_their_neighbours():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below = np.nextafter(tens, 0.0)
+    assert_cells_exact(np.concatenate([tens, below, np.nextafter(below, 0.0),
+                                       np.nextafter(tens, np.inf)]))
+
+
+def test_cells_of_edge_values_and_ties():
+    edges = [5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308,
+             0.0, -0.0, np.nan, np.inf, -np.inf, -0.5, -1e-300, -5e-324,
+             1.0, 0.9999999999999999, 1e-5, 1e-4, 0.1, 0.5, 2.0, 1e300]
+    # odd m / 2^k with 18 significant digits (those of m 5^k): the 17-digit
+    # rounding of each is an exact tie
+    ties = []
+    for k in range(17, 30):
+        lo, hi = -(-10**17 // 5**k) | 1, min(2**k, 10**18 // 5**k)
+        ties += [m / 2**k for m in range(lo, hi, 2 * max(1, (hi - lo) // 60))]
+    assert len(ties) > 100
+    assert_cells_exact(edges + ties)
