@@ -166,8 +166,8 @@ class ProbTable:
 # or to fewer for the shortest form, is exact unless V lies within _EPS of
 # a rounding boundary.  Such near-ties, values whose E the estimate misses
 # by two, powers of two in the shortest form (their rounding interval is
-# lopsided) and every value outside (0, 1) go to Python's formatter, once
-# per distinct bit pattern.
+# lopsided) and every value outside (0, 1) but +0.0, which has one fixed
+# text, go to Python's formatter, once per distinct bit pattern.
 
 _WIDTH = 32             # bytes per text: four uint64 words, see _tables
 _EPS = 1e-9             # margin of V against a rounding boundary
@@ -309,7 +309,10 @@ def _kernel(x, shortest: bool, words) -> np.ndarray:
     words.view(np.uint32)[:, 2:6] = quad[groups].T
     words[:, 3] = tail[-e]
     words.view(np.uint8)[:, 6] = prefix[0] + 48
-    return done
+    # -0.0 is left to the fallback
+    zero = x.view(np.uint64) == 0
+    words[zero] = np.frombuffer((b"0.0" if shortest else b"0").ljust(_WIDTH, b"\0"), np.uint64)
+    return done | zero
 
 
 def _strip(text: np.ndarray) -> str:

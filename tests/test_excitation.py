@@ -252,7 +252,7 @@ def test_integrator_reproduces_harmonic_motion():
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-13, steps
 
 
-def test_magnus_is_fourth_order_on_a_tanh_ramp():
+def test_magnus_is_sixth_order_on_a_tanh_ramp():
     from oscigen.excitation import _transfer
 
     prof = FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0)
@@ -260,7 +260,51 @@ def test_magnus_is_fourth_order_on_a_tanh_ramp():
     ms = [np.array(_transfer(prof.omega_sq, t0, t1, n)) for n in (256, 512, 1024, 2048)]
     diffs = [np.max(np.abs(b - a)) for a, b in zip(ms, ms[1:])]
     for coarse, fine in zip(diffs, diffs[1:]):
-        assert 12.0 <= coarse / fine <= 20.0, diffs
+        assert 48.0 <= coarse / fine <= 80.0, diffs
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_magnus_step_matches_nested_commutators(seed, sign):
+    # one step against Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240
+    # built from 2x2 matrices at random node values, exponentiated by its
+    # Taylor series; negative omega^2 takes the cosh/sinh branch
+    from oscigen.excitation import _transfer
+
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.05, 0.5)
+    w = sign * rng.uniform(0.5, 9.0, 3)
+    shapes = []
+
+    def omega_sq(t):
+        shapes.append(t.shape)
+        return w[None, :]
+
+    got = np.reshape(_transfer(omega_sq, 0.3, 0.3 + h, 1), (2, 2))
+    assert shapes == [(1, 3)]
+    a = [np.array([[0.0, 1.0], [-wi, 0.0]]) for wi in w]
+    a1 = h * a[1]
+    a2 = math.sqrt(15.0) * h / 3.0 * (a[2] - a[0])
+    a3 = 10.0 * h / 3.0 * (a[2] - 2.0 * a[1] + a[0])
+    c1 = _commutator(a1, a2)
+    c2 = -_commutator(a1, 2.0 * a3 + c1) / 60.0
+    omega = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    assert (np.linalg.det(omega) < 0.0) == (sign < 0.0)
+    want = term = np.eye(2)
+    for k in range(1, 40):
+        term = term @ omega / k
+        want = want + term
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("T, most", [(1.0, 2048), (15.0, 16384)])
+def test_magnus_step_count_on_a_tanh_ramp(T, most):
+    r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(1.0, 4.0, T), tol=1e-10)
+    assert r.steps <= most
 
 
 def test_magnus_doubling_stops_at_first_agreement(monkeypatch):
@@ -501,11 +545,11 @@ def test_propagator_asks_omega_sq_only_for_arrays(monkeypatch, kind):
     monkeypatch.setattr(FrequencyProfile, "omega_sq", recording)
     steps = bogoliubov_from_frequency(prof, tol=1e-8).steps
     assert all(isinstance(t, np.ndarray) for t in seen)
-    # the settle probe over five periods, then both Gauss nodes of up to
-    # `block` steps per call
+    # the settle probe over five periods, then the three Gauss nodes of up
+    # to `block` steps per call
     assert seen[0].shape == (64,)
     rows = [t.shape[0] for t in seen[1:]]
-    assert all(t.shape == (n, 2) and n <= block for t, n in zip(seen[1:], rows))
+    assert all(t.shape == (n, 3) and n <= block for t, n in zip(seen[1:], rows))
     # N doubles up to `steps`, so the levels sum to 2 steps - N_first
     first = 2 * steps - sum(rows)
     levels = [first << i for i in range((steps // first).bit_length())]
