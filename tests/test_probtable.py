@@ -126,6 +126,17 @@ def test_signed_zero_and_extremes_keep_their_text():
     assert '\n   -0.0,\n' in table.to_json()
 
 
+@pytest.mark.parametrize("shortest", [False, True])
+def test_kernel_writes_positive_zero_itself(shortest):
+    from oscigen.probtable import _WIDTH, _kernel
+
+    x = np.array([0.0, -0.0, 0.3])
+    words = np.zeros((x.size, _WIDTH // 8), np.uint64)
+    assert _kernel(x, shortest, words).tolist() == [True, False, True]
+    want = b"0.0" if shortest else b"0"
+    assert words[0].tobytes() == want.ljust(_WIDTH, b"\0")
+
+
 def test_non_finite_cells_match_json_dumps():
     values = np.array([[np.nan, np.inf], [-np.inf, 0.5]])
     table = ProbTable("forced", {"nu": 1.0}, "float", values, np.array([np.nan, 0.0]))
