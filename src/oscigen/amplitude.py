@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _SHIFT = 600  # binary exponent step of the per-offset rescaling
+_DEGREES = 64  # degrees per block of step coefficients in _sweep
 # largest exact-mode table: an exact forced table takes about 14 s to build
 # at M = 128 on two cores, and the cost grows like M^4.4
 MAX_EXACT_SIZE = 128
@@ -82,10 +83,12 @@ def _sweep(vacuum, first, factors, rows: int, cols: int, step) -> np.ndarray:
 
     ``vacuum`` is the closed-form row 0 over max(rows, cols) offsets; its
     amplitudes are ``first`` times the running products of ``factors``.
-    ``step(a, d)`` returns r, c1 and c2 of the degree-a step for the
-    offsets d.  An offset whose vacuum amplitude lies below the double range
-    can still reach O(1) at larger a; it is carried scaled by a power of two
-    and brought back each time its amplitude has grown by 2^_SHIFT.
+    ``step(a, d)`` returns r, c1 and c2 of the degree-a step on the grid of
+    a column of degrees ``a`` and a row of offsets ``d``; they are made for
+    ``_DEGREES`` degrees at a time, so the loop over degrees runs only the
+    recurrence.  An offset whose vacuum amplitude lies below the double
+    range can still reach O(1) at larger a; it is carried scaled by a power
+    of two and brought back each time its amplitude has grown by 2^_SHIFT.
     """
     width = max(rows, cols)
     w = np.empty((rows, cols))
@@ -95,19 +98,25 @@ def _sweep(vacuum, first, factors, rows: int, cols: int, step) -> np.ndarray:
     amp, ex = _seed(first, factors)
     scaled = bool(ex.any())
     diff = np.zeros(width)
-    for a in range(1, min(rows, cols)):
-        n = width - a
-        r, c1, c2 = step(a, d[:n])
-        diff = r * (c1 * amp[:n] + c2 * diff[:n])
-        amp = r * amp[:n] + diff
-        if scaled:
-            big = np.abs(amp) > 2.0**_SHIFT
-            amp[big] *= 2.0**-_SHIFT
-            diff[big] *= 2.0**-_SHIFT
-            ex[:n][big] += _SHIFT
-        sq = np.ldexp(amp, ex[:n]) ** 2
-        w[a, a:] = sq[: cols - a]
-        w[a + 1 :, a] = sq[1 : rows - a]
+    top = min(rows, cols)
+    for start in range(1, top, _DEGREES):
+        degrees = np.arange(start, min(start + _DEGREES, top))
+        grid = step(degrees[:, None].astype(float), d[None, : width - start])
+        for a, r, c1, c2 in zip(degrees.tolist(), *grid):
+            n = width - a
+            r, c1, c2 = r[:n], c1[:n], c2[:n]
+            diff = r * (c1 * amp[:n] + c2 * diff[:n])
+            amp = r * amp[:n] + diff
+            if scaled:
+                big = np.abs(amp) > 2.0**_SHIFT
+                amp[big] *= 2.0**-_SHIFT
+                diff[big] *= 2.0**-_SHIFT
+                ex[:n][big] += _SHIFT
+                sq = np.ldexp(amp, ex[:n]) ** 2
+            else:
+                sq = amp * amp
+            w[a, a:] = sq[: cols - a]
+            w[a + 1 :, a] = sq[1 : rows - a]
     return w
 
 
@@ -152,7 +161,10 @@ def _singular(rho: float, k: float, rows: int, cols: int) -> np.ndarray:
         s = q + a  # 2n + alpha + beta
         r = np.sqrt(ad * q / (a * (a + k - 1.0)))
         c1 = -rho * (s - 1.0) * s / (q * ad)
-        c2 = 0.0 if a == 1 else (a + k - 2.0) * (a - 1) * s / (q * (s - 2.0) * ad)
+        # the a = 1 step has no E_0 term; its formula is 0/0 at d = 0, k = 1
+        c2 = np.zeros_like(ad)
+        j = slice(int(a[0, 0] == 1.0), None)
+        c2[j] = (a[j] + k - 2.0) * (a[j] - 1) * s[j] / (q[j] * (s[j] - 2.0) * ad[j])
         return r, c1, c2
 
     first = (1.0 - rho) ** (0.5 * k)

@@ -79,7 +79,11 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
         with open(output, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # not click.echo, which runs a regex over the whole document to strip
+        # ANSI codes when stdout is no terminal; a table holds none
+        stdout = click.get_text_stream("stdout")
+        stdout.write(text)
+        stdout.flush()
 
 
 @main.command("verify")
@@ -104,7 +108,7 @@ def cmd_verify(suite, fmt):
 @click.option("--profile", "profile_path", type=click.Path(exists=True, dir_okay=False), required=True, help="JSON profile document.")
 @click.option("--what", type=click.Choice(["nu", "rho"]), required=True, help="Which excitation parameter to extract.")
 @click.option("--omega", type=float, default=None, help="Oscillator frequency (required for nu, refused for rho).")
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="Step-doubling tolerance of the rho extraction.")
+@click.option("--tol", type=float, default=1e-10, show_default=True, help="Step-doubling tolerance of the Magnus propagation, which only tabulated frequency profiles need; range-checked for every rho profile.")
 def cmd_excite(profile_path, what, omega, tol):
     """Extract the excitation parameter from a profile file and report the
     vacuum-row picture it implies as JSON."""

@@ -21,6 +21,15 @@ T = 15 and 524,288 at T = 1500, and T = 12000 finishes at exactly the cap of
 symplectic, so the Wronskian residual stays at rounding level and no longer
 measures accuracy.  A piecewise-constant (sudden-step) profile is matched
 analytically.
+
+``excitation_report`` propagates only tabulated frequency profiles.  For a
+tanh ramp it takes rho from the exact reflection coefficient of a smooth
+step (Landau & Lifshitz, *Quantum Mechanics*, sec. 25),
+
+    rho = sinh^2(pi T |omega_+ - omega_-| / 2) / sinh^2(pi T (omega_+ + omega_-) / 2),
+
+with no propagation and no tolerance to meet; the propagator, still behind
+``bogoliubov_from_frequency``, is its independent check.
 """
 
 from __future__ import annotations
@@ -111,8 +120,8 @@ def nu_from_force(profile: ForceProfile, omega: float) -> NuParam:
     """Excitation parameter nu >= 0 of a decaying drive at frequency omega."""
     if not isinstance(profile, ForceProfile):
         raise TypeError("nu extraction needs a force profile")
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     amp = abs(_force_fourier(profile, omega))
     return NuParam(amp * amp / (2.0 * omega))
 
@@ -144,17 +153,28 @@ def _project(omega: float, t: float, xi: complex, xip: complex) -> tuple[complex
     return alpha, beta
 
 
+def _check_tol(tol: float) -> None:
+    if not 1e-12 <= tol <= 1e-4:
+        raise ValueError("tol must lie in [1e-12, 1e-4]")
+
+
+def _below_one(rho: float, wm: float, wp: float) -> float:
+    """rho, unless a frequency ratio so extreme that rho rounds to 1 (the
+    sudden-step ((wp - wm) / (wp + wm))^2, say) makes it a ValueError."""
+    if not rho < 1.0:
+        raise ValueError(
+            f"frequency ratio omega_plus/omega_minus = {wp / wm:.3g} rounds rho to 1"
+        )
+    return rho
+
+
 def _sudden_result(profile: FrequencyProfile, tol: float) -> BogoliubovResult:
     wm, wp = profile.params["omega_minus"], profile.params["omega_plus"]
     tj = profile.params["t_jump"]
     xi = cmath.exp(-1j * wm * tj) / math.sqrt(2.0 * wm)
     xip = -1j * wm * xi
     alpha, beta = _project(wp, tj, xi, xip)
-    rho = abs(beta / alpha) ** 2
-    if not rho < 1.0:  # ((wp - wm) / (wp + wm))^2 rounded to 1
-        raise ValueError(
-            f"frequency ratio omega_plus/omega_minus = {wp / wm:.3g} rounds rho to 1"
-        )
+    rho = _below_one(abs(beta / alpha) ** 2, wm, wp)
     residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
     return BogoliubovResult(alpha, beta, rho, residual, 0, tol)
 
@@ -250,8 +270,7 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     """
     if not isinstance(profile, FrequencyProfile):
         raise TypeError("rho extraction needs a frequency profile")
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError("tol must lie in [1e-12, 1e-4]")
+    _check_tol(tol)
     if profile.kind == "constant":
         return BogoliubovResult(1.0 + 0.0j, 0.0j, 0.0, 0.0, 0, tol)
     if profile.kind == "sudden_step":
@@ -295,9 +314,37 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
         alpha, beta = coefficients(steps)
         if max(abs(alpha - coarse[0]), abs(beta - coarse[1])) <= tol * abs(alpha):
             break
-    rho = abs(beta / alpha) ** 2
+    rho = _below_one(abs(beta / alpha) ** 2, wm, wp)
     residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
     return BogoliubovResult(alpha, beta, rho, residual, steps, tol)
+
+
+def _tanh_ramp_rho(profile: FrequencyProfile) -> float:
+    """rho of a tanh ramp in closed form, sinh^2(x-) / sinh^2(x+) with
+    k = pi T / 2, x- = k |w+^2 - w-^2| / (w+ + w-) and x+ = k (w+ + w-):
+
+        sinh(x-) / sinh(x+) = e^{-pi T min(w-, w+)} expm1(-2 x-) / expm1(-2 x+).
+
+    This form does not overflow: a slow ramp underflows to rho = 0.  Nor
+    does it cancel: x- comes from the omega^2 given, not from a difference
+    of their square roots."""
+    p = profile.params
+    w2m, w2p, T = p["omega2_minus"], p["omega2_plus"], p["T"]
+    if w2m == w2p:
+        return 0.0
+    wm, wp = math.sqrt(w2m), math.sqrt(w2p)
+    total = wm + wp
+    k = 0.5 * math.pi * T
+    x_plus = k * total
+    if x_plus < 1e-18:
+        # expm1(-2x) rounds to -2x and the exponential to 1, so the ratio is
+        # x- / x+, the sudden step's, which x+ near underflow would garble
+        ratio = abs(w2p - w2m) / total / total
+    else:
+        x_minus = k * (abs(w2p - w2m) / total)
+        ratio = (math.exp(-math.pi * T * min(wm, wp)) * math.expm1(-2.0 * x_minus)
+                 / math.expm1(-2.0 * x_plus))
+    return _below_one(ratio * ratio, wm, wp)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +372,10 @@ class ExcitationReport:
 def excitation_report(profile, omega: float | None = None,
                       tol: float = 1e-10) -> ExcitationReport:
     """Excitation parameter plus the vacuum-row picture it implies: the mean
-    excited quantum number and the first eight vacuum-row probabilities."""
+    excited quantum number and the first eight vacuum-row probabilities.
+
+    A tanh ramp's rho comes from its closed form, with a Wronskian residual
+    of 0.0 like a constant profile's; ``tol`` is still range-checked."""
     if isinstance(profile, ForceProfile):
         if omega is None:
             raise ValueError("force profiles need the oscillator frequency omega")
@@ -336,13 +386,17 @@ def excitation_report(profile, omega: float | None = None,
             raise ValueError(
                 "frequency profiles carry their own frequencies; omega applies to force profiles"
             )
-        result = bogoliubov_from_frequency(profile, tol=tol)
-        rho = result.rho
+        if profile.kind == "tanh_ramp":
+            _check_tol(tol)
+            rho, residual = _tanh_ramp_rho(profile), 0.0
+        else:
+            result = bogoliubov_from_frequency(profile, tol=tol)
+            rho, residual = result.rho, result.wronskian_residual
         return ExcitationReport(
             "rho",
             rho,
             param_mean_n(0, rho),
             tuple(param_table(rho, 1, 8)[0].tolist()),
-            wronskian_residual=result.wronskian_residual,
+            wronskian_residual=residual,
         )
     raise TypeError(f"not a profile: {type(profile).__name__}")

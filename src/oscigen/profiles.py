@@ -46,6 +46,24 @@ def _tabulated_arrays(times, values):
     return t, v
 
 
+def _check_fields(kind: str, params: dict, needed: tuple[str, ...]) -> None:
+    """Every field a closed-form kind needs is present and a finite number:
+    an infinite or NaN parameter passes the range checks that follow it and
+    sends the extractors into overflow, NaN or an endless propagation."""
+    missing = [k for k in needed if k not in params]
+    if missing:
+        raise ProfileError(f"{kind} profile missing fields {missing}")
+    for k in needed:
+        try:
+            finite = math.isfinite(params[k])
+        except (TypeError, OverflowError):  # not a number, or an int past float
+            finite = False
+        if not finite:
+            raise ProfileError(
+                f"{kind} profile field {k!r} must be a finite number, got {params[k]!r}"
+            )
+
+
 class _NotAKnotSpline:
     """Cubic spline through (x, y) with not-a-knot ends (the third
     derivative is continuous at x[1] and x[-2]): the interpolant of
@@ -135,9 +153,7 @@ class ForceProfile(_Tabulated):
                 "rectangular": ("f0", "t_on", "t_off"),
                 "damped_cosine": ("f0", "gamma", "omega_d"),
             }[self.kind]
-            missing = [k for k in needed if k not in self.params]
-            if missing:
-                raise ProfileError(f"{self.kind} profile missing fields {missing}")
+            _check_fields(self.kind, self.params, needed)
             if self.kind == "gaussian" and not self.params["tau"] > 0:
                 raise ProfileError("gaussian width tau must be positive")
             if self.kind == "rectangular" and not self.params["t_off"] > self.params["t_on"]:
@@ -208,9 +224,7 @@ class FrequencyProfile(_Tabulated):
                 "sudden_step": ("omega_minus", "omega_plus", "t_jump"),
                 "tanh_ramp": ("omega2_minus", "omega2_plus", "T"),
             }[self.kind]
-            missing = [k for k in needed if k not in self.params]
-            if missing:
-                raise ProfileError(f"{self.kind} profile missing fields {missing}")
+            _check_fields(self.kind, self.params, needed)
             p = self.params
             if self.kind == "constant" and not p["omega"] > 0:
                 raise ProfileError("omega must be positive")

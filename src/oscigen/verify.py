@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import amplitude, forced, parametric, singular
-from .excitation import bogoliubov_from_frequency, nu_from_force
+from .excitation import _tanh_ramp_rho, bogoliubov_from_frequency, nu_from_force
 from .profiles import ForceProfile, FrequencyProfile
 from .series import dft_extract_table
 
@@ -663,9 +663,11 @@ def _excitation_checks() -> list[CheckResult]:
         )
     )
 
-    r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0), tol=1e-10)
+    # the propagator against the closed form that excite reports
+    ramp = FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0)
+    r = bogoliubov_from_frequency(ramp, tol=1e-10)
     wronskians.append(r.wronskian_residual)
-    want = math.sinh(math.pi / 2.0) ** 2 / math.sinh(3.0 * math.pi / 2.0) ** 2
+    want = _tanh_ramp_rho(ramp)
     out.append(
         _check(
             "excite.rho-tanh", "rho", abs(r.rho - want) / want, 1e-6,

@@ -154,6 +154,30 @@ def test_offsets_below_the_double_range_are_carried():
     assert w[1000, 1500] == pytest.approx(0.0007698034016933339, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (1, 1), (2, 2), (64, 64), (65, 65), (66, 3), (5, 130), (300, 300),
+])
+def test_blocked_steps_equal_one_degree_at_a_time(monkeypatch, rows, cols):
+    # the step coefficients of 64 degrees at once are the per-degree ones
+    # bit for bit, across block edges, at k = 1 (j = -1/2) where the a = 1
+    # formula is 0/0, and on offsets carried scaled (rho = 0.05)
+    import oscigen.amplitude
+
+    def tables():
+        return [
+            forced_table(3.7, rows, cols),
+            param_table(0.61, rows, cols),
+            singular_table(0.61, -1.3, rows, cols),
+            singular_table(0.3, -0.5, rows, cols),
+            singular_table(0.05, -0.25, rows, 4 * cols),
+        ]
+
+    blocked = tables()
+    monkeypatch.setattr(oscigen.amplitude, "_DEGREES", 1)
+    for got, want in zip(blocked, tables()):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_exact_forced_values_match_rationals():
     table = forced_prob_table(10.0, size=16, mode="exact")
     exact = _exact_values(table, 10.0, math.exp(-10.0))

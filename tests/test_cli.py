@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,7 @@ def test_excite_wrong_family_exit_2(runner, tmp_path):
 
 
 _TS = [float(t) for t in range(64)]
+_RAMP_TS = np.linspace(-12.0, 12.0, 400)
 
 
 @pytest.mark.parametrize("doc, step_cap", [
@@ -222,8 +224,10 @@ _TS = [float(t) for t in range(64)]
     # so the frequency never settles where the out-state is matched
     ({"kind": "tabulated", "profile": "frequency", "times": _TS,
       "values": [1.0 if t < 32 else 2.0 for t in _TS]}, None),
-    # a smooth ramp under a Magnus step cap too small to resolve it
-    ({"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0}, 10),
+    # a smooth tabulated ramp under a Magnus step cap too small to resolve
+    # it (a tanh_ramp document takes its closed form and propagates nothing)
+    ({"kind": "tabulated", "profile": "frequency", "times": _RAMP_TS.tolist(),
+      "values": np.sqrt(2.5 + 1.5 * np.tanh(_RAMP_TS)).tolist()}, 10),
 ])
 def test_excite_integration_failure_exit_3(runner, tmp_path, monkeypatch, doc, step_cap):
     if step_cap is not None:
@@ -249,6 +253,66 @@ def test_excite_extreme_sudden_step_exit_2(runner, tmp_path, omega_plus):
     assert result.stdout == ""
     assert result.stderr.startswith("error: frequency ratio")
     assert len(result.stderr.splitlines()) == 1
+
+
+_CLOSED_FORM_DOCS = {
+    "gaussian": ({"f0": 1.0, "tau": 1.0, "t0": 0.0}, "nu"),
+    "rectangular": ({"f0": 1.0, "t_on": 0.0, "t_off": 2.0}, "nu"),
+    "damped_cosine": ({"f0": 1.0, "gamma": 0.8, "omega_d": 2.0}, "nu"),
+    "constant": ({"omega": 1.0}, "rho"),
+    "sudden_step": ({"omega_minus": 1.0, "omega_plus": 2.0, "t_jump": 0.0}, "rho"),
+    "tanh_ramp": ({"omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0}, "rho"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, (doc, _) in _CLOSED_FORM_DOCS.items() for field in doc
+])
+def test_excite_nonfinite_parameter_exit_2(runner, tmp_path, kind, field, value):
+    # an infinite T once propagated for over a minute; other fields ended in
+    # "math domain error" or a NaN nu
+    doc, what = _CLOSED_FORM_DOCS[kind]
+    path = tmp_path / "p.json"
+    # json writes the non-finite floats as NaN / Infinity and reads them back
+    path.write_text(json.dumps({"kind": kind, **doc, field: value}))
+    args = ["excite", "--profile", str(path), "--what", what]
+    if what == "nu":
+        args += ["--omega", "1.0"]
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {kind} profile field {field!r} must be a finite")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def _excite_rho(runner, tmp_path, doc, *args):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    return runner.invoke(main, ["excite", "--profile", str(path), "--what", "rho", *args])
+
+
+def test_excite_tanh_ramp_is_closed_form(runner, tmp_path):
+    # a slow ramp, 2^23 Magnus steps and more, answers at once with rho
+    # underflowed to 0; a ramp to omega^2 = 1e34 gives e^{-2 pi T omega_-}
+    ramp = {"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0}
+    start = time.perf_counter()
+    result = _excite_rho(runner, tmp_path, {**ramp, "T": 1e5})
+    assert time.perf_counter() - start < 5.0
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    assert doc["rho"] == 0.0 and doc["wronskian_residual"] == 0.0
+    steep = {**ramp, "omega2_plus": 1e34, "T": 1.0}
+    result = _excite_rho(runner, tmp_path, steep)
+    assert result.exit_code == 0, result.output
+    want = math.exp(-2.0 * math.pi)
+    assert abs(json.loads(result.stdout)["rho"] - want) <= 1e-12 * want
+    # --tol has nothing to control here but keeps its range
+    result = _excite_rho(runner, tmp_path, {**ramp, "T": 1.0}, "--tol", "1e-3")
+    assert result.exit_code == 2
+    assert result.stderr == "error: tol must lie in [1e-12, 1e-4]\n"
 
 
 def _run_and_list_scipy(statement: str) -> str:

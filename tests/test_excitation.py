@@ -152,8 +152,9 @@ def test_nu_zero_force():
 
 
 def test_nu_argument_validation():
-    with pytest.raises(ValueError):
-        nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), 0.0)
+    for omega in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), omega)
     with pytest.raises(TypeError):
         nu_from_force(FrequencyProfile.constant(1.0), 1.0)
 
@@ -377,6 +378,98 @@ def test_rho_tanh_ramp_against_mpmath(T, w2m, w2p):
     r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(w2m, w2p, T), tol=1e-10)
     assert abs(r.rho - want) <= 1e-11
     assert r.wronskian_residual < 1e-9
+
+
+def _mp_tanh_rho(mpmath, w2m, w2p, T):
+    # sinh^2(pi T |w+ - w-| / 2) / sinh^2(pi T (w+ + w-) / 2) of the float
+    # inputs as given, at the caller's precision
+    wm, wp = mpmath.sqrt(mpmath.mpf(w2m)), mpmath.sqrt(mpmath.mpf(w2p))
+    k = mpmath.pi * mpmath.mpf(T) / 2
+    return (mpmath.sinh(k * abs(wp - wm)) / mpmath.sinh(k * (wp + wm))) ** 2
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(18)
+    n = 300
+    T = np.exp(rng.uniform(math.log(1e-6), math.log(1e5), n))
+    w2 = np.exp(rng.uniform(-5.0, 5.0, (n, 2)))
+    cases = [(float(a), float(b), float(t)) for (a, b), t in zip(w2, T)]
+    # nearly equal asymptotes, where sinh of a difference of roots would
+    # cancel
+    for rel in (1e-15, 1e-12, 1e-8, 1e-4):
+        for T in (1e-6, 0.3, 7.0, 1e3):
+            cases += [(2.0, 2.0 * (1.0 + rel), T), (2.0 * (1.0 + rel), 2.0, T)]
+    return cases
+
+
+def test_tanh_ramp_closed_form_against_mpmath():
+    from oscigen.excitation import _tanh_ramp_rho
+
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for w2m, w2p, T in _closed_form_cases():
+            got = _tanh_ramp_rho(FrequencyProfile.tanh_ramp(w2m, w2p, T))
+            want = _mp_tanh_rho(mpmath, w2m, w2p, T)
+            # relative, down to where rho leaves the normal double range
+            err = abs(got - want) / max(want, mpmath.mpf(2.0**-1022))
+            worst = max(worst, float(err))
+    assert worst <= 1e-12
+
+
+def test_tanh_ramp_closed_form_edges():
+    from oscigen.excitation import _tanh_ramp_rho
+
+    # equal asymptotes reflect nothing, even where T (w+ + w-) overflows
+    for T in (1.0, 1e308):
+        assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(3.0, 3.0, T)) == 0.0
+    # a slow ramp underflows where sinh would overflow
+    assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, 1e5)) == 0.0
+    assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, 1e300)) == 0.0
+    # a ramp so fast that pi T (w+ + w-) underflows is the sudden step
+    for T in (1e-300, 5e-324):
+        rho = _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, T))
+        assert rho == pytest.approx(1.0 / 9.0, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("T", [0.1, 0.5, 1.0, 3.0, 7.0, 15.0])
+@pytest.mark.parametrize("w2m, w2p", [(1.0, 4.0), (4.0, 1.0)])
+def test_tanh_report_against_propagator(T, w2m, w2p):
+    prof = FrequencyProfile.tanh_ramp(w2m, w2p, T)
+    rep = excitation_report(prof, tol=1e-10)
+    r = bogoliubov_from_frequency(prof, tol=1e-10)
+    assert abs(rep.value - r.rho) <= 1e-11 + 1e-15
+    assert rep.wronskian_residual == 0.0
+
+
+def test_tanh_report_does_not_propagate(monkeypatch):
+    import oscigen.excitation
+
+    def transfer(*args):
+        raise AssertionError("a tanh ramp was propagated")
+
+    monkeypatch.setattr(oscigen.excitation, "_transfer", transfer)
+    rep = excitation_report(FrequencyProfile.tanh_ramp(1.0, 4.0, 15.0), tol=1e-10)
+    assert 0.0 < rep.value < 1e-3
+    with pytest.raises(ValueError, match="tol"):
+        excitation_report(FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0), tol=1e-3)
+    with pytest.raises(ValueError, match="rounds rho to 1"):
+        excitation_report(FrequencyProfile.tanh_ramp(1.0, 1e34, 1e-20))
+
+
+def test_propagated_rho_that_rounds_to_one_is_a_value_error():
+    # the same ValueError as a sudden step, not an AssertionError from
+    # BogoliubovResult
+    with pytest.raises(ValueError, match="rounds rho to 1"):
+        bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(1.0, 1e34, 1e-20))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, "1.0", 10**400])
+def test_closed_form_kinds_need_finite_numbers(value):
+    with pytest.raises(ProfileError, match="'T' must be a finite number"):
+        FrequencyProfile.tanh_ramp(1.0, 4.0, value)
+    with pytest.raises(ProfileError, match="'f0' must be a finite number"):
+        ForceProfile.gaussian(value, 1.0)
 
 
 def test_rho_tanh_ramp_without_a_step():
