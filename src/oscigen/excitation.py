@@ -123,7 +123,12 @@ def nu_from_force(profile: ForceProfile, omega: float) -> NuParam:
     if not 0.0 < omega < math.inf:
         raise ValueError("omega must be positive and finite")
     amp = abs(_force_fourier(profile, omega))
-    return NuParam(amp * amp / (2.0 * omega))
+    nu = amp * amp / (2.0 * omega)
+    if not nu < math.inf:
+        raise ValueError(
+            f"nu = |F(omega)|^2 / (2 omega) overflows the double range at omega = {omega:g}"
+        )
+    return NuParam(nu)
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NuParam:
-    """Validated excitation parameter nu >= 0."""
+    """Validated excitation parameter, finite and nu >= 0."""
 
     value: float
 
     def __post_init__(self):
-        if not self.value >= 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(f"nu must be nonnegative and finite, got {self.value}")
 
 
 def _nu_value(nu) -> float:

@@ -128,46 +128,49 @@ class ProbTable:
         width = len(str(rows)) + 2
         labels = "".join(f"\n{m},".ljust(width, "\0") for m in range(rows))
         labels = np.frombuffer(labels.encode(), np.uint8).reshape(rows, width)
-        cells = _texts(self.values, shortest=False).reshape(rows, cols, _WIDTH)
+        cells = _texts(self.values).reshape(rows, cols, _WIDTH)
         cells[:, :-1, -1] = ord(",")
         body = np.concatenate([labels, cells.reshape(rows, cols * _WIDTH)], axis=1)
         return "m\\n," + ",".join(map(str, range(cols))) + _strip(body) + "\n"
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=1)`` plus a final newline,
-        byte for byte, with the float blocks written directly."""
+        but with each float as the CSV writes it, ``"%.17g" % x``; NaN,
+        Infinity, -Infinity and -0.0 keep the spelling of ``json.dumps``, as
+        ``json.loads`` reads their "%.17g" text as no double or as +0.0."""
         rows, cols = self.values.shape
-        if not self.values.size:
-            return json.dumps(self.to_json_dict(), indent=1) + "\n"
         # Only top-level keys follow a raw newline and one space, so the
         # marker cannot match inside params or the symbolic block.
         head, _, tail = json.dumps(self._record(), indent=1).partition(
             '\n "values": null,\n "row_tails": null')
+        x = np.concatenate([np.ravel(self.values), self.row_tails])
+        texts = _texts(x)
+        for i in np.flatnonzero(~np.isfinite(x) | np.signbit(x) & (x == 0.0)):
+            texts[i] = np.frombuffer(json.dumps(float(x[i])).encode().ljust(_WIDTH, b"\0"), np.uint8)
         # each text followed by a comma, or a semicolon at the end of a row
-        texts = _texts(np.concatenate([np.ravel(self.values), self.row_tails]),
-                       shortest=True)
         texts[:, -1] = ord(",")
-        texts[cols - 1: rows * cols: cols, -1] = ord(";")
+        texts[cols - 1: rows * cols: max(cols, 1), -1] = ord(";")
         values, _, tails = _strip(texts).rpartition(";")
         values = values.replace(",", ",\n   ").replace(";", "\n  ],\n  [\n   ")
-        tails = tails[:-1].replace(",", ",\n  ")
-        return (f'{head}\n "values": [\n  [\n   {values}\n  ]\n ],'
-                f'\n "row_tails": [\n  {tails}\n ]{tail}\n')
+        # a table without cells has no semicolon: json.dumps lays out its rows
+        values = (f"[\n  [\n   {values}\n  ]\n ]" if values else
+                  json.dumps(self.values.tolist(), indent=1).replace("\n", "\n "))
+        tails = "[\n  " + tails[:-1].replace(",", ",\n  ") + "\n ]" if rows else "[]"
+        return f'{head}\n "values": {values},\n "row_tails": {tails}{tail}\n'
 
 
 # -- float text --------------------------------------------------------------
 #
-# The writers format every cell with one numpy kernel.  Each text is a
-# fixed-width block of NUL-padded bytes, which ``_strip`` removes once per
-# document.  A positive double x below one is scaled to V = x 10^(16-E),
-# E = floor(log10 x), with an exact double-double power of ten and a Dekker
-# two-product (the Grisu idea, Loitsch, PLDI 2010): V lies in
-# [10^16, 10^17) and is known to about 1e-14, so rounding it to 17 digits,
-# or to fewer for the shortest form, is exact unless V lies within _EPS of
-# a rounding boundary.  Such near-ties, values whose E the estimate misses
-# by two, powers of two in the shortest form (their rounding interval is
-# lopsided) and every value outside (0, 1) but +0.0, which has one fixed
-# text, go to Python's formatter, once per distinct bit pattern.
+# Both writers format every cell with one numpy kernel, as "%.17g" does.
+# Each text is a fixed-width block of NUL-padded bytes, which ``_strip``
+# removes once per document.  A positive double x below one is scaled to
+# V = x 10^(16-E), E = floor(log10 x), with an exact double-double power of
+# ten and a Dekker two-product (the Grisu idea, Loitsch, PLDI 2010): V lies
+# in [10^16, 10^17) and is known to about 1e-14, so rounding it to 17
+# digits is exact unless V lies within _EPS of a rounding boundary.  Such
+# near-ties, values whose E the estimate misses by two and every value
+# outside (0, 1) but +0.0, which has one fixed text, go to Python's
+# formatter, once per distinct bit pattern.
 
 _WIDTH = 32             # bytes per text: four uint64 words, see _tables
 _EPS = 1e-9             # margin of V against a rounding boundary
@@ -236,27 +239,24 @@ def _scaled(x, e):
     return n, err - fl
 
 
-def _texts(a, shortest: bool) -> np.ndarray:
-    """The text of each double in ``a`` as ``"%.17g"`` writes it, or, with
-    ``shortest``, as ``json.dumps`` does (the shortest repr that reads back
-    to x), one NUL-padded row of _WIDTH bytes per value in ravel order."""
+def _texts(a) -> np.ndarray:
+    """The text of each double in ``a`` as ``"%.17g"`` writes it, one
+    NUL-padded row of _WIDTH bytes per value in ravel order."""
     x = np.ravel(np.asarray(a, dtype=np.float64))
     words = np.empty((x.size, 4), np.uint64)
     done = np.empty(x.size, bool)
     for i in range(0, x.size, _CHUNK):
-        done[i: i + _CHUNK] = _kernel(x[i: i + _CHUNK], shortest, words[i: i + _CHUNK])
+        done[i: i + _CHUNK] = _kernel(x[i: i + _CHUNK], words[i: i + _CHUNK])
     out = words.view(np.uint8)
     rest = np.flatnonzero(~done)
     if rest.size:
         keys, inv = np.unique(x[rest].view(np.int64), return_inverse=True)
-        keys = keys.view(np.float64).tolist()
-        keys = json.dumps(keys)[1:-1].split(", ") if shortest else map("%.17g".__mod__, keys)
-        text = "".join(k.ljust(_WIDTH, "\0") for k in keys)
+        text = "".join(("%.17g" % k).ljust(_WIDTH, "\0") for k in keys.view(np.float64).tolist())
         out[rest] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _WIDTH)[inv]
     return out
 
 
-def _kernel(x, shortest: bool, words) -> np.ndarray:
+def _kernel(x, words) -> np.ndarray:
     """Write the text of each value of ``x`` to its row of ``words``; return
     where it is right, and so where Python's formatter is not needed."""
     done = (x > 0.0) & (x < 1.0)
@@ -269,30 +269,8 @@ def _kernel(x, shortest: bool, words) -> np.ndarray:
         e[redo] += np.where(n[redo] < 10**16, -1, 1)
         n[redo], f[redo] = _scaled(v[redo], e[redo])
         done[redo] &= (n[redo] >= 10**16) & (n[redo] < 10**17)
-    tie = np.abs(f - 0.5)
-    done &= tie >= _EPS
+    done &= np.abs(f - 0.5) >= _EPS
     digits = n + (f > 0.5)
-    if shortest:
-        # Round V to 16, 15, ... digits while the nearest such number lies
-        # within half the gap to x's neighbours, so it reads back to x.  A
-        # tie at those lengths needs V within _EPS of an integer.
-        mant, ex = np.frexp(v)
-        done &= (mant != 0.5) & (tie < 0.5 - _EPS)
-        live = np.flatnonzero(done)
-        n_, f_, ex = n[live], f[live], ex[live]
-        # x's gap over 2 is x 2^-53 / mant, and 2^-1074 below the normals
-        gap = np.ldexp(n_ / mant[live], np.maximum(ex, -1021) - ex - 54)
-        for unit in (10**k for k in range(1, 17)):
-            low = n_ // unit * unit
-            rem = (n_ - low) + f_
-            up = rem > unit / 2
-            miss = unit / 2 - np.abs(rem - unit / 2) - gap   # < 0: it fits
-            done[live[np.abs(miss) < _EPS]] = False
-            keep = np.flatnonzero(miss < -_EPS)
-            if not keep.size:
-                break
-            live, n_, f_, gap = live[keep], n_[keep], f_[keep], gap[keep]
-            digits[live] = low[keep] + up[keep] * unit
     carry = digits == 10**17
     digits -= carry * (9 * 10**16)
     e += carry
@@ -311,7 +289,7 @@ def _kernel(x, shortest: bool, words) -> np.ndarray:
     words.view(np.uint8)[:, 6] = prefix[0] + 48
     # -0.0 is left to the fallback
     zero = x.view(np.uint64) == 0
-    words[zero] = np.frombuffer((b"0.0" if shortest else b"0").ljust(_WIDTH, b"\0"), np.uint64)
+    words[zero] = np.frombuffer(b"0".ljust(_WIDTH, b"\0"), np.uint64)
     return done | zero
 
 

@@ -27,6 +27,7 @@ _FORCE_KINDS = ("gaussian", "rectangular", "damped_cosine", "tabulated")
 _FREQ_KINDS = ("constant", "sudden_step", "tanh_ramp", "tabulated")
 
 _DECAY_REL = 1e-8
+_MAX_OMEGA = math.sqrt(np.finfo(float).max)  # largest omega whose square is finite
 
 
 class ProfileError(ValueError):
@@ -213,6 +214,10 @@ class FrequencyProfile(_Tabulated):
             object.__setattr__(self, "values", v)
             if np.any(v <= 0):
                 raise ProfileError("omega(t) must stay positive")
+            if np.any(v > _MAX_OMEGA):
+                raise ProfileError(
+                    f"omega(t) samples must not exceed {_MAX_OMEGA:.3g}, past which omega^2 overflows"
+                )
             for side in (v[: max(2, t.size // 16)], v[-max(2, t.size // 16):]):
                 if np.max(np.abs(side - side[-1])) > 1e-6 * side[-1]:
                     raise ProfileError(
@@ -373,6 +378,10 @@ def load_profile(source, what: str | None = None):
     if "kind" not in doc:
         raise ProfileError("profile document needs a 'kind' field")
     kind = doc.pop("kind")
+    if doc.get("profile", "force") not in ("force", "frequency"):
+        raise ProfileError(
+            f"profile field must be 'force' or 'frequency', got {doc['profile']!r}"
+        )
     family = doc.pop("profile", None)
     if family is None:
         if kind in _FORCE_KINDS and kind not in _FREQ_KINDS:

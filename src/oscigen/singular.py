@@ -34,6 +34,7 @@ from .probtable import ProbTable, make_table
 from .series import Series2
 
 __all__ = [
+    "MIN_J",
     "WeightJ",
     "AdiabaticRecord",
     "j_from_g",
@@ -46,17 +47,24 @@ __all__ = [
 ]
 
 
+# lowest admitted weight.  Where 1 - rho rounds (rho below about 1e-16), the
+# vacuum factor (1 - rho)^(-2j) loses rho; once -2j rho is large the table
+# kernel's amplitudes overflow, from about j = -1e19 on.  Above MIN_J such a
+# table at most fails validate.
+MIN_J = -1e15
+
+
 @dataclass(frozen=True)
 class WeightJ:
-    """su(1,1) representation weight; negative by convention.  Values above
-    -1/2 (like -1/4) do not come from any barrier strength g but are admitted
+    """su(1,1) representation weight, MIN_J <= j < 0.  Values above -1/2
+    (like -1/4) do not come from any barrier strength g but are admitted
     for the regular-oscillator sectors."""
 
     value: float
 
     def __post_init__(self):
-        if not self.value < 0.0:
-            raise ValueError(f"weight j must be negative, got {self.value}")
+        if not MIN_J <= self.value < 0.0:
+            raise ValueError(f"weight j must be negative and at least {MIN_J:g}, got {self.value}")
 
 
 def _j_value(j) -> float:

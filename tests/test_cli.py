@@ -315,15 +315,20 @@ def test_excite_tanh_ramp_is_closed_form(runner, tmp_path):
     assert result.stderr == "error: tol must lie in [1e-12, 1e-4]\n"
 
 
-def _run_and_list_scipy(statement: str) -> str:
-    """stdout of a fresh interpreter that imports oscigen.cli, runs
-    ``statement`` (a SystemExit with code 0 counts as success) and prints
-    the scipy modules it loaded."""
+def _source_env() -> dict:
+    """The environment with this source tree first on PYTHONPATH."""
     import oscigen
 
     src = str(Path(oscigen.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def _run_and_list_scipy(statement: str) -> str:
+    """stdout of a fresh interpreter that imports oscigen.cli, runs
+    ``statement`` (a SystemExit with code 0 counts as success) and prints
+    the scipy modules it loaded."""
     code = (
         "import sys, oscigen.cli\n"
         "try:\n"
@@ -334,8 +339,8 @@ def _run_and_list_scipy(statement: str) -> str:
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", code], env=_source_env(), capture_output=True,
+        text=True, check=True,
     )
     return out.stdout.strip()
 
@@ -393,6 +398,47 @@ def test_excite_nonfinite_samples_exit_2(runner, tmp_path, what, bad):
     assert "finite" in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert "Traceback" not in result.stderr
+
+
+_TS = np.linspace(-12.0, 12.0, 400)
+_RAMP = np.sqrt(2.5 + 1.5 * np.tanh(_TS))
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    pytest.param(None, ["table", "forced", "--nu", "inf"], "finite", id="table-nu-inf"),
+    pytest.param(None, ["table", "singular", "--rho", "0.5", "--j", "-inf"], "at least",
+                 id="table-j-inf"),
+    pytest.param(None, ["table", "singular", "--rho", "0.5", "--j", "-1e160"], "at least",
+                 id="table-j-1e160"),
+    pytest.param({"kind": "tabulated", "profile": "force", "times": _TS.tolist(),
+                  "values": (1e300 * np.exp(-_TS * _TS)).tolist()},
+                 ["--what", "nu", "--omega", "1"], "overflows", id="excite-tabulated-nu"),
+    pytest.param({"kind": "gaussian", "f0": 1e300, "tau": 1e10, "t0": 0},
+                 ["--what", "nu", "--omega", "1e-12"], "overflows", id="excite-gaussian-nu"),
+    pytest.param({"kind": "tabulated", "profile": "frequency", "times": _TS.tolist(),
+                  "values": (1e154 * _RAMP).tolist()},
+                 ["--what", "rho"], "omega^2 overflows", id="excite-omega-squared"),
+    pytest.param({"kind": "tabulated", "profile": "banana", "times": _TS.tolist(),
+                  "values": _RAMP.tolist()},
+                 ["--what", "rho"], "profile field", id="excite-tabulated-banana"),
+    pytest.param({"kind": "gaussian", "profile": "banana", "f0": 1, "tau": 1, "t0": 0},
+                 ["--what", "nu", "--omega", "1"], "profile field", id="excite-gaussian-banana"),
+])
+def test_overflowing_input_exits_2_under_warnings_as_errors(tmp_path, doc, args, message):
+    # a fresh interpreter with -W error, as CI runs the CLI: a numpy
+    # RuntimeWarning there ends in a traceback and exit 1
+    if doc is not None:
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        args = ["excite", "--profile", "p.json", *args]
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "oscigen.cli", *args], cwd=tmp_path,
+        env=_source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ")
+    assert message in out.stderr
 
 
 @pytest.mark.parametrize("omega", ["3", "-1"])

@@ -54,6 +54,14 @@ def test_nonfinite_tabulated_samples_rejected(cls, bad):
         cls.tabulated(ts, vs)
 
 
+def test_tabulated_frequency_whose_square_overflows_rejected():
+    ts = np.linspace(-12.0, 12.0, 400)
+    vs = 1e154 * np.sqrt(2.5 + 1.5 * np.tanh(ts))
+    with pytest.raises(ProfileError, match="overflows"):
+        FrequencyProfile.tabulated(ts, vs)
+    assert FrequencyProfile.tabulated(ts, vs / 2.0).omega_plus == pytest.approx(1e154, rel=1e-10, abs=0.0)
+
+
 def test_nonpositive_frequency_rejected():
     with pytest.raises(ProfileError):
         FrequencyProfile.constant(0.0)
@@ -93,6 +101,16 @@ def test_load_tabulated_needs_disambiguation(tmp_path):
     assert isinstance(load_profile(dict(doc), what="nu"), ForceProfile)
     doc["profile"] = "force"
     assert isinstance(load_profile(doc), ForceProfile)
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "gaussian"])
+@pytest.mark.parametrize("family", ["banana", "", 1, None])
+def test_load_profile_refuses_an_unknown_profile_field(kind, family):
+    ts = np.arange(-8.0, 8.01, 0.125)
+    doc = {"kind": kind, "times": list(ts), "values": list(np.exp(-ts**2)),
+           "f0": 1.0, "tau": 1.0, "t0": 0.0, "profile": family}
+    with pytest.raises(ProfileError, match="profile field must be 'force' or 'frequency'"):
+        load_profile(doc, what="rho")
 
 
 def test_load_tabulated_from_csv(tmp_path):
@@ -157,6 +175,16 @@ def test_nu_argument_validation():
             nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), omega)
     with pytest.raises(TypeError):
         nu_from_force(FrequencyProfile.constant(1.0), 1.0)
+
+
+def test_nu_that_overflows_is_a_value_error():
+    ts = np.linspace(-12.0, 12.0, 400)
+    profiles = [(ForceProfile.tabulated(ts, 1e300 * np.exp(-ts * ts)), 1.0),
+                (ForceProfile.gaussian(1e300, 1e10, 0.0), 1e-12)]
+    for profile, omega in profiles:
+        with pytest.raises(ValueError, match="overflows"):
+            nu_from_force(profile, omega)
+    assert nu_from_force(ForceProfile.gaussian(1e150, 1.0, 0.0), 1.0).value < math.inf
 
 
 # -- rho extraction ----------------------------------------------------------

@@ -21,6 +21,10 @@ def test_nu_param_validation():
     NuParam(5.0)
     with pytest.raises(ValueError):
         NuParam(-0.1)
+    NuParam(np.finfo(float).max)
+    for nu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            NuParam(nu)
 
 
 def test_gf_vacuum_amplitude():

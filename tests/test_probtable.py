@@ -2,6 +2,8 @@
 writers they replace: byte for byte, and bit-exact when read back."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -23,14 +25,27 @@ def reference_csv(table: ProbTable) -> str:
     return out
 
 
+def json_cell(x: float) -> str:
+    """A JSON number as the writer spells it: "%.17g", but as json.dumps
+    writes NaN, the infinities and -0.0, whose "%.17g" json.loads cannot
+    read back."""
+    if not math.isfinite(x) or (x == 0.0 and math.copysign(1.0, x) < 0.0):
+        return json.dumps(x)
+    return "%.17g" % x
+
+
 def reference_json(table: ProbTable) -> str:
+    """json.dumps of the table record with every float as ``json_cell``
+    spells it: each goes in as a NUL-marked string, and the quotes and
+    marker come off afterwards."""
+    cell = lambda x: "\0" + json_cell(float(x))
     d = {
         "family": table.family,
         "mode": table.mode,
         "params": dict(table.params),
         "size": [int(table.values.shape[0]), int(table.values.shape[1])],
-        "values": [[float(x) for x in row] for row in table.values],
-        "row_tails": [float(t) for t in table.row_tails],
+        "values": [[cell(x) for x in row] for row in table.values],
+        "row_tails": [cell(t) for t in table.row_tails],
     }
     if table.symbolic is not None:
         d["symbolic"] = {
@@ -41,7 +56,7 @@ def reference_json(table: ProbTable) -> str:
                 for row in table.symbolic.entries
             ],
         }
-    return json.dumps(d, indent=1) + "\n"
+    return re.sub(r'"\\u0000([^"]*)"', r"\1", json.dumps(d, indent=1)) + "\n"
 
 
 def assert_writers_exact(table: ProbTable) -> None:
@@ -123,18 +138,19 @@ def test_signed_zero_and_extremes_keep_their_text():
     table = ProbTable("forced", {"nu": 0.0}, "float", values, np.array([-0.0, 5e-324, 0.0]))
     assert_writers_exact(table)
     assert table.to_csv().splitlines()[1] == "0,0,-0,4.9406564584124654e-324"
-    assert '\n   -0.0,\n' in table.to_json()
+    text = table.to_json()
+    assert '"values": [\n  [\n   0,\n   -0.0,\n   4.9406564584124654e-324\n  ],' in text
+    assert '"row_tails": [\n  -0.0,\n  4.9406564584124654e-324,\n  0\n ]' in text
 
 
-@pytest.mark.parametrize("shortest", [False, True])
-def test_kernel_writes_positive_zero_itself(shortest):
-    from oscigen.probtable import _WIDTH, _kernel
+def test_kernel_writes_positive_zero_itself():
+    from oscigen.probtable import _WIDTH, _kernel, _strip
 
     x = np.array([0.0, -0.0, 0.3])
     words = np.zeros((x.size, _WIDTH // 8), np.uint64)
-    assert _kernel(x, shortest, words).tolist() == [True, False, True]
-    want = b"0.0" if shortest else b"0"
-    assert words[0].tobytes() == want.ljust(_WIDTH, b"\0")
+    assert _kernel(x, words).tolist() == [True, False, True]
+    assert words[0].tobytes() == b"0".ljust(_WIDTH, b"\0")
+    assert _strip(words[2]) == "0.29999999999999999"
 
 
 def test_non_finite_cells_match_json_dumps():
@@ -142,7 +158,8 @@ def test_non_finite_cells_match_json_dumps():
     table = ProbTable("forced", {"nu": 1.0}, "float", values, np.array([np.nan, 0.0]))
     assert table.to_csv() == reference_csv(table)
     assert table.to_json() == reference_json(table)
-    assert "\n   NaN,\n   Infinity\n" in table.to_json()
+    assert "\n   NaN,\n   Infinity\n  ],\n  [\n   -Infinity,\n   0.5\n" in table.to_json()
+    assert table.to_csv().splitlines()[1:] == ["0,nan,inf", "1,-inf,0.5"]
 
 
 def test_non_symmetric_table():
@@ -197,7 +214,8 @@ def test_tampered_json_is_rejected(tamper, message):
 # -- the cell formatter against Python's, value by value ----------------------
 
 def assert_cells_exact(values) -> None:
-    """Every cell of a one-row table reads as "%.17g" and json.dumps write it."""
+    """Every cell of a one-row table reads as "%.17g" writes it, in JSON as
+    ``json_cell`` spells it."""
     values = np.asarray(values, dtype=float).reshape(1, -1)
     xs = values[0].tolist()
     table = ProbTable("forced", {"nu": 1.0}, "float", values, np.zeros(1))
@@ -208,8 +226,12 @@ def assert_cells_exact(values) -> None:
     start = '"values": [\n  ['
     block = text[text.index(start) + len(start): text.index("\n  ]\n ],")]
     cells = block.replace("\n   ", "").split(",")
-    want = json.dumps(xs)[1:-1].split(", ")
+    want = list(map(json_cell, xs))
     assert cells == want, [(x, c, w) for x, c, w in zip(xs, cells, want) if c != w][:5]
+    back = np.array(json.loads(text)["values"][0], dtype=float)
+    nan = np.isnan(values[0])
+    assert np.isnan(back[nan]).all()
+    assert np.array_equal(back[~nan].view(np.int64), values[0][~nan].view(np.int64))
 
 
 def test_cells_of_random_bit_patterns():

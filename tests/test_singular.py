@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscigen import parametric, singular
-from oscigen.errors import SingularEvaluationError
+from oscigen.errors import SingularEvaluationError, TableInvariantError
 from oscigen.singular import (
     WeightJ,
     adiabatic_diag,
@@ -23,6 +23,21 @@ def test_weight_validation():
         WeightJ(0.0)
     with pytest.raises(ValueError):
         WeightJ(0.5)
+    WeightJ(singular.MIN_J)
+    for j in (np.nextafter(singular.MIN_J, -math.inf), -1e160, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="at least -1e\\+15"):
+            WeightJ(j)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-300, 5e-17, 2e-16, 1e-12, 1e-13, 5e-13, 0.5, 0.999999])
+def test_lowest_weight_tables_validate_or_raise_the_invariant_error(rho):
+    # 1 - rho rounds for rho below 1e-16 and drops rho from (1 - rho)^(-2j);
+    # at MIN_J that costs digits, which validate may catch, but no overflow
+    with np.errstate(all="raise", under="ignore"):
+        try:
+            singular_prob_table(rho, singular.MIN_J, size=64)
+        except TableInvariantError:
+            pass
 
 
 def test_weight_from_barrier_strength():
