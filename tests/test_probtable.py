@@ -143,11 +143,14 @@ def test_signed_zero_and_extremes_keep_their_text():
     assert '"row_tails": [\n  -0.0,\n  4.9406564584124654e-324,\n  0\n ]' in text
 
 
-def test_kernel_writes_positive_zero_itself():
+@pytest.mark.parametrize("dirty", [False, True])
+def test_kernel_writes_positive_zero_itself(dirty):
+    """The kernel writes every byte of a row it answers, so rows that start
+    as leftover bytes (as np.empty gives them in _texts) come out clean."""
     from oscigen.probtable import _WIDTH, _kernel, _strip
 
     x = np.array([0.0, -0.0, 0.3])
-    words = np.zeros((x.size, _WIDTH // 8), np.uint64)
+    words = np.full((x.size, _WIDTH // 8), np.uint64(2**64 - 1) if dirty else 0, np.uint64)
     assert _kernel(x, words).tolist() == [True, False, True]
     assert words[0].tobytes() == b"0".ljust(_WIDTH, b"\0")
     assert _strip(words[2]) == "0.29999999999999999"
