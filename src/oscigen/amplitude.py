@@ -201,19 +201,17 @@ def _alternating_square(mags: list[int]) -> list[int]:
     The coefficients of P^2 alternate in sign the same way, and their
     magnitudes are the square of sum mags[i] x^i, taken as one integer
     product: the magnitudes are packed into a single integer with one
-    ``bits``-wide slot per power, wide enough that no slot of the square
-    overflows into the next.
+    ``width``-byte slot per power, wide enough that no slot of the square
+    overflows into the next.  Whole-byte slots let both integers go through
+    their little-endian bytes instead of one shift per slot, each of which
+    would copy the whole integer.
     """
-    bits = 2 * max(mags).bit_length() + len(mags).bit_length()
-    packed = 0
-    for c in reversed(mags):
-        packed = (packed << bits) | c
-    sq = packed * packed
-    mask = (1 << bits) - 1
-    out = []
-    for k in range(2 * len(mags) - 1):
-        out.append(-(sq & mask) if k % 2 else sq & mask)
-        sq >>= bits
+    width = (2 * max(mags).bit_length() + len(mags).bit_length() + 7) // 8
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in mags), "little")
+    n = 2 * len(mags) - 1
+    sq = (packed * packed).to_bytes(n * width, "little")
+    out = [int.from_bytes(sq[k * width: (k + 1) * width], "little") for k in range(n)]
+    out[1::2] = [-c for c in out[1::2]]
     return out
 
 

@@ -74,15 +74,14 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
         _fail(str(exc), 2)
     except TableInvariantError as exc:
         _fail(f"table invariant violated: {exc}", 4)
-    text = table.to_csv() if fmt == "csv" else table.to_json()
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            table.write(fh, fmt)
     else:
         # not click.echo, which runs a regex over the whole document to strip
         # ANSI codes when stdout is no terminal; a table holds none
         stdout = click.get_text_stream("stdout")
-        stdout.write(text)
+        table.write(stdout, fmt)
         stdout.flush()
 
 

@@ -77,9 +77,10 @@ def _force_fourier(profile: ForceProfile, omega: float) -> complex:
     if profile.kind == "damped_cosine":
         g = p["gamma"]
         wd = p["omega_d"]
-        return p["f0"] * (
-            g / (g * g + (omega - wd) ** 2) + g / (g * g + (omega + wd) ** 2)
-        )
+        # g / (g^2 + d^2) as g / h / h, h = hypot(g, d): g^2 + d^2 underflows
+        # to 0 for a tiny gamma at omega = omega_d
+        h1, h2 = math.hypot(g, omega - wd), math.hypot(g, omega + wd)
+        return p["f0"] * (g / h1 / h1 + g / h2 / h2)
     return _tabulated_fourier(profile, omega)
 
 

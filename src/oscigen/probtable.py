@@ -75,17 +75,10 @@ class ProbTable:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return self._record(np.asarray(self.values, dtype=float).tolist(),
-                            np.asarray(self.row_tails, dtype=float).tolist())
-
-    def _record(self, values=None, row_tails=None) -> dict:
         out = {
-            "family": self.family,
-            "mode": self.mode,
-            "params": dict(self.params),
-            "size": [int(self.values.shape[0]), int(self.values.shape[1])],
-            "values": values,
-            "row_tails": row_tails,
+            **self._head(),
+            "values": np.asarray(self.values, dtype=float).tolist(),
+            "row_tails": np.asarray(self.row_tails, dtype=float).tolist(),
         }
         if self.symbolic is not None:
             out["symbolic"] = {
@@ -97,6 +90,14 @@ class ProbTable:
                 ],
             }
         return out
+
+    def _head(self) -> dict:
+        return {
+            "family": self.family,
+            "mode": self.mode,
+            "params": dict(self.params),
+            "size": [int(self.values.shape[0]), int(self.values.shape[1])],
+        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProbTable":
@@ -138,11 +139,21 @@ class ProbTable:
         but with each float as the CSV writes it, ``"%.17g" % x``; NaN,
         Infinity, -Infinity and -0.0 keep the spelling of ``json.dumps``, as
         ``json.loads`` reads their "%.17g" text as no double or as +0.0."""
+        return "".join(self._json_pieces())
+
+    def write(self, stream, fmt: str) -> None:
+        """Write ``to_csv()`` (``fmt="csv"``) or ``to_json()`` to a text
+        stream.  The JSON document goes out in pieces, its symbolic block one
+        row of entries at a time, so an exact table's text is never held
+        whole."""
+        for piece in (self.to_csv(),) if fmt == "csv" else self._json_pieces():
+            stream.write(piece)
+
+    def _json_pieces(self):
+        """The text of ``to_json``: head, values, row tails, the symbolic
+        block one row of entries at a time, and the closing brace."""
         rows, cols = self.values.shape
-        # Only top-level keys follow a raw newline and one space, so the
-        # marker cannot match inside params or the symbolic block.
-        head, _, tail = json.dumps(self._record(), indent=1).partition(
-            '\n "values": null,\n "row_tails": null')
+        head = json.dumps(self._head(), indent=1)[:-2]  # without "\n}"
         x = np.concatenate([np.ravel(self.values), self.row_tails])
         texts = _texts(x)
         for i in np.flatnonzero(~np.isfinite(x) | np.signbit(x) & (x == 0.0)):
@@ -156,7 +167,29 @@ class ProbTable:
         values = (f"[\n  [\n   {values}\n  ]\n ]" if values else
                   json.dumps(self.values.tolist(), indent=1).replace("\n", "\n "))
         tails = "[\n  " + tails[:-1].replace(",", ",\n  ") + "\n ]" if rows else "[]"
-        return f'{head}\n "values": {values},\n "row_tails": {tails}{tail}\n'
+        yield f'{head},\n "values": {values},\n "row_tails": {tails}'
+        if self.symbolic is not None:
+            yield from _symbolic_pieces(self.symbolic)
+        yield "\n}\n"
+
+
+def _symbolic_pieces(symbolic: SymbolicTable):
+    """The ``"symbolic"`` member of the JSON document as ``json.dumps`` lays
+    it out at ``indent=1``, each coefficient a ``"p/q"`` string, one row of
+    entries per piece."""
+    yield (f',\n "symbolic": {{\n  "prefactor": {json.dumps(symbolic.prefactor)},'
+           f'\n  "variable": {json.dumps(symbolic.variable)},\n  "entries": ')
+    sep = "[\n   "
+    for row in symbolic.entries:
+        polys = [
+            '[\n     "' + '",\n     "'.join(
+                [f"{c.numerator}/{c.denominator}" for c in p.coeffs]) + '"\n    ]'
+            if p.coeffs else "[]"
+            for p in row
+        ]
+        yield sep + ("[\n    " + ",\n    ".join(polys) + "\n   ]" if polys else "[]")
+        sep = ",\n   "
+    yield "\n  ]\n }" if symbolic.entries else "[]\n }"
 
 
 # -- float text --------------------------------------------------------------

@@ -24,8 +24,9 @@ run the element operators.
 
 ``dft_extract_table`` is an independent numeric oracle: it recovers the
 coefficients of an analytic function on a bidisk by a double trapezoidal
-contour average (one 2-D FFT), touching none of the series arithmetic
-above.
+contour average, touching none of the series arithmetic above; it
+evaluates the torus a strip of rows at a time, so its memory does not grow
+with the square of the grid.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = ["MAX_WINDOW", "Series2", "check_window", "dft_extract_table"]
 
 MAX_WINDOW = 4096
 _RADIUS = 0.5  # of the torus dft_extract_table integrates on
+_STRIP = 16     # u-rows of the torus dft_extract_table evaluates at once
 
 
 def check_window(max_deg_u: int, max_deg_v: int) -> None:
@@ -252,11 +254,16 @@ def dft_extract_table(evaluator, max_m: int, max_n: int,
     analytic function, as a real ``(max_m+1, max_n+1)`` array.
 
     Approximates the double Cauchy integral on the torus ``|u| = |v| =
-    1/2`` with the trapezoidal rule on ``grid x grid`` points, all
-    coefficients in one FFT.  ``evaluator(U, V)`` takes the two complex
-    ``grid x grid`` arrays of the nodes.  For functions with real
-    coefficients the imaginary parts are an error indicator; the largest
-    must stay below 1e-10.
+    1/2`` with the trapezoidal rule on ``grid x grid`` points.  The torus is
+    evaluated in strips of ``_STRIP`` u-rows: per strip, one FFT along v,
+    of which the first ``max_n + 1`` columns are kept and summed over the
+    strip's rows into the first ``max_m + 1`` u-frequencies with
+    precomputed twiddles.  So memory is O(strip x grid), not O(grid^2), and
+    the result is that of one 2-D FFT to rounding.  ``evaluator(U, V)``
+    takes two complex arrays of the same shape, the nodes of one strip
+    (at most ``_STRIP x grid``), and returns the values there.  For
+    functions with real coefficients the imaginary parts are an error
+    indicator; the largest must stay below 1e-10.
     """
     if max_m < 0 or max_n < 0:
         raise ValueError("negative coefficient index")
@@ -264,12 +271,18 @@ def dft_extract_table(evaluator, max_m: int, max_n: int,
         grid = 4 * (max(max_m, max_n) + 1)
     if grid <= max(max_m, max_n):
         raise ValueError("grid must exceed the requested degrees")
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    ua = _RADIUS * np.exp(1j * theta)
-    U, V = np.meshgrid(ua, ua, indexing="ij")
-    C = np.fft.fft2(np.asarray(evaluator(U, V), dtype=complex)) / (grid * grid)
-    powers = _RADIUS ** (np.arange(max_m + 1)[:, None] + np.arange(max_n + 1)[None, :])
-    block = C[: max_m + 1, : max_n + 1] / powers
+    k = np.arange(grid)
+    nodes = _RADIUS * np.exp(1j * (2.0 * np.pi * k / grid))
+    m = np.arange(max_m + 1)
+    # e^(-2 pi i m k / grid), the exponent reduced mod grid before rounding
+    twiddle = np.exp(-2j * np.pi / grid * (np.outer(m, k) % grid))
+    C = np.zeros((max_m + 1, max_n + 1), dtype=complex)
+    for lo in range(0, grid, _STRIP):
+        U, V = np.meshgrid(nodes[lo: lo + _STRIP], nodes, indexing="ij")
+        F = np.fft.fft(np.asarray(evaluator(U, V), dtype=complex), axis=1)
+        C += twiddle[:, lo: lo + _STRIP] @ F[:, : max_n + 1]
+    powers = _RADIUS ** (m[:, None] + np.arange(max_n + 1)[None, :])
+    block = C / (grid * grid * powers)
     worst = float(np.max(np.abs(block.imag)))
     if worst > 1e-10:
         raise OracleFailureError(f"imaginary residue {worst:.3e} above 1.0e-10")

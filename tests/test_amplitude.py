@@ -76,6 +76,17 @@ def test_closed_form_polynomials_equal_the_series_ones():
                 assert closed[m][n].coeffs == grid.coeff(m, n).coeffs, (poly, m, n)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**300), min_size=1, max_size=40))
+def test_alternating_square_is_the_signed_convolution(mags):
+    from oscigen.amplitude import _alternating_square
+
+    signed = [(-1) ** i * c for i, c in enumerate(mags)]
+    want = [sum(signed[i] * signed[k - i] for i in range(len(mags)) if 0 <= k - i < len(mags))
+            for k in range(2 * len(mags) - 1)]
+    assert _alternating_square(mags) == want
+
+
 def test_exact_paths_build_no_series(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exact series built")

@@ -88,15 +88,18 @@ def test_table_json_round_trip(runner, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_output_file_matches_stdout(runner, tmp_path, fmt):
-    args = ["table", "singular", "--rho", "0.3", "--j", "-0.75", "--max", "8", "--format", fmt]
-    shown = runner.invoke(main, args)
-    assert shown.exit_code == 0
-    out = tmp_path / f"t.{fmt}"
-    written = runner.invoke(main, [*args, "--output", str(out)])
-    assert written.exit_code == 0
-    assert written.stdout == ""
-    assert out.read_bytes() == shown.stdout_bytes
-    assert shown.stdout_bytes.endswith(b"\n")
+    for table in (["singular", "--rho", "0.3", "--j", "-0.75", "--max", "8"],
+                  ["forced", "--nu", "0", "--max", "9", "--mode", "exact"],
+                  ["parametric", "--rho", "0.61", "--max", "9", "--mode", "exact"]):
+        args = ["table", *table, "--format", fmt]
+        shown = runner.invoke(main, args)
+        assert shown.exit_code == 0
+        out = tmp_path / f"t.{fmt}"
+        written = runner.invoke(main, [*args, "--output", str(out)])
+        assert written.exit_code == 0
+        assert written.stdout == ""
+        assert out.read_bytes() == shown.stdout_bytes
+        assert shown.stdout_bytes.endswith(b"\n")
 
 
 def test_table_forced_exact_at_48(runner):
@@ -423,6 +426,9 @@ _RAMP = np.sqrt(2.5 + 1.5 * np.tanh(_TS))
                  ["--what", "rho"], "profile field", id="excite-tabulated-banana"),
     pytest.param({"kind": "gaussian", "profile": "banana", "f0": 1, "tau": 1, "t0": 0},
                  ["--what", "nu", "--omega", "1"], "profile field", id="excite-gaussian-banana"),
+    # gamma^2 + (omega - omega_d)^2 underflows to 0 here: F = 2e200 must not be 0 / 0
+    pytest.param({"kind": "damped_cosine", "f0": 1, "gamma": 1e-200, "omega_d": 1},
+                 ["--what", "nu", "--omega", "1"], "overflows", id="excite-damped-tiny-gamma"),
 ])
 def test_overflowing_input_exits_2_under_warnings_as_errors(tmp_path, doc, args, message):
     # a fresh interpreter with -W error, as CI runs the CLI: a numpy

@@ -124,13 +124,45 @@ def test_float_tables_byte_identical(build, size):
     assert_writers_exact(build(size, "float"))
 
 
-@pytest.mark.parametrize("size", [1, 2, 16])
+@pytest.mark.parametrize("size", [1, 2, 16, 17])
 @pytest.mark.parametrize("family", ["forced", "parametric"])
 def test_exact_tables_byte_identical(family, size):
     table = BUILDERS[family](size, "exact")
     assert table.symbolic is not None
     assert_writers_exact(table)
     assert '\n "symbolic": {\n' in table.to_json()
+    # streamed: head, values and tails, symbolic head, each row, closings
+    assert len(list(table._json_pieces())) == size + 4
+
+
+@pytest.mark.parametrize("size", [1, 2, 17])
+@pytest.mark.parametrize("build", [_forced(0.0), _parametric(0.0)], ids=["forced", "parametric"])
+def test_exact_tables_at_zero_parameter_byte_identical(build, size):
+    assert_writers_exact(build(size, "exact"))
+
+
+def test_symbolic_block_without_entries_or_coefficients():
+    from fractions import Fraction
+
+    from oscigen.domains import RatPoly
+    from oscigen.probtable import SymbolicTable
+
+    zero, one = RatPoly(), RatPoly((Fraction(1), Fraction(-1, 3)))
+    for values, entries in ((np.zeros((0, 0)), ()), (np.zeros((1, 0)), ((),)),
+                            (np.full((2, 2), 0.25), ((zero, one), (one, zero)))):
+        symbolic = SymbolicTable('exp(-"nu")', "nu", entries)
+        table = ProbTable("forced", {}, "exact", values, np.zeros(values.shape[0]), symbolic)
+        assert table.to_json() == reference_json(table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_gives_the_document(fmt):
+    import io
+
+    table = forced_prob_table(1.5, size=5, mode="exact")
+    stream = io.StringIO()
+    table.write(stream, fmt)
+    assert stream.getvalue() == (table.to_csv() if fmt == "csv" else table.to_json())
 
 
 def test_signed_zero_and_extremes_keep_their_text():

@@ -375,6 +375,55 @@ def test_dft_evaluator_error_propagates_without_pointwise_retry():
     assert calls == [(8, 8)]
 
 
+def full_fft2_table(f, max_m, max_n, grid):
+    """The oracle as one 2-D FFT over the whole torus, the reference the
+    strip-wise evaluation must reproduce to rounding."""
+    ua = 0.5 * np.exp(1j * (2.0 * np.pi * np.arange(grid) / grid))
+    U, V = np.meshgrid(ua, ua, indexing="ij")
+    C = np.fft.fft2(np.asarray(f(U, V), dtype=complex)) / (grid * grid)
+    powers = 0.5 ** (np.arange(max_m + 1)[:, None] + np.arange(max_n + 1)[None, :])
+    return (C[: max_m + 1, : max_n + 1] / powers).real
+
+
+@pytest.mark.parametrize("grid, max_m, max_n", [(256, 10, 10), (40, 7, 3), (24, 2, 9)])
+def test_dft_strips_match_full_fft2(grid, max_m, max_n):
+    from oscigen.forced import forced_gf_value
+    from oscigen.singular import singular_gf_value
+
+    # 40 and 24 rows leave a partial last strip
+    for f in (lambda u, v: forced_gf_value(u, v, 2.37),
+              lambda u, v: singular_gf_value(u, v, 0.61, -1.3)):
+        table = dft_extract_table(f, max_m, max_n, grid=grid)
+        assert table.shape == (max_m + 1, max_n + 1)
+        assert np.max(np.abs(table - full_fft2_table(f, max_m, max_n, grid))) <= 1e-13
+
+
+def test_dft_peak_memory_is_a_strip_not_the_torus():
+    import tracemalloc
+
+    from oscigen.forced import forced_gf_value
+
+    f = lambda u, v: forced_gf_value(u, v, 2.37)
+    dft_extract_table(f, 10, 10, grid=256)  # first-use allocations of numpy's FFT
+    tracemalloc.start()
+    try:
+        dft_extract_table(f, 10, 10, grid=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 256 x 256 complex grid alone is 1 MiB
+    assert peak <= 1 << 20
+
+
+def test_dft_flags_imaginary_coefficient_in_a_later_strip():
+    # an imaginary u^9 v^2 term, 1e-6 in size: every strip sees it
+    f = lambda u, v: 1.0 / (1.0 - u * v) + 1e-6j * u**9 * v**2
+    with pytest.raises(OracleFailureError, match="imaginary residue"):
+        dft_extract_table(f, 10, 10, grid=256)
+    # outside the requested block it is not looked at
+    assert dft_extract_table(f, 8, 10, grid=256)[8, 8] == pytest.approx(1.0, abs=1e-12)
+
+
 # -- algebraic property tests ------------------------------------------------
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
