@@ -23,9 +23,10 @@ root of the entry, so ``|A_a| <= 1``, together with the scaled difference
 
 The difference form keeps full accuracy as nu or rho goes to zero, where
 Q_a and Q_{a-1} agree to many digits and the plain three-term form cancels.
-Row 0 and column 0 are the closed-form vacuum row (Poisson, resp. the
-negative-binomial ``ground_row``), and the table is symmetric by
-construction.
+The vacuum row w_0n (Poisson, resp. negative binomial) is built once, as
+mantissas and binary exponents that do not underflow even where w_00 does:
+it is row 0 and column 0, and its square roots start the amplitudes.  The
+table is symmetric by construction.
 
 ``forced_poly`` and ``param_poly`` evaluate the same closed forms exactly:
 the rational polynomial of one forced or parametric entry, with the
@@ -47,56 +48,67 @@ __all__ = [
     "MAX_EXACT_SIZE",
     "forced_poly",
     "forced_table",
-    "forced_vacuum",
     "param_poly",
     "param_table",
     "poly_grid",
     "singular_table",
-    "singular_vacuum",
 ]
 
 _SHIFT = 600  # binary exponent step of the per-offset rescaling
+# _SHIFT ln 2 split as fdlibm splits ln 2: q * _LOG_HI is exact for |q| < 2^14
+_LOG_HI, _LOG_LO = _SHIFT * 6.93147180369123816490e-01, _SHIFT * 1.90821492927058770002e-10
 _DEGREES = 64  # degrees per block of step coefficients in _sweep
 # largest exact-mode table: an exact forced table takes about 14 s to build
 # at M = 128 on two cores, and the cost grows like M^4.4
 MAX_EXACT_SIZE = 128
 
 
-def _seed(first: float, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running products ``first * factors[0] * ... * factors[d-1]`` as
-    mantissas and binary exponents: a product that would underflow is
-    scaled up by 2^_SHIFT instead, exactly."""
-    mant = np.empty(factors.size + 1)
-    ex = np.zeros(factors.size + 1, dtype=int)
-    x, e = first, 0
-    mant[0] = x
-    for i, f in enumerate(factors.tolist()):
+def _seed(w00: float, log_w00: float, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vacuum row ``w_0n = w00 * ratios[0] * ... * ratios[n-1]`` as mantissas
+    and binary exponents, multiples of _SHIFT: a product that leaves
+    [2^-_SHIFT, 2^_SHIFT] is scaled by 2^-+_SHIFT instead, exactly.  Below
+    log w00 = -700 the start is exp(log_w00), split the same way; below
+    -1e18 it is 0, and no table entry comes out of it."""
+    mant = np.empty(ratios.size + 1)
+    ex = np.zeros(ratios.size + 1, dtype=int)
+    x, e = w00, 0
+    if -1e18 < log_w00 < -700.0:
+        q = math.ceil(log_w00 / (_LOG_HI + _LOG_LO))
+        x, e = math.exp(log_w00 - q * _LOG_HI - q * _LOG_LO), q * _SHIFT
+    mant[0], ex[0] = x, e
+    for i, f in enumerate(ratios.tolist()):
         if 0.0 < x < 2.0**-_SHIFT:
             x, e = x * 2.0**_SHIFT, e - _SHIFT
+        elif x > 2.0**_SHIFT:
+            x, e = x * 2.0**-_SHIFT, e + _SHIFT
         x *= f
         mant[i + 1], ex[i + 1] = x, e
     return mant, ex
 
 
-def _sweep(vacuum, first, factors, rows: int, cols: int, step) -> np.ndarray:
+def _sweep(w00, log_w00, ratios, rows: int, cols: int, step) -> np.ndarray:
     """Table w[m, n] for m < rows, n < cols.
 
-    ``vacuum`` is the closed-form row 0 over max(rows, cols) offsets; its
-    amplitudes are ``first`` times the running products of ``factors``.
-    ``step(a, d)`` returns r, c1 and c2 of the degree-a step on the grid of
-    a column of degrees ``a`` and a row of offsets ``d``; they are made for
-    ``_DEGREES`` degrees at a time, so the loop over degrees runs only the
-    recurrence.  An offset whose vacuum amplitude lies below the double
-    range can still reach O(1) at larger a; it is carried scaled by a power
-    of two and brought back each time its amplitude has grown by 2^_SHIFT.
+    Row 0 and column 0 are the vacuum row of ``_seed(w00, log_w00, ratios)``,
+    ``ratios[n] = w_0,n+1 / w_0n`` over max(rows, cols) offsets, and its
+    square roots start the amplitudes.  ``step(a, d)`` returns r, c1 and c2
+    of the degree-a step on the grid of a column of degrees ``a`` and a row
+    of offsets ``d``; they are made for ``_DEGREES`` degrees at a time, so
+    the loop over degrees runs only the recurrence.  An offset whose vacuum
+    amplitude lies below 2^-_SHIFT can still reach O(1) at larger a; it is
+    carried scaled by a power of two and brought back each time its
+    amplitude has grown by 2^_SHIFT.
     """
     width = max(rows, cols)
     w = np.empty((rows, cols))
-    w[0] = vacuum[:cols]
-    w[:, 0] = vacuum[:rows]
-    d = np.arange(width, dtype=float)
-    amp, ex = _seed(first, factors)
+    mant, ex = _seed(w00, log_w00, ratios)
+    w[0] = np.ldexp(mant[:cols], ex[:cols])
+    w[:, 0] = np.ldexp(mant[:rows], ex[:rows])
+    ex //= 2  # amplitudes above 2^-_SHIFT take their exponent into the mantissa
+    amp = np.ldexp(np.sqrt(mant), np.where(ex > -_SHIFT, ex, 0))
+    ex[ex > -_SHIFT] = 0
     scaled = bool(ex.any())
+    d = np.arange(width, dtype=float)
     diff = np.zeros(width)
     top = min(rows, cols)
     for start in range(1, top, _DEGREES):
@@ -120,55 +132,40 @@ def _sweep(vacuum, first, factors, rows: int, cols: int, step) -> np.ndarray:
     return w
 
 
-def forced_vacuum(size: int, nu: float) -> np.ndarray:
-    """Vacuum row w_0n = e^-nu nu^n / n!, n < size."""
-    i = np.arange(1, size)
-    return np.cumprod(np.concatenate(([math.exp(-nu)], nu / i)))
-
-
 def forced_table(nu: float, rows: int, cols: int) -> np.ndarray:
     """w_mn(nu) of the forced family for m < rows, n < cols."""
     check_window(rows - 1, cols - 1)
-    i = np.arange(1, max(rows, cols))
-    vacuum = forced_vacuum(max(rows, cols), nu)
 
     def step(a, d):
         ad = a + d
         return np.sqrt(ad / a), -nu / ad, (a - 1) / ad
 
-    return _sweep(vacuum, math.exp(-0.5 * nu), np.sqrt(nu / i), rows, cols, step)
-
-
-def _vacuum_ratios(size: int, rho: float, k: float) -> np.ndarray:
-    i = np.arange(size - 1)
-    return rho * (i + k) / (i + 1)
-
-
-def singular_vacuum(size: int, rho: float, k: float) -> np.ndarray:
-    """Vacuum row w_0n = Gamma(n+k) / (n! Gamma(k)) rho^n (1-rho)^k, n < size."""
-    ratios = _vacuum_ratios(size, rho, k)
-    return np.cumprod(np.concatenate(([(1.0 - rho) ** k], ratios)))
+    return _sweep(math.exp(-nu), -nu, nu / np.arange(1, max(rows, cols)), rows, cols, step)
 
 
 def _singular(rho: float, k: float, rows: int, cols: int) -> np.ndarray:
-    width = max(rows, cols)
-    vacuum = singular_vacuum(width, rho, k)
-    ratios = _vacuum_ratios(width, rho, k)
-
+    # k is added last to each integer part, so no coefficient cancels for k << 1
     def step(a, d):
         ad = a + d
-        q = ad + k - 1.0  # n + alpha + beta of the Jacobi recurrence
-        s = q + a  # 2n + alpha + beta
-        r = np.sqrt(ad * q / (a * (a + k - 1.0)))
-        c1 = -rho * (s - 1.0) * s / (q * ad)
+        t = ad + a
+        q = (ad - 1.0) + k  # n + alpha + beta of the Jacobi recurrence
+        s = (t - 1.0) + k  # 2n + alpha + beta
+        adq = ad * q
+        r = np.sqrt(adq / (a * ((a - 1.0) + k)))
+        c1 = -rho * ((t - 2.0) + k) * s / adq  # t - 2 + k = s - 1, t - 3 + k = s - 2
         # the a = 1 step has no E_0 term; its formula is 0/0 at d = 0, k = 1
         c2 = np.zeros_like(ad)
         j = slice(int(a[0, 0] == 1.0), None)
-        c2[j] = (a[j] + k - 2.0) * (a[j] - 1) * s[j] / (q[j] * (s[j] - 2.0) * ad[j])
+        c2[j] = ((a[j] - 2.0) + k) * (a[j] - 1) * s[j] / (q[j] * ((t[j] - 3.0) + k) * ad[j])
         return r, c1, c2
 
-    first = (1.0 - rho) ** (0.5 * k)
-    return _sweep(vacuum, first, np.sqrt(ratios), rows, cols, step)
+    # 1 - rho = base + ((1 - base) - rho) exactly, the second term 0 from
+    # rho = 1/2 on; (1 - rho)^k is base^k with that rounding put back
+    base = 1.0 - rho
+    w00 = base**k * math.exp(k * math.log1p((1.0 - base - rho) / max(base, 0.5)))
+    log_w00 = k * math.log1p(-rho) if rho < 1.0 else -math.inf  # log1p(-1) raises
+    i = np.arange(max(rows, cols) - 1)
+    return _sweep(w00, log_w00, rho * (i + k) / (i + 1), rows, cols, step)
 
 
 def singular_table(rho: float, j: float, rows: int, cols: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import forced_vacuum, param_table
+from .amplitude import forced_table, param_table
 from .errors import IntegrationError
 from .forced import NuParam
 from .parametric import param_mean_n
@@ -386,7 +386,7 @@ def excitation_report(profile, omega: float | None = None,
         if omega is None:
             raise ValueError("force profiles need the oscillator frequency omega")
         nu = nu_from_force(profile, omega).value
-        return ExcitationReport("nu", nu, nu, tuple(forced_vacuum(8, nu).tolist()))
+        return ExcitationReport("nu", nu, nu, tuple(forced_table(nu, 1, 8)[0].tolist()))
     if isinstance(profile, FrequencyProfile):
         if omega is not None:
             raise ValueError(

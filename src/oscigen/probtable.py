@@ -31,11 +31,12 @@ class SymbolicTable:
 @dataclass(frozen=True)
 class ProbTable:
     """Matrix of transition probabilities w[m][n] for one family at a fixed
-    excitation parameter, with per-row truncation tail bounds.
+    excitation parameter, with per-row truncation tails.
 
-    ``row_tails[m]`` bounds the probability mass of row m outside the table:
-    since each full row sums to one and every entry is nonnegative, the
-    deficit ``1 - row_sum`` is exactly the missing mass.
+    ``row_tails[m]`` is the mass of row m outside the table if the entries
+    are right.  ``make_table`` sets it to the deficit ``max(0, 1 - row_sum)``,
+    not to an independent bound, so ``validate`` cannot see a row that is
+    uniformly too small: a row of zeros passes with tail 1.
     """
 
     family: str

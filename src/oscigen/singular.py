@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import singular_table, singular_vacuum
+from .amplitude import singular_table
 from .domains import FLOAT
 from .errors import SingularEvaluationError
 from .parametric import _checked_sqrt, _rho_value
@@ -47,10 +47,10 @@ __all__ = [
 ]
 
 
-# lowest admitted weight.  Where 1 - rho rounds (rho below about 1e-16), the
-# vacuum factor (1 - rho)^(-2j) loses rho; once -2j rho is large the table
-# kernel's amplitudes overflow, from about j = -1e19 on.  Above MIN_J such a
-# table at most fails validate.
+# lowest admitted weight, the lowest one tested against the closed forms.
+# The table kernel no longer loses rho where 1 - rho rounds.  No table from
+# rho = 1e-300 to 1 - 1e-6, M <= 512, overflowed or summed above one down to
+# j = -1e19; from j = -1e20 on, the 1 - rho rounding correction overflows.
 MIN_J = -1e15
 
 
@@ -156,7 +156,7 @@ def singular_prob_table(rho, j, size: int = 16) -> ProbTable:
 
 
 def ground_row(n: int, rho, j) -> float:
-    """Closed form for the vacuum row:
+    """Vacuum row entry, n <= 4096, as row 0 of the table kernel gives it:
 
         w_0n = Gamma(n-2j) / (n! Gamma(-2j)) * rho^n * (1-rho)^{-2j}.
     """
@@ -164,7 +164,7 @@ def ground_row(n: int, rho, j) -> float:
         raise ValueError("n must be nonnegative")
     rho_val = _rho_value(rho, open_top=True)
     j_val = _j_value(j)
-    return float(singular_vacuum(n + 1, rho_val, -2.0 * j_val)[n])
+    return float(singular_table(rho_val, j_val, 1, n + 1)[0, n])
 
 
 @dataclass(frozen=True)

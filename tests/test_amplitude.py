@@ -121,6 +121,18 @@ def test_row_moments_at_high_rho():
 
 # -- vacuum row --------------------------------------------------------------
 
+def _negative_binomial_row(rho, k, size):
+    """w_0n = Gamma(n+k) / (n! Gamma(k)) rho^n (1-rho)^k as a running product
+    of the ratios rho (n+k) / (n+1), from (1-rho)^k with the rounding of
+    1 - rho put back."""
+    base, row = 1.0 - rho, []
+    term = base**k * math.exp(k * math.log1p((1.0 - base - rho) / base))
+    for n in range(size):
+        row.append(term)
+        term *= rho * (n + k) / (n + 1)
+    return row
+
+
 def test_vacuum_rows_are_the_closed_forms_bit_for_bit():
     for nu in (0.3, 1.0, 3.0, 12.0):
         row = forced_prob_table(nu, size=40).values[0]
@@ -131,10 +143,10 @@ def test_vacuum_rows_are_the_closed_forms_bit_for_bit():
     for rho in (0.1, 0.5, 0.9):
         for j in JS:
             row = singular_prob_table(rho, j, size=30).values[0]
-            assert list(row) == [ground_row(n, rho, j) for n in range(30)]
+            assert list(row) == _negative_binomial_row(rho, -2.0 * j, 30)
         par = param_prob_table(rho, size=30).values
-        assert list(par[0, 0::2]) == [ground_row(n, rho, -0.25) for n in range(15)]
-        assert list(par[1, 1::2]) == [ground_row(n, rho, -0.75) for n in range(15)]
+        assert list(par[0, 0::2]) == _negative_binomial_row(rho, 0.5, 15)
+        assert list(par[1, 1::2]) == _negative_binomial_row(rho, 1.5, 15)
 
 
 # -- large tables and former defects -------------------------------------------
@@ -274,6 +286,63 @@ def test_kernel_against_mpmath_closed_forms_at_256():
             for m, n in spots + [(peak[0] + 100, peak[1] + 100)]:
                 want = float(_closed_form_mp(mpmath, family, m, n, nu, rho, j))
                 assert abs(w[m, n] - want) <= 1e-14, (family, nu, rho, j, m, n)
+
+
+def _amplitude_sign(mpmath, family, a, d, nu, rho, j):
+    """Sign of L_a^(d)(nu) or P_a^(d,k-1)(1-2rho); 0 at an exact root, where
+    mpmath's sum does not converge."""
+    try:
+        if family == "forced":
+            return mpmath.sign(mpmath.laguerre(a, d, nu))
+        return mpmath.sign(mpmath.jacobi(a, d, -2 * mpmath.mpf(j) - 1, 1 - 2 * mpmath.mpf(rho)))
+    except ValueError:
+        return 0
+
+
+@pytest.mark.parametrize("family, nu, rho, j, rows, cols", [
+    # e^-nu, or (1 - rho)^k with k = -2j, underflows
+    pytest.param("forced", 800.0, 0.0, 0.0, 4, 1024, id="forced-nu-800"),
+    pytest.param("forced", 1500.0, 0.0, 0.0, 4, 2048, id="forced-nu-1500"),
+    pytest.param("singular", 0.0, 0.5, -1000.0, 3, 4097, id="singular-large-k"),
+    pytest.param("singular", 0.0, 0.9, -400.0, 3, 4097, id="singular-large-k-rho-0.9"),
+    # 1 - rho rounds
+    pytest.param("singular", 0.0, 3e-10, -1e9, 4, 4, id="singular-tiny-rho"),
+    pytest.param("singular", 0.0, 1e-17, -1e6, 4, 4, id="singular-rho-1e-17"),
+    pytest.param("singular", 0.0, 1e-17, singular.MIN_J, 4, 4, id="singular-min-j"),
+    # k << 1
+    pytest.param("singular", 0.0, 0.9, -1e-8, 4, 4, id="singular-tiny-k"),
+    pytest.param("singular", 0.0, 0.3, -1e-300, 3, 3, id="singular-k-2e-300"),
+])
+def test_edge_points_match_mpmath_closed_forms(family, nu, rho, j, rows, cols):
+    """Tables past the tested box against the closed forms in mpmath, to
+    1e-12 relative, on every row and on about 130 sampled columns; no row
+    is all zeros.  An entry within three offsets of a root of its
+    polynomial is skipped, since the relative error grows as the entry
+    nears the root (2.5e-12 next to one at forced nu = 1500), and so is an
+    entry below the double range; at least half the samples are checked."""
+    mpmath = pytest.importorskip("mpmath")
+    if family == "forced":
+        w = forced_table(nu, rows, cols)
+    else:
+        w = singular_table(rho, j, rows, cols)
+    assert w.any(axis=1).all()
+    if j == -1e-300:
+        assert w[0, 1] == pytest.approx(0.3 * 2e-300, rel=1e-15, abs=0.0)  # rho k
+    columns, checked = range(0, cols, max(cols // 128, 1)), 0
+    with mpmath.workdps(40):
+        for m in range(rows):
+            for n in columns:
+                a, d = min(m, n), abs(m - n)
+                signs = {_amplitude_sign(mpmath, family, a, e, nu, rho, j)
+                         for e in (max(d - 3, 0), d, d + 3)}
+                if len(signs) > 1 or 0 in signs:
+                    continue
+                want = _closed_form_mp(mpmath, family, m, n, nu, rho, j)
+                if want < 1e-290:  # below the double range
+                    continue
+                assert abs(w[m, n] - want) <= 1e-12 * want, (m, n, float(want))
+                checked += 1
+    assert 2 * checked >= rows * len(columns)
 
 
 # the errors a table outside the tested box may raise: every oscigen error

@@ -447,6 +447,29 @@ def test_overflowing_input_exits_2_under_warnings_as_errors(tmp_path, doc, args,
     assert message in out.stderr
 
 
+@pytest.mark.parametrize("args", [
+    # e^-nu underflows; 1 - rho rounds; 1 + k rounds to 1 for k = -2j
+    pytest.param(["forced", "--nu", "1500", "--max", "2048"], id="forced-nu-1500"),
+    pytest.param(["singular", "--rho", "1e-17", "--j=-1e6", "--max", "4"], id="singular-rho-1e-17"),
+    pytest.param(["singular", "--rho", "0.3", "--j=-1e-300", "--max", "3"], id="singular-j-1e-300"),
+])
+def test_edge_tables_exit_0_under_warnings_as_errors(tmp_path, args):
+    # past the tested box, in a fresh interpreter with -W error as CI runs
+    # the CLI: the table is written in full, with no all-zero row
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "oscigen.cli", "table", *args, "--output", "t.csv"],
+        cwd=tmp_path, env=_source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "" and out.stdout == ""
+    size = int(args[-1])
+    with open(tmp_path / "t.csv") as lines:
+        assert next(lines).count(",") == size
+        zero = [set(line.rstrip().split(",")[1:]) == {"0"} for line in lines]
+    (tmp_path / "t.csv").unlink()
+    assert len(zero) == size and not any(zero)
+
+
 @pytest.mark.parametrize("omega", ["3", "-1"])
 def test_excite_rho_refuses_omega_exit_2(runner, tmp_path, omega):
     # rho comes from the profile's own frequencies; an --omega would be
