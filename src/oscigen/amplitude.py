@@ -159,13 +159,17 @@ def _singular(rho: float, k: float, rows: int, cols: int) -> np.ndarray:
         c2[j] = ((a[j] - 2.0) + k) * (a[j] - 1) * s[j] / (q[j] * ((t[j] - 3.0) + k) * ad[j])
         return r, c1, c2
 
-    # 1 - rho = base + ((1 - base) - rho) exactly, the second term 0 from
-    # rho = 1/2 on; (1 - rho)^k is base^k with that rounding put back
-    base = 1.0 - rho
-    w00 = base**k * math.exp(k * math.log1p((1.0 - base - rho) / max(base, 0.5)))
     log_w00 = k * math.log1p(-rho) if rho < 1.0 else -math.inf  # log1p(-1) raises
     i = np.arange(max(rows, cols) - 1)
-    return _sweep(w00, log_w00, rho * (i + k) / (i + 1), rows, cols, step)
+    return _sweep(_one_minus_pow(rho, k), log_w00, rho * (i + k) / (i + 1), rows, cols, step)
+
+
+def _one_minus_pow(rho: float, k: float) -> float:
+    """(1 - rho)^k, also where 1 - rho rounds: 1 - rho = base + ((1 - base)
+    - rho) exactly, the second term 0 from rho = 1/2 on, and the power is
+    base^k with that rounding put back."""
+    base = 1.0 - rho
+    return base**k * math.exp(k * math.log1p((1.0 - base - rho) / max(base, 0.5)))
 
 
 def singular_table(rho: float, j: float, rows: int, cols: int) -> np.ndarray:

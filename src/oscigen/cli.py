@@ -22,12 +22,11 @@ import click
 
 from . import __version__
 from .errors import IntegrationError, TableInvariantError
-from .excitation import excitation_report
-from .forced import forced_prob_table
-from .parametric import param_prob_table
-from .profiles import ProfileError, load_profile
-from .singular import singular_prob_table
-from .verify import SUITES, run_suite
+
+# Each command imports the modules it runs when it runs, so a call loads no
+# module that its command does not need.  The suite names are click choices,
+# needed before any command runs; a test pins them to ``verify.SUITES``.
+SUITE_NAMES = ("forced", "parametric", "singular", "excitation")
 
 
 def _fail(message: str, code: int):
@@ -57,10 +56,14 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
         if family == "forced":
             if nu is None:
                 raise ValueError("forced tables need --nu")
+            from .forced import forced_prob_table
+
             table = forced_prob_table(nu, size=size, mode=mode)
         elif family == "parametric":
             if rho is None:
                 raise ValueError("parametric tables need --rho")
+            from .parametric import param_prob_table
+
             table = param_prob_table(rho, size=size, mode=mode)
         else:
             if rho is None or weight_j is None:
@@ -69,6 +72,8 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
                 raise ValueError(
                     "the singular family is float-only (irrational exponent -2j)"
                 )
+            from .singular import singular_prob_table
+
             table = singular_prob_table(rho, weight_j, size=size)
     except (ValueError, TypeError) as exc:
         _fail(str(exc), 2)
@@ -86,7 +91,7 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
 
 
 @main.command("verify")
-@click.option("--suite", type=click.Choice([*SUITES, "all"]), default="all", show_default=True)
+@click.option("--suite", type=click.Choice([*SUITE_NAMES, "all"]), default="all", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def cmd_verify(suite, fmt):
     """Re-derive and check every identity of the selected suite.
@@ -95,6 +100,8 @@ def cmd_verify(suite, fmt):
     result (its conventional right-hand side disagrees with the value the tables
     give).  Exit code 0 when nothing failed.
     """
+    from .verify import run_suite
+
     report = run_suite(suite=suite)
     if fmt == "json":
         click.echo(json.dumps(report.to_json_dict(), indent=1))
@@ -111,6 +118,9 @@ def cmd_verify(suite, fmt):
 def cmd_excite(profile_path, what, omega, tol):
     """Extract the excitation parameter from a profile file and report the
     vacuum-row picture it implies as JSON."""
+    from .excitation import excitation_report
+    from .profiles import ProfileError, load_profile
+
     try:
         profile = load_profile(profile_path, what=what)
     except ProfileError as exc:

@@ -176,19 +176,19 @@ class ProbTable:
 
 def _symbolic_pieces(symbolic: SymbolicTable):
     """The ``"symbolic"`` member of the JSON document as ``json.dumps`` lays
-    it out at ``indent=1``, each coefficient a ``"p/q"`` string, one row of
-    entries per piece."""
+    it out at ``indent=1``, each coefficient a ``"p/q"`` string, one
+    polynomial per piece."""
     yield (f',\n "symbolic": {{\n  "prefactor": {json.dumps(symbolic.prefactor)},'
            f'\n  "variable": {json.dumps(symbolic.variable)},\n  "entries": ')
     sep = "[\n   "
     for row in symbolic.entries:
-        polys = [
-            '[\n     "' + '",\n     "'.join(
+        lead = sep + "[\n    "
+        for p in row:
+            yield lead + ('[\n     "' + '",\n     "'.join(
                 [f"{c.numerator}/{c.denominator}" for c in p.coeffs]) + '"\n    ]'
-            if p.coeffs else "[]"
-            for p in row
-        ]
-        yield sep + ("[\n    " + ",\n    ".join(polys) + "\n   ]" if polys else "[]")
+                if p.coeffs else "[]")
+            lead = ",\n    "
+        yield "\n   ]" if row else sep + "[]"
         sep = ",\n   "
     yield "\n  ]\n }" if symbolic.entries else "[]\n }"
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import singular_table
+from .amplitude import _one_minus_pow, singular_table
 from .domains import FLOAT
 from .errors import SingularEvaluationError
 from .parametric import _checked_sqrt, _rho_value
@@ -127,7 +127,8 @@ def _float_grid(rho_val: float, j_val: float, max_m: int, max_n: int) -> np.ndar
 
     lambda factors as (1-rho) * L with L(0,0) = 1; L comes from nested
     series square root and inversion, and the prefactor (1-rho)^{-2j} is
-    multiplied in at the end.
+    multiplied in at the end, as the table kernel starts its vacuum row, so
+    it keeps rho where 1 - rho rounds.
     """
     t = Series2.from_terms(
         FLOAT, max_m, max_n,
@@ -141,7 +142,7 @@ def _float_grid(rho_val: float, j_val: float, max_m: int, max_n: int) -> np.ndar
         Series2.one(FLOAT, max_m, max_n)
         - (uv * lam_unit * lam_unit).scale((1.0 - rho_val) ** 2)
     ).inverse()
-    return (1.0 - rho_val) ** (-2.0 * j_val) * (power * geom).rows
+    return _one_minus_pow(rho_val, -2.0 * j_val) * (power * geom).rows
 
 
 def singular_prob_table(rho, j, size: int = 16) -> ProbTable:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -328,10 +329,10 @@ def _source_env() -> dict:
     return env
 
 
-def _run_and_list_scipy(statement: str) -> str:
+def _run_and_list_modules(statement: str, packages=("scipy",)) -> str:
     """stdout of a fresh interpreter that imports oscigen.cli, runs
     ``statement`` (a SystemExit with code 0 counts as success) and prints
-    the scipy modules it loaded."""
+    the modules of ``packages`` it loaded."""
     code = (
         "import sys, oscigen.cli\n"
         "try:\n"
@@ -339,7 +340,7 @@ def _run_and_list_scipy(statement: str) -> str:
         "except SystemExit as exc:\n"
         "    if exc.code:\n"
         "        raise\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {tuple(packages)!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=_source_env(), capture_output=True,
@@ -349,7 +350,7 @@ def _run_and_list_scipy(statement: str) -> str:
 
 
 def test_import_leaves_scipy_unloaded():
-    assert _run_and_list_scipy("pass") == "[]"
+    assert _run_and_list_modules("pass") == "[]"
 
 
 def test_tanh_excite_leaves_scipy_unloaded(tmp_path):
@@ -370,13 +371,76 @@ def test_tanh_excite_leaves_scipy_unloaded(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         argv = ["excite", "--profile", str(path), *args]
-        report, modules = _run_and_list_scipy(f"oscigen.cli.main({argv!r})").rsplit("\n", 1)
+        report, modules = _run_and_list_modules(f"oscigen.cli.main({argv!r})").rsplit("\n", 1)
         assert 0.0 < json.loads(report)[args[1]] < 1.0, name
         assert modules == "[]", name
-    out = _run_and_list_scipy("oscigen.cli.main(['verify', '--suite', 'all'])")
+    out = _run_and_list_modules("oscigen.cli.main(['verify', '--suite', 'all'])")
     summary, modules = out.rsplit("\n", 1)
     assert " 0 failed" in summary
     assert modules == "[]"
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    """The oscigen and numpy modules a fresh interpreter has loaded after
+    ``oscigen.cli.main(argv)``."""
+    out = _run_and_list_modules(f"oscigen.cli.main({argv!r})", ("oscigen", "numpy"))
+    return set(ast.literal_eval(out.rsplit("\n", 1)[-1]))
+
+
+def test_cli_import_loads_no_command_module():
+    out = _run_and_list_modules("pass", ("oscigen", "numpy"))
+    assert out == "['oscigen', 'oscigen.cli', 'oscigen.errors']"
+
+
+@pytest.mark.parametrize("argv", [
+    ["forced", "--nu", "2.37"],
+    ["forced", "--nu", "2.37", "--mode", "exact", "--format", "json"],
+    ["parametric", "--rho", "0.4"],
+    ["parametric", "--rho", "0.4", "--mode", "exact", "--format", "json"],
+    ["singular", "--rho", "0.4", "--j", "-1.3"],
+    ["singular", "--rho", "0.4", "--j", "-1.3", "--format", "json"],
+])
+def test_table_loads_only_its_family(argv):
+    loaded = _modules_after(["table", *argv, "--max", "4"])
+    assert f"oscigen.{argv[0]}" in loaded
+    assert not loaded & {"oscigen.verify", "oscigen.excitation", "oscigen.profiles"}
+
+
+def test_excite_does_not_load_verify(tmp_path):
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps({"kind": "gaussian", "f0": 1.0, "tau": 1.0, "t0": 0.0}))
+    loaded = _modules_after(["excite", "--profile", str(path), "--what", "nu", "--omega", "1"])
+    assert {"oscigen.excitation", "oscigen.profiles"} <= loaded
+    assert "oscigen.verify" not in loaded
+
+
+def test_suite_choices_are_the_verify_suites():
+    import oscigen.cli
+    import oscigen.verify
+
+    assert oscigen.cli.SUITE_NAMES == tuple(oscigen.verify.SUITES)
+
+
+def test_package_resolves_public_names_on_access():
+    code = "import sys, oscigen; print(sorted(m for m in sys.modules if m.startswith(('oscigen', 'numpy'))))"
+    out = subprocess.run([sys.executable, "-c", code], env=_source_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['oscigen']"
+
+    import importlib
+
+    import oscigen
+
+    for name in oscigen.__all__:
+        module = importlib.import_module(f"oscigen.{oscigen._MODULE_OF[name]}")
+        assert name in module.__all__
+        assert getattr(oscigen, name) is getattr(module, name)
+    assert set(oscigen.__all__) | {"__version__"} <= set(dir(oscigen))
+    with pytest.raises(AttributeError):
+        oscigen.no_such_name
+    from oscigen import ground_row
+
+    assert ground_row is oscigen.singular.ground_row
 
 
 @pytest.mark.parametrize("what", ["nu", "rho"])
@@ -571,7 +635,7 @@ def test_table_invariant_violation_exit_4(runner, monkeypatch):
     def broken(*args, **kwargs):
         raise TableInvariantError("asymmetry 4.0e-10 above 1.0e-12")
 
-    monkeypatch.setattr("oscigen.cli.forced_prob_table", broken)
+    monkeypatch.setattr("oscigen.forced.forced_prob_table", broken)
     result = runner.invoke(main, ["table", "forced", "--nu", "1", "--max", "4"])
     assert result.exit_code == 4
     assert result.stderr.startswith("error: table invariant violated")

@@ -131,8 +131,9 @@ def test_exact_tables_byte_identical(family, size):
     assert table.symbolic is not None
     assert_writers_exact(table)
     assert '\n "symbolic": {\n' in table.to_json()
-    # streamed: head, values and tails, symbolic head, each row, closings
-    assert len(list(table._json_pieces())) == size + 4
+    # streamed: head, values and tails, symbolic head, each polynomial and
+    # each row's close, closings
+    assert len(list(table._json_pieces())) == size * (size + 1) + 4
 
 
 @pytest.mark.parametrize("size", [1, 2, 17])
@@ -163,6 +164,33 @@ def test_write_gives_the_document(fmt):
     stream = io.StringIO()
     table.write(stream, fmt)
     assert stream.getvalue() == (table.to_csv() if fmt == "csv" else table.to_json())
+
+
+def test_exact_json_write_holds_one_polynomial_at_a_time():
+    import dataclasses
+    import tracemalloc
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    def write_peak(table):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table.write(Discard(), "json")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    table = forced_prob_table(2.37, size=64, mode="exact")
+    largest = max(len(json.dumps([f"{c.numerator}/{c.denominator}" for c in p.coeffs], indent=4))
+                  for row in table.symbolic.entries for p in row)
+    table.write(Discard(), "json")  # the cell kernel builds its tables once
+    floats = write_peak(dataclasses.replace(table, symbolic=None))
+    # a row of polynomial texts, as the writer once held, is 29 times the
+    # largest polynomial's text here
+    assert write_peak(table) <= floats + 8 * largest
 
 
 def test_signed_zero_and_extremes_keep_their_text():

@@ -123,6 +123,21 @@ def test_series_route_reduces_and_gives_the_vacuum_row():
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
 
 
+def test_series_route_keeps_rho_where_one_minus_rho_rounds():
+    # (1 - rho)^k with k = 2e9 would raise the rounding of 1 - rho to that
+    # power.  Only the vacuum row and column are compared: the interior
+    # entries of the series route lose digits in t + sqrt(...) here.
+    mpmath = pytest.importorskip("mpmath")
+    rho, j = 3e-10, -1e9
+    grid = singular._float_grid(rho, j, 4, 4)
+    with mpmath.workdps(40):
+        r, k = mpmath.mpf(rho), -2 * mpmath.mpf(j)
+        want = [float(mpmath.gamma(n + k) / (mpmath.factorial(n) * mpmath.gamma(k))
+                      * r**n * (1 - r) ** k) for n in range(5)]
+    np.testing.assert_allclose(grid[0], want, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(grid[:, 0], want, rtol=1e-14, atol=0.0)
+
+
 def test_ground_row_closed_form():
     assert ground_row(0, 0.4, -0.6) == pytest.approx(0.6 ** 1.2, rel=1e-14, abs=0.0)
     assert ground_row(1, 0.5, -0.25) == pytest.approx(
