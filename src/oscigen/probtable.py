@@ -145,14 +145,14 @@ class ProbTable:
     def write(self, stream, fmt: str) -> None:
         """Write ``to_csv()`` (``fmt="csv"``) or ``to_json()`` to a text
         stream.  The JSON document goes out in pieces, its symbolic block one
-        row of entries at a time, so an exact table's text is never held
+        polynomial at a time, so an exact table's text is never held
         whole."""
         for piece in (self.to_csv(),) if fmt == "csv" else self._json_pieces():
             stream.write(piece)
 
     def _json_pieces(self):
         """The text of ``to_json``: head, values, row tails, the symbolic
-        block one row of entries at a time, and the closing brace."""
+        block one polynomial at a time, and the closing brace."""
         rows, cols = self.values.shape
         head = json.dumps(self._head(), indent=1)[:-2]  # without "\n}"
         x = np.concatenate([np.ravel(self.values), self.row_tails])
