@@ -20,9 +20,8 @@ _EXPORTS = {
     "series": ("Series2", "dft_extract_table"),
     "quadrature": ("QuadRule", "gauss_jacobi_half", "gauss_laguerre", "gauss_legendre"),
     "probtable": ("ProbTable",),
-    "forced": ("NuParam", "forced_gf_value", "forced_prob_table", "forced_sk", "forced_sum_rules"),
+    "forced": ("forced_gf_value", "forced_prob_table", "forced_sk", "forced_sum_rules"),
     "parametric": (
-        "RhoParam",
         "param_gf_value",
         "param_identity_eq6",
         "param_j_offdiag",
@@ -34,7 +33,6 @@ _EXPORTS = {
         "param_weighted_integrals",
     ),
     "singular": (
-        "WeightJ",
         "adiabatic_diag",
         "energy_level",
         "ground_row",

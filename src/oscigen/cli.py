@@ -114,7 +114,7 @@ def cmd_verify(suite, fmt):
 @click.option("--profile", "profile_path", type=click.Path(exists=True, dir_okay=False), required=True, help="JSON profile document.")
 @click.option("--what", type=click.Choice(["nu", "rho"]), required=True, help="Which excitation parameter to extract.")
 @click.option("--omega", type=float, default=None, help="Oscillator frequency (required for nu, refused for rho).")
-@click.option("--tol", type=float, default=1e-10, show_default=True, help="Step-doubling tolerance of the Magnus propagation, which only tabulated frequency profiles need; range-checked for every rho profile.")
+@click.option("--tol", type=float, default=1e-10, show_default=True, help="Step-doubling tolerance of the Magnus propagation, which only tabulated frequency profiles need; range-checked for every profile.")
 def cmd_excite(profile_path, what, omega, tol):
     """Extract the excitation parameter from a profile file and report the
     vacuum-row picture it implies as JSON."""

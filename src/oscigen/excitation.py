@@ -42,7 +42,6 @@ import numpy as np
 
 from .amplitude import forced_table, param_table
 from .errors import IntegrationError
-from .forced import NuParam
 from .parametric import param_mean_n
 from .profiles import ForceProfile, FrequencyProfile
 from .quadrature import gauss_legendre
@@ -117,7 +116,7 @@ def _tabulated_fourier(profile: ForceProfile, omega: float) -> complex:
     return total
 
 
-def nu_from_force(profile: ForceProfile, omega: float) -> NuParam:
+def nu_from_force(profile: ForceProfile, omega: float) -> float:
     """Excitation parameter nu >= 0 of a decaying drive at frequency omega."""
     if not isinstance(profile, ForceProfile):
         raise TypeError("nu extraction needs a force profile")
@@ -129,7 +128,7 @@ def nu_from_force(profile: ForceProfile, omega: float) -> NuParam:
         raise ValueError(
             f"nu = |F(omega)|^2 / (2 omega) overflows the double range at omega = {omega:g}"
         )
-    return NuParam(nu)
+    return nu
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +282,7 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
         return _sudden_result(profile, tol)
 
     wm, wp = profile.omega_minus, profile.omega_plus
-    t_start, t_end = profile.settle_times(rel=1e-15)
+    t_start, t_end = profile.settle_times()
     period = 2.0 * math.pi / wp
     # the settled frequency must hold for five periods before matching
     probe = np.linspace(t_end, t_end + 5.0 * period, 64)
@@ -380,12 +379,14 @@ def excitation_report(profile, omega: float | None = None,
     """Excitation parameter plus the vacuum-row picture it implies: the mean
     excited quantum number and the first eight vacuum-row probabilities.
 
-    A tanh ramp's rho comes from its closed form, with a Wronskian residual
-    of 0.0 like a constant profile's; ``tol`` is still range-checked."""
+    ``tol`` is range-checked for every profile.  A tanh ramp's rho comes
+    from its closed form, with a Wronskian residual of 0.0 like a constant
+    profile's, so neither it nor a force profile uses ``tol``."""
+    _check_tol(tol)
     if isinstance(profile, ForceProfile):
         if omega is None:
             raise ValueError("force profiles need the oscillator frequency omega")
-        nu = nu_from_force(profile, omega).value
+        nu = nu_from_force(profile, omega)
         return ExcitationReport("nu", nu, nu, tuple(forced_table(nu, 1, 8)[0].tolist()))
     if isinstance(profile, FrequencyProfile):
         if omega is not None:
@@ -393,7 +394,6 @@ def excitation_report(profile, omega: float | None = None,
                 "frequency profiles carry their own frequencies; omega applies to force profiles"
             )
         if profile.kind == "tanh_ramp":
-            _check_tol(tol)
             rho, residual = _tanh_ramp_rho(profile), 0.0
         else:
             result = bogoliubov_from_frequency(profile, tol=tol)

@@ -38,7 +38,6 @@ from .quadrature import gauss_laguerre
 from .series import Series2
 
 __all__ = [
-    "NuParam",
     "SumRuleRecord",
     "forced_gf_value",
     "forced_prob_table",
@@ -47,21 +46,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NuParam:
-    """Validated excitation parameter, finite and nu >= 0."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value < math.inf:
-            raise ValueError(f"nu must be nonnegative and finite, got {self.value}")
-
-
 def _nu_value(nu) -> float:
-    if isinstance(nu, NuParam):
-        return nu.value
-    return NuParam(float(nu)).value
+    """The excitation parameter as a float, finite and nu >= 0."""
+    nu = float(nu)
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
+    return nu
 
 
 def forced_gf_value(u, v, nu) -> complex:
@@ -157,7 +147,9 @@ def forced_sk(k: int, nu) -> float:
     """Anti-diagonal sum S_k(nu) = sum_{m+n=k} w_mn(nu).
 
     Closed form: e^{-nu} p_k(nu) with p_k the alternating partial sum of
-    Laguerre polynomials at 2 nu.
+    Laguerre polynomials at 2 nu.  Past nu ~ 705 the polynomials overflow
+    the double range before e^{-nu} scales them down, and that raises
+    ValueError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -166,6 +158,13 @@ def forced_sk(k: int, nu) -> float:
     nu_val = _nu_value(nu)
     # L_0..L_k(2 nu) by the forward recurrence, summed in order: Clenshaw
     # (lagval) drifts by ~70 ulp near nu = 0
-    ls = lagvander(2.0 * nu_val, k)[0]
-    ls[1::2] *= -1.0
-    return math.exp(-nu_val) * float(np.cumsum(ls)[-1])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ls = lagvander(2.0 * nu_val, k)[0]
+            ls[1::2] *= -1.0
+            total = float(np.cumsum(ls)[-1])
+    except FloatingPointError:
+        raise ValueError(
+            f"Laguerre polynomials at 2 nu overflow the double range at nu = {nu_val:g}, k = {k}"
+        ) from None
+    return math.exp(-nu_val) * total

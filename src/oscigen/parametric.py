@@ -39,7 +39,6 @@ from .quadrature import gauss_jacobi_half, gauss_legendre
 from .series import Series2
 
 __all__ = [
-    "RhoParam",
     "param_gf_value",
     "param_prob_table",
     "param_identity_eq6",
@@ -53,22 +52,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RhoParam:
-    """Validated excitation parameter rho in [0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.value}")
-
-
 def _rho_value(rho, open_top: bool = False) -> float:
-    val = rho.value if isinstance(rho, RhoParam) else RhoParam(float(rho)).value
-    if open_top and val == 1.0:
+    """The excitation parameter as a float in [0, 1], or in [0, 1) with
+    ``open_top``."""
+    rho = float(rho)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    if open_top and rho == 1.0:
         raise ValueError("rho = 1 excluded here (divergent quantity)")
-    return val
+    return rho
 
 
 def _checked_sqrt(z: np.ndarray, what: str) -> np.ndarray:

@@ -75,31 +75,6 @@ class ProbTable:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        out = {
-            **self._head(),
-            "values": np.asarray(self.values, dtype=float).tolist(),
-            "row_tails": np.asarray(self.row_tails, dtype=float).tolist(),
-        }
-        if self.symbolic is not None:
-            out["symbolic"] = {
-                "prefactor": self.symbolic.prefactor,
-                "variable": self.symbolic.variable,
-                "entries": [
-                    [[f"{c.numerator}/{c.denominator}" for c in p.coeffs] for p in row]
-                    for row in self.symbolic.entries
-                ],
-            }
-        return out
-
-    def _head(self) -> dict:
-        return {
-            "family": self.family,
-            "mode": self.mode,
-            "params": dict(self.params),
-            "size": [int(self.values.shape[0]), int(self.values.shape[1])],
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProbTable":
         """Rebuild a table from its JSON record and validate it, so a
@@ -136,10 +111,12 @@ class ProbTable:
         return "m\\n," + ",".join(map(str, range(cols))) + _strip(body) + "\n"
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=1)`` plus a final newline,
-        but with each float as the CSV writes it, ``"%.17g" % x``; NaN,
-        Infinity, -Infinity and -0.0 keep the spelling of ``json.dumps``, as
-        ``json.loads`` reads their "%.17g" text as no double or as +0.0."""
+        """The table's JSON document plus a final newline.  The text around
+        the numbers is what ``json.dumps(..., indent=1)`` writes for the
+        parsed document; each float is written as the CSV writes it,
+        ``"%.17g" % x``, but NaN, Infinity, -Infinity and -0.0 keep the
+        spelling of ``json.dumps``, as ``json.loads`` reads their "%.17g"
+        text as no double or as +0.0."""
         return "".join(self._json_pieces())
 
     def write(self, stream, fmt: str) -> None:
@@ -154,7 +131,9 @@ class ProbTable:
         """The text of ``to_json``: head, values, row tails, the symbolic
         block one polynomial at a time, and the closing brace."""
         rows, cols = self.values.shape
-        head = json.dumps(self._head(), indent=1)[:-2]  # without "\n}"
+        head = {"family": self.family, "mode": self.mode, "params": dict(self.params),
+                "size": [rows, cols]}
+        head = json.dumps(head, indent=1)[:-2]  # the text without "\n}"
         x = np.concatenate([np.ravel(self.values), self.row_tails])
         texts = _texts(x)
         for i in np.flatnonzero(~np.isfinite(x) | np.signbit(x) & (x == 0.0)):

@@ -307,9 +307,10 @@ class FrequencyProfile(_Tabulated):
             out = np.where(t > self.times[-1], self.values[-1] ** 2, out)
         return float(out) if out.ndim == 0 else out
 
-    def settle_times(self, rel: float = 1e-8) -> tuple[float, float]:
+    def settle_times(self) -> tuple[float, float]:
         """(t_start, t_end) outside of which |omega(t) - omega_-+| stays
-        below rel times the asymptote."""
+        below 1e-15 times the asymptote."""
+        rel = 1e-15
         p = self.params
         if self.kind == "constant":
             return 0.0, 0.0

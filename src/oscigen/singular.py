@@ -35,7 +35,6 @@ from .series import Series2
 
 __all__ = [
     "MIN_J",
-    "WeightJ",
     "AdiabaticRecord",
     "j_from_g",
     "energy_level",
@@ -54,31 +53,22 @@ __all__ = [
 MIN_J = -1e15
 
 
-@dataclass(frozen=True)
-class WeightJ:
-    """su(1,1) representation weight, MIN_J <= j < 0.  Values above -1/2
-    (like -1/4) do not come from any barrier strength g but are admitted
-    for the regular-oscillator sectors."""
-
-    value: float
-
-    def __post_init__(self):
-        if not MIN_J <= self.value < 0.0:
-            raise ValueError(f"weight j must be negative and at least {MIN_J:g}, got {self.value}")
-
-
 def _j_value(j) -> float:
-    if isinstance(j, WeightJ):
-        return j.value
-    return WeightJ(float(j)).value
+    """The su(1,1) representation weight as a float, MIN_J <= j < 0.  Values
+    above -1/2 (like -1/4) do not come from any barrier strength g but are
+    admitted for the regular-oscillator sectors."""
+    j = float(j)
+    if not MIN_J <= j < 0.0:
+        raise ValueError(f"weight j must be negative and at least {MIN_J:g}, got {j}")
+    return j
 
 
-def j_from_g(g: float) -> WeightJ:
+def j_from_g(g: float) -> float:
     """Level weight from the barrier strength: j = -1/2 - (1/4) sqrt(1+g),
     defined for g > -1."""
     if not g > -1.0:
         raise ValueError(f"barrier strength must exceed -1, got {g}")
-    return WeightJ(-0.5 - 0.25 * math.sqrt(1.0 + g))
+    return _j_value(-0.5 - 0.25 * math.sqrt(1.0 + g))
 
 
 def energy_level(n: int, omega: float, j) -> float:

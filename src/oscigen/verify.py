@@ -503,17 +503,11 @@ def _parametric_checks() -> list[CheckResult]:
 
 def _vacuum_row_sum(rho: float, j: float) -> float:
     """Sum of w_0n in order of n, up to the first n > 8 with w_0n < 1e-14 or
-    to n = 4095.  The kernel row is widened until it holds that n; entry n
-    of a row is the same double at every width."""
-    width = 256
-    while True:
-        row = amplitude.singular_table(rho, j, 1, width)[0]
-        stop = np.flatnonzero(row[9:] < 1e-14)
-        if stop.size or width == 4096:
-            break
-        width *= 4
+    to n = 4095, from one 4096-column kernel row."""
+    row = amplitude.singular_table(rho, j, 1, 4096)[0]
+    stop = np.flatnonzero(row[9:] < 1e-14)
     total = 0.0
-    for w in row[: 10 + stop[0] if stop.size else width].tolist():
+    for w in row[: 10 + stop[0] if stop.size else 4096].tolist():
         total += w
     return total
 
@@ -638,7 +632,7 @@ def _excitation_checks() -> list[CheckResult]:
     out = []
     wronskians = []
 
-    nu = nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), 1.0).value
+    nu = nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), 1.0)
     want = math.pi * math.exp(-0.5) / 2.0
     out.append(
         _check(
@@ -647,7 +641,7 @@ def _excitation_checks() -> list[CheckResult]:
         )
     )
 
-    nu0 = nu_from_force(ForceProfile.rectangular(1.0, 0.0, 2.0 * math.pi), 1.0).value
+    nu0 = nu_from_force(ForceProfile.rectangular(1.0, 0.0, 2.0 * math.pi), 1.0)
     out.append(
         _check(
             "excite.nu-full-period", "nu", abs(nu0), 1e-15,
@@ -656,7 +650,7 @@ def _excitation_checks() -> list[CheckResult]:
     )
 
     ts = np.arange(-8.0, 8.0 + 1e-9, 2.0 * math.pi / 64.0)
-    nut = nu_from_force(ForceProfile.tabulated(ts, np.exp(-(ts**2))), 1.0).value
+    nut = nu_from_force(ForceProfile.tabulated(ts, np.exp(-(ts**2))), 1.0)
     out.append(
         _check(
             "excite.nu-tabulated", "nu", abs(nut - want) / want, 1e-6,

@@ -217,7 +217,7 @@ def test_c09_oracle_equivalence():
 def test_c10_excitation_extraction():
     wronskians = []
 
-    nu = nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), 1.0).value
+    nu = nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), 1.0)
     want_nu = math.pi * math.exp(-0.5) / 2.0
     assert abs(nu - want_nu) < 1e-10
 

@@ -204,6 +204,20 @@ def test_excite_gaussian_value(runner, tmp_path):
     assert doc["nu"] == pytest.approx(math.pi * math.exp(-0.5) / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", ["1e-99", "nan"])
+@pytest.mark.parametrize("args, doc", [
+    (["--what", "nu", "--omega", "1"], {"kind": "gaussian", "f0": 1.0, "tau": 1.0, "t0": 0.0}),
+    (["--what", "rho"], {"kind": "constant", "omega": 1.0}),
+])
+def test_excite_tol_out_of_range_exit_2(runner, tmp_path, args, doc, tol):
+    # every profile range-checks --tol, those that do not use it too
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["excite", "--profile", str(path), *args, "--tol", tol])
+    assert result.exit_code == 2
+    assert result.stderr == "error: tol must lie in [1e-12, 1e-4]\n"
+
+
 def test_excite_parse_failure_exit_2(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ nope")
@@ -411,7 +425,7 @@ def test_excite_does_not_load_verify(tmp_path):
     path.write_text(json.dumps({"kind": "gaussian", "f0": 1.0, "tau": 1.0, "t0": 0.0}))
     loaded = _modules_after(["excite", "--profile", str(path), "--what", "nu", "--omega", "1"])
     assert {"oscigen.excitation", "oscigen.profiles"} <= loaded
-    assert "oscigen.verify" not in loaded
+    assert not {"oscigen.verify", "oscigen.forced"} & loaded
 
 
 def test_suite_choices_are_the_verify_suites():

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from oscigen.amplitude import forced_table
 from oscigen.domains import RatPoly
 from oscigen.errors import SingularEvaluationError
 from oscigen.forced import (
-    NuParam,
     forced_gf_value,
     forced_prob_table,
     forced_sk,
@@ -17,14 +17,13 @@ from oscigen.probtable import ProbTable
 
 
 def test_nu_param_validation():
-    NuParam(0.0)
-    NuParam(5.0)
-    with pytest.raises(ValueError):
-        NuParam(-0.1)
-    NuParam(np.finfo(float).max)
-    for nu in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            NuParam(nu)
+    for nu in (0.0, 5.0, np.finfo(float).max):
+        assert forced_prob_table(nu, size=1).params == {"nu": nu}
+    with pytest.raises(ValueError, match="nu must be nonnegative and finite, got -0.1"):
+        forced_prob_table(-0.1, size=1)
+    for nu in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"nu must be nonnegative and finite, got {nu}"):
+            forced_prob_table(nu, size=1)
 
 
 def test_gf_vacuum_amplitude():
@@ -121,6 +120,17 @@ def test_antidiagonal_spot_values():
     assert forced_sk(3, 1.0) == pytest.approx(4.0 / 3.0 * math.exp(-1.0), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_antidiagonal_sum_refuses_where_laguerre_overflows():
+    # L_k(2 nu) leaves the double range before e^{-nu} scales it down
+    for k, nu in ((500, 710.0), (8000, 706.0)):
+        with pytest.raises(ValueError, match=f"at nu = {nu:g}"):
+            forced_sk(k, nu)
+    w = forced_table(700.0, 1401, 1401)
+    diag = math.fsum(w[m, 1400 - m] for m in range(1401))
+    assert abs(forced_sk(1400, 700.0) - diag) <= 1e-14
+
+
 def test_table_symmetry_and_bounds():
     for mode in ("float", "exact"):
         table = forced_prob_table(2.0, size=10, mode=mode)
@@ -155,8 +165,7 @@ def test_bad_arguments_rejected():
 
 def test_json_round_trip_preserves_entries():
     table = forced_prob_table(1.5, size=6, mode="exact")
-    blob = json.dumps(table.to_json_dict())
-    back = ProbTable.from_json_dict(json.loads(blob))
+    back = ProbTable.from_json_dict(json.loads(table.to_json()))
     assert np.array_equal(back.values, table.values)
     assert np.array_equal(back.row_tails, table.row_tails)
     assert back.symbolic.entries == table.symbolic.entries

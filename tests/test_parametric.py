@@ -7,7 +7,6 @@ import pytest
 
 from oscigen.amplitude import param_table
 from oscigen.parametric import (
-    RhoParam,
     param_dispersion,
     param_gf_value,
     param_identity_eq6,
@@ -31,12 +30,11 @@ def exact_beta_sqrt(k: int, sign: int) -> Fraction:
 
 
 def test_rho_param_validation():
-    RhoParam(0.0)
-    RhoParam(1.0)
-    with pytest.raises(ValueError):
-        RhoParam(-0.01)
-    with pytest.raises(ValueError):
-        RhoParam(1.01)
+    for rho in (0.0, 1.0):
+        assert param_prob_table(rho, size=1).params == {"rho": rho}
+    for rho in (-0.01, 1.01, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"rho must lie in \[0, 1\], got {rho}"):
+            param_prob_table(rho, size=1)
 
 
 def test_gf_origin_and_degenerate_cases():

@@ -238,14 +238,6 @@ def test_non_square_table():
     assert table.to_csv().splitlines()[0] == "m\\n,0,1,2,3,4"
 
 
-def test_to_json_dict_values_are_python_floats():
-    table = forced_prob_table(1.5, size=4)
-    d = table.to_json_dict()
-    assert all(type(x) is float for row in d["values"] for x in row)
-    assert all(type(t) is float for t in d["row_tails"])
-    assert d["values"] == [[float(x) for x in row] for row in table.values]
-
-
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
 def test_empty_tables(shape):
     table = ProbTable("forced", {"nu": 1.0}, "float", np.zeros(shape), np.zeros(shape[0]))

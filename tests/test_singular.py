@@ -6,7 +6,6 @@ import pytest
 from oscigen import parametric, singular
 from oscigen.errors import SingularEvaluationError, TableInvariantError
 from oscigen.singular import (
-    WeightJ,
     adiabatic_diag,
     energy_level,
     ground_row,
@@ -18,15 +17,11 @@ from oscigen.singular import (
 
 
 def test_weight_validation():
-    WeightJ(-0.25)
-    with pytest.raises(ValueError):
-        WeightJ(0.0)
-    with pytest.raises(ValueError):
-        WeightJ(0.5)
-    WeightJ(singular.MIN_J)
-    for j in (np.nextafter(singular.MIN_J, -math.inf), -1e160, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="at least -1e\\+15"):
-            WeightJ(j)
+    assert energy_level(0, 1.0, -0.25) == 0.5
+    assert energy_level(0, 1.0, singular.MIN_J) == -2.0 * singular.MIN_J
+    for j in (0.0, 0.5, np.nextafter(singular.MIN_J, -math.inf), -1e160, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="weight j must be negative and at least -1e\\+15"):
+            energy_level(0, 1.0, j)
 
 
 @pytest.mark.parametrize("rho", [0.0, 1e-300, 5e-17, 2e-16, 1e-12, 1e-13, 5e-13, 0.5, 0.999999])
@@ -41,13 +36,16 @@ def test_lowest_weight_tables_validate_or_raise_the_invariant_error(rho):
 
 
 def test_weight_from_barrier_strength():
-    assert j_from_g(0.0).value == pytest.approx(-0.75, abs=1e-15)
-    assert j_from_g(3.0).value == pytest.approx(-1.0, abs=1e-15)
-    assert j_from_g(-1.0 + 1e-12).value == pytest.approx(-0.5, abs=1e-6)
+    assert type(j_from_g(0.0)) is float
+    assert j_from_g(0.0) == pytest.approx(-0.75, abs=1e-15)
+    assert j_from_g(3.0) == pytest.approx(-1.0, abs=1e-15)
+    assert j_from_g(-1.0 + 1e-12) == pytest.approx(-0.5, abs=1e-6)
     with pytest.raises(ValueError):
         j_from_g(-1.0)
     with pytest.raises(ValueError):
         j_from_g(-2.0)
+    with pytest.raises(ValueError, match="at least -1e\\+15"):
+        j_from_g(1e32)  # j = -2.5e15, below MIN_J
 
 
 def test_energy_levels():
