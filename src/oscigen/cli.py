@@ -8,8 +8,9 @@ Three commands:
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 bad parameters (including a table
-past the size caps: M <= 4097, and M <= 128 in exact mode) or unreadable
-profile, 3 integration failure, 4 table invariant violated.  Failures
+past the size caps: M <= 4097, and M <= 128 in exact mode, or an option its
+family does not take), an unreadable profile or an unwritable --output,
+3 integration failure, 4 table invariant violated.  Failures
 other than 1 print one ``error:`` line and no traceback.
 """
 
@@ -27,6 +28,9 @@ from .errors import IntegrationError, TableInvariantError
 # module that its command does not need.  The suite names are click choices,
 # needed before any command runs; a test pins them to ``verify.SUITES``.
 SUITE_NAMES = ("forced", "parametric", "singular", "excitation")
+
+# the parameter options each table family takes; it refuses the others
+_TABLE_OPTIONS = {"forced": ("--nu",), "parametric": ("--rho",), "singular": ("--rho", "--j")}
 
 
 def _fail(message: str, code: int):
@@ -52,22 +56,23 @@ def main():
 @click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None, help="Write to a file instead of stdout.")
 def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
     """Compute the M x M probability table of one oscillator FAMILY."""
+    given = {"--nu": nu, "--rho": rho, "--j": weight_j}
+    takes = _TABLE_OPTIONS[family]
     try:
+        for name, value in given.items():
+            if value is not None and name not in takes:
+                raise ValueError(f"{family} tables do not take {name}")
+        if any(given[name] is None for name in takes):
+            raise ValueError(f"{family} tables need {' and '.join(takes)}")
         if family == "forced":
-            if nu is None:
-                raise ValueError("forced tables need --nu")
             from .forced import forced_prob_table
 
             table = forced_prob_table(nu, size=size, mode=mode)
         elif family == "parametric":
-            if rho is None:
-                raise ValueError("parametric tables need --rho")
             from .parametric import param_prob_table
 
             table = param_prob_table(rho, size=size, mode=mode)
         else:
-            if rho is None or weight_j is None:
-                raise ValueError("singular tables need --rho and --j")
             if mode == "exact":
                 raise ValueError(
                     "the singular family is float-only (irrational exponent -2j)"
@@ -80,8 +85,11 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
     except TableInvariantError as exc:
         _fail(f"table invariant violated: {exc}", 4)
     if output:
-        with open(output, "w") as fh:
-            table.write(fh, fmt)
+        try:
+            with open(output, "w") as fh:
+                table.write(fh, fmt)
+        except OSError as exc:
+            _fail(str(exc), 2)
     else:
         # not click.echo, which runs a regex over the whole document to strip
         # ANSI codes when stdout is no terminal; a table holds none
@@ -119,17 +127,10 @@ def cmd_excite(profile_path, what, omega, tol):
     """Extract the excitation parameter from a profile file and report the
     vacuum-row picture it implies as JSON."""
     from .excitation import excitation_report
-    from .profiles import ProfileError, load_profile
+    from .profiles import load_profile
 
     try:
-        profile = load_profile(profile_path, what=what)
-    except ProfileError as exc:
-        _fail(str(exc), 2)
-    kind_ok = (what == "nu") == (type(profile).__name__ == "ForceProfile")
-    if not kind_ok:
-        _fail(f"profile kind {profile.kind!r} cannot yield {what}", 2)
-    try:
-        report = excitation_report(profile, omega=omega, tol=tol)
+        report = excitation_report(load_profile(profile_path, what=what), omega=omega, tol=tol)
     except (ValueError, TypeError) as exc:
         _fail(str(exc), 2)
     except IntegrationError as exc:

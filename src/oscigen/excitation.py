@@ -42,7 +42,6 @@ import numpy as np
 
 from .amplitude import forced_table, param_table
 from .errors import IntegrationError
-from .parametric import param_mean_n
 from .profiles import ForceProfile, FrequencyProfile
 from .quadrature import gauss_legendre
 
@@ -401,7 +400,7 @@ def excitation_report(profile, omega: float | None = None,
         return ExcitationReport(
             "rho",
             rho,
-            param_mean_n(0, rho),
+            rho / (1.0 - rho),  # the parametric <n>_0
             tuple(param_table(rho, 1, 8)[0].tolist()),
             wronskian_residual=residual,
         )

@@ -71,7 +71,10 @@ class ProbTable:
             raise TableInvariantError(f"row sum {sums.max():.17g} above one")
         deficit = 1.0 - sums
         if np.any(deficit > self.row_tails + 1e-15):
-            raise TableInvariantError("row tail bound below the actual deficit")
+            raise TableInvariantError(
+                "row tail below the deficit 1 - row sum: tables get their deficits as "
+                "tails, so only a tail edited below it in a JSON file trips this"
+            )
 
     # -- serialization -----------------------------------------------------
 
@@ -313,8 +316,8 @@ def _strip(text: np.ndarray) -> str:
 
 def make_table(family: str, params: dict, mode: str, values: np.ndarray,
                symbolic: SymbolicTable | None = None) -> ProbTable:
-    """Attach the row tail bounds to a grid of probabilities and validate the
-    resulting table."""
+    """Attach the row tails, each row's deficit max(0, 1 - row sum), to a grid
+    of probabilities and validate the resulting table."""
     tails = np.maximum(0.0, 1.0 - values.sum(axis=1))
     table = ProbTable(family, params, mode, values, tails, symbolic)
     table.validate()

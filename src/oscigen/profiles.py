@@ -23,8 +23,19 @@ import numpy as np
 
 __all__ = ["ForceProfile", "FrequencyProfile", "load_profile", "ProfileError"]
 
-_FORCE_KINDS = ("gaussian", "rectangular", "damped_cosine", "tabulated")
-_FREQ_KINDS = ("constant", "sudden_step", "tanh_ramp", "tabulated")
+# the fields of each closed-form kind
+_FORCE_FIELDS = {
+    "gaussian": ("f0", "tau", "t0"),
+    "rectangular": ("f0", "t_on", "t_off"),
+    "damped_cosine": ("f0", "gamma", "omega_d"),
+}
+_FREQ_FIELDS = {
+    "constant": ("omega",),
+    "sudden_step": ("omega_minus", "omega_plus", "t_jump"),
+    "tanh_ramp": ("omega2_minus", "omega2_plus", "T"),
+}
+_FORCE_KINDS = (*_FORCE_FIELDS, "tabulated")
+_FREQ_KINDS = (*_FREQ_FIELDS, "tabulated")
 
 _DECAY_REL = 1e-8
 _MAX_OMEGA = math.sqrt(np.finfo(float).max)  # largest omega whose square is finite
@@ -149,12 +160,7 @@ class ForceProfile(_Tabulated):
                     "tabulated force must start and end below 1e-8 of its peak"
                 )
         else:
-            needed = {
-                "gaussian": ("f0", "tau", "t0"),
-                "rectangular": ("f0", "t_on", "t_off"),
-                "damped_cosine": ("f0", "gamma", "omega_d"),
-            }[self.kind]
-            _check_fields(self.kind, self.params, needed)
+            _check_fields(self.kind, self.params, _FORCE_FIELDS[self.kind])
             if self.kind == "gaussian" and not self.params["tau"] > 0:
                 raise ProfileError("gaussian width tau must be positive")
             if self.kind == "rectangular" and not self.params["t_off"] > self.params["t_on"]:
@@ -224,12 +230,7 @@ class FrequencyProfile(_Tabulated):
                         "tabulated frequency must be flat at both ends"
                     )
         else:
-            needed = {
-                "constant": ("omega",),
-                "sudden_step": ("omega_minus", "omega_plus", "t_jump"),
-                "tanh_ramp": ("omega2_minus", "omega2_plus", "T"),
-            }[self.kind]
-            _check_fields(self.kind, self.params, needed)
+            _check_fields(self.kind, self.params, _FREQ_FIELDS[self.kind])
             p = self.params
             if self.kind == "constant" and not p["omega"] > 0:
                 raise ProfileError("omega must be positive")
@@ -362,20 +363,30 @@ def load_profile(source, what: str | None = None):
 
     ``what`` ("nu" or "rho") disambiguates tabulated data, which could feed
     either extractor; an explicit ``profile`` field ("force" or
-    "frequency") in the document takes precedence.
+    "frequency") in the document takes precedence.  A profile that cannot
+    yield ``what`` raises ``ProfileError``, and so does any ``ValueError``,
+    ``TypeError``, ``KeyError`` or ``OSError`` met while reading or
+    building it.
     """
+    try:
+        profile = _load(source, what)
+    except ProfileError:
+        raise
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        raise ProfileError(f"bad profile: {exc}") from exc
+    if what is not None and isinstance(profile, ForceProfile) != (what == "nu"):
+        raise ProfileError(f"profile kind {profile.kind!r} cannot yield {what}")
+    return profile
+
+
+def _load(source, what):
     base = Path(".")
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        base = path.parent
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ProfileError(f"invalid JSON in {path}: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = dict(source)
-    else:
+        base = Path(source).parent
+        source = json.loads(Path(source).read_text())
+    if not isinstance(source, dict):
         raise ProfileError(f"cannot load a profile from {type(source).__name__}")
+    doc = dict(source)
     if "kind" not in doc:
         raise ProfileError("profile document needs a 'kind' field")
     kind = doc.pop("kind")
@@ -398,20 +409,14 @@ def load_profile(source, what: str | None = None):
                 "tabulated profile is ambiguous: add a 'profile' field "
                 "('force' or 'frequency') or pass the target parameter"
             )
-    if kind == "tabulated":
-        if "csv" in doc:
-            times, values = _read_two_column_csv(base / doc.pop("csv"))
-        else:
-            times = doc.pop("times", None)
-            values = doc.pop("values", None)
-        if times is None or values is None:
-            raise ProfileError("tabulated profile needs times/values or a csv path")
-        cls = ForceProfile if family == "force" else FrequencyProfile
-        return cls.tabulated(times, values)
     cls = ForceProfile if family == "force" else FrequencyProfile
-    try:
+    if kind != "tabulated":
         return cls(kind, doc)
-    except ProfileError:
-        raise
-    except (TypeError, KeyError) as exc:
-        raise ProfileError(f"bad profile fields: {exc}") from exc
+    if "csv" in doc:
+        times, values = _read_two_column_csv(base / doc.pop("csv"))
+    else:
+        times = doc.pop("times", None)
+        values = doc.pop("values", None)
+    if times is None or values is None:
+        raise ProfileError("tabulated profile needs times/values or a csv path")
+    return cls.tabulated(times, values)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ _TOL_ORACLE = 1e-9
 
 @dataclass(frozen=True)
 class CheckResult:
-    check_id: str
+    id: str
     equation: str
     computed: str
     expected: str
@@ -50,44 +51,21 @@ class VerifyReport:
     checks: list[CheckResult] = field(default_factory=list)
     wall_time: float = 0.0
 
-    @property
-    def n_pass(self) -> int:
-        return sum(1 for c in self.checks if c.status == "pass")
-
-    @property
-    def n_fail(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
-
-    @property
-    def n_reported(self) -> int:
-        return sum(1 for c in self.checks if c.status == "reported-only")
+    def counts(self) -> Counter:
+        """Number of checks per status."""
+        return Counter(c.status for c in self.checks)
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.n_fail else 0
+        return 1 if self.counts()["fail"] else 0
 
     def to_json_dict(self) -> dict:
+        n = self.counts()
         return {
             "suite": self.suite,
             "wall_time": self.wall_time,
-            "summary": {
-                "pass": self.n_pass,
-                "fail": self.n_fail,
-                "reported_only": self.n_reported,
-            },
-            "checks": [
-                {
-                    "id": c.check_id,
-                    "equation": c.equation,
-                    "computed": c.computed,
-                    "expected": c.expected,
-                    "residual": c.residual,
-                    "tol": c.tol,
-                    "status": c.status,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "summary": {"pass": n["pass"], "fail": n["fail"], "reported_only": n["reported-only"]},
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def format_text(self) -> str:
@@ -95,14 +73,15 @@ class VerifyReport:
         for c in self.checks:
             tag = {"pass": "PASS", "fail": "FAIL", "reported-only": "NOTE"}[c.status]
             lines.append(
-                f"[{tag}] {c.check_id:<34} {c.equation:<10} "
+                f"[{tag}] {c.id:<34} {c.equation:<10} "
                 f"residual={c.residual:.3e} tol={c.tol:.1e}"
             )
             if c.note:
                 lines.append(f"       {c.note}")
+        n = self.counts()
         lines.append(
-            f"{self.n_pass} passed, {self.n_fail} failed, "
-            f"{self.n_reported} reported-only ({self.wall_time:.1f}s)"
+            f"{n['pass']} passed, {n['fail']} failed, "
+            f"{n['reported-only']} reported-only ({self.wall_time:.1f}s)"
         )
         return "\n".join(lines)
 
@@ -112,6 +91,12 @@ def _check(check_id, equation, residual, tol, computed="", expected="", note="")
     return CheckResult(
         check_id, equation, computed, expected, float(residual), tol, status, note
     )
+
+
+def _count(check_id, equation, bad, total, what) -> CheckResult:
+    """A check that passes when none of ``total`` cases is bad."""
+    return _check(check_id, equation, float(bad), 0.0,
+                  computed=f"{total - bad}/{total} {what}", expected=f"{total}/{total}")
 
 
 def _route_checks(prefix, cases) -> list[CheckResult]:
@@ -167,11 +152,8 @@ def _series_exact_check(prefix, grid, poly) -> CheckResult:
         for m in range(size)
         for n in range(size)
     )
-    return _check(
-        f"{prefix}.series-exact", "w_mn", float(bad), 0.0,
-        computed=f"{size * size - bad}/{size * size} series polynomials equal the closed form",
-        expected=f"{size * size}/{size * size}",
-    )
+    return _count(f"{prefix}.series-exact", "w_mn", bad, size * size,
+                  "series polynomials equal the closed form")
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +168,15 @@ def _forced_checks() -> list[CheckResult]:
     for m in range(9):
         for n in range(9):
             r = forced.forced_sum_rules(m, n)
-            if not (
-                r.norm == 1
-                and r.mean == m + n + 1
-                and r.variance == 2 * m * n + m + n + 1
-            ):
-                bad += 1
+            bad += (r.norm, r.mean, r.variance) != (1, m + n + 1, 2 * m * n + m + n + 1)
             for got, want in (
                 (r.norm_quad, 1.0),
                 (r.mean_quad, m + n + 1.0),
                 (r.variance_quad, 2.0 * m * n + m + n + 1.0),
             ):
                 worst_quad = max(worst_quad, abs(got - want) / want)
-    out.append(
-        _check(
-            "forced.sum-rules.exact", "moments", float(bad), 0.0,
-            computed=f"{81-bad}/81 triples exactly (1, m+n+1, 2mn+m+n+1)",
-            expected="81/81",
-        )
-    )
+    out.append(_count("forced.sum-rules.exact", "moments", bad, 81,
+                      "triples exactly (1, m+n+1, 2mn+m+n+1)"))
     out.append(
         _check(
             "forced.sum-rules.quadrature", "moments", worst_quad, 1e-12,
@@ -338,16 +310,10 @@ def _parametric_checks() -> list[CheckResult]:
     for m in range(11):
         for n in range(11):
             r = parametric.param_weighted_integrals(m, n)
-            if r.first != r.expected_first:
-                bad += 1
+            bad += r.first != r.expected_first
             worst_quad = max(worst_quad, abs(float(r.first) - r.first_quad))
-    out.append(
-        _check(
-            "param.weighted-first.exact", "1/(1-rho)", float(bad), 0.0,
-            computed=f"{121-bad}/121 equal (1+(-1)^(m+n))/(m+n+1) exactly",
-            expected="121/121",
-        )
-    )
+    out.append(_count("param.weighted-first.exact", "1/(1-rho)", bad, 121,
+                      "equal (1+(-1)^(m+n))/(m+n+1) exactly"))
     out.append(
         _check(
             "param.weighted-first.quadrature", "1/(1-rho)", worst_quad, 1e-10,
@@ -383,16 +349,10 @@ def _parametric_checks() -> list[CheckResult]:
     worst_quad = 0.0
     for n in range(7):
         r = parametric.param_jnn(n)
-        if r.closed_form != r.symbolic:
-            bad += 1
+        bad += r.closed_form != r.symbolic
         worst_quad = max(worst_quad, abs(float(r.closed_form) - r.quadrature))
-    out.append(
-        _check(
-            "param.diagonal-integral.exact", "J_nn", float(bad), 0.0,
-            computed=f"{7-bad}/7 match (1/(2n+1))[1 + 1/((2n+3)(2n-1))] exactly",
-            expected="7/7",
-        )
-    )
+    out.append(_count("param.diagonal-integral.exact", "J_nn", bad, 7,
+                      "match (1/(2n+1))[1 + 1/((2n+3)(2n-1))] exactly"))
     out.append(
         _check(
             "param.diagonal-integral.quadrature", "J_nn", worst_quad, 1e-10,

@@ -26,7 +26,7 @@ print(json.dumps({
     "absent": tracer.absent,
     "spans": len(series),
     "exact": sorted({c["exact"] for c in series if c}),
-    "failed": [c.check_id for c in report.checks if c.status == "fail"],
+    "failed": [c.id for c in report.checks if c.status == "fail"],
 }))
 """
 

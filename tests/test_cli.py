@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from oscigen.cli import main
 from oscigen.amplitude import MAX_EXACT_SIZE
 from oscigen.probtable import ProbTable
+from oscigen.profiles import ProfileError, load_profile
 from oscigen.series import MAX_WINDOW
 from oscigen.verify import run_suite
 
@@ -129,6 +130,32 @@ def test_table_invalid_parameters_exit_2(runner):
         assert result.exit_code == 2, args
         assert "error" in result.stderr
         assert result.stdout == ""
+
+
+@pytest.mark.parametrize("family, args, refused", [
+    ("forced", ["--nu", "1", "--rho", "0.5"], "--rho"),
+    ("forced", ["--nu", "1", "--j", "-1"], "--j"),
+    ("parametric", ["--rho", "0.5", "--j", "-1"], "--j"),
+    ("parametric", ["--rho", "0.5", "--nu", "1"], "--nu"),
+    ("singular", ["--rho", "0.5", "--j", "-1", "--nu", "1"], "--nu"),
+])
+def test_table_refuses_an_option_its_family_does_not_take(runner, family, args, refused):
+    # the option would be dropped without a word
+    result = runner.invoke(main, ["table", family, *args, "--max", "4"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {family} tables do not take {refused}\n"
+
+
+def test_table_unwritable_output_exit_2(runner, tmp_path):
+    out = tmp_path / "missing" / "t.csv"
+    result = runner.invoke(main, ["table", "forced", "--nu", "1", "--max", "4",
+                                  "--output", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_window_cap_environment(runner, monkeypatch):
@@ -425,7 +452,8 @@ def test_excite_does_not_load_verify(tmp_path):
     path.write_text(json.dumps({"kind": "gaussian", "f0": 1.0, "tau": 1.0, "t0": 0.0}))
     loaded = _modules_after(["excite", "--profile", str(path), "--what", "nu", "--omega", "1"])
     assert {"oscigen.excitation", "oscigen.profiles"} <= loaded
-    assert not {"oscigen.verify", "oscigen.forced"} & loaded
+    assert not {"oscigen.verify", "oscigen.forced", "oscigen.parametric",
+                "oscigen.probtable"} & loaded
 
 
 def test_suite_choices_are_the_verify_suites():
@@ -525,6 +553,36 @@ def test_overflowing_input_exits_2_under_warnings_as_errors(tmp_path, doc, args,
     assert message in out.stderr
 
 
+@pytest.mark.parametrize("doc, csv", [
+    pytest.param({"kind": "tabulated", "profile": "force", "times": ["a", 1, 2, 3],
+                  "values": [0, 1, 0, 0]}, None, id="string-time"),
+    pytest.param({"kind": "tabulated", "profile": "force", "times": [0, 1, 2, 3],
+                  "values": [0, [1, 2], 0, 0]}, None, id="ragged-values"),
+    pytest.param({"kind": "tabulated", "profile": "force", "csv": "p.csv"},
+                 "0,0\n1,abc\n2,0\n3,0\n", id="csv-non-numeric"),
+    pytest.param({"kind": "tabulated", "profile": "force", "csv": "missing.csv"},
+                 None, id="csv-missing"),
+    pytest.param(5, None, id="not-an-object"),
+    pytest.param({"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0},
+                 None, id="cannot-yield"),
+])
+def test_malformed_profile_exits_2_under_warnings_as_errors(tmp_path, doc, csv):
+    (tmp_path / "p.json").write_text(json.dumps(doc))
+    if csv is not None:
+        (tmp_path / "p.csv").write_text(csv)
+    with pytest.raises(ProfileError):
+        load_profile(tmp_path / "p.json", what="nu")
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "oscigen.cli", "excite", "--profile", "p.json",
+         "--what", "nu", "--omega", "1"],
+        cwd=tmp_path, env=_source_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("args", [
     # e^-nu underflows; 1 - rho rounds; 1 + k rounds to 1 for k = -2j
     pytest.param(["forced", "--nu", "1500", "--max", "2048"], id="forced-nu-1500"),
@@ -608,9 +666,9 @@ _VERIFY_ALL_IDS = (
 
 def test_verify_all_contract():
     report = run_suite("all")
-    assert [c.check_id for c in report.checks] == _VERIFY_ALL_IDS
+    assert [c.id for c in report.checks] == _VERIFY_ALL_IDS
     assert len(_VERIFY_ALL_IDS) == 49
-    statuses = {c.check_id: c.status for c in report.checks}
+    statuses = {c.id: c.status for c in report.checks}
     assert statuses.pop("param.weighted-second.reported") == "reported-only"
     assert set(statuses.values()) == {"pass"}
 
