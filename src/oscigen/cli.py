@@ -10,12 +10,13 @@ Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 bad parameters (including a table
 past the size caps: M <= 4097, and M <= 128 in exact mode, or an option its
 family does not take), an unreadable profile or an unwritable --output,
-3 integration failure, 4 table invariant violated.  Failures
-other than 1 print one ``error:`` line and no traceback.
+3 integration failure, 4 table invariant violated.  Failures other than 1,
+click's usage errors among them, print one ``error:`` line and no traceback.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 
@@ -29,8 +30,11 @@ from .errors import IntegrationError, TableInvariantError
 # needed before any command runs; a test pins them to ``verify.SUITES``.
 SUITE_NAMES = ("forced", "parametric", "singular", "excitation")
 
-# the parameter options each table family takes; it refuses the others
-_TABLE_OPTIONS = {"forced": ("--nu",), "parametric": ("--rho",), "singular": ("--rho", "--j")}
+# each table family: its builder in the module of the family's name, and the
+# parameter options it takes, in the builder's order; it refuses the others
+_TABLES = {"forced": ("forced_prob_table", ("--nu",)),
+           "parametric": ("param_prob_table", ("--rho",)),
+           "singular": ("singular_prob_table", ("--rho", "--j"))}
 
 
 def _fail(message: str, code: int):
@@ -38,7 +42,21 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; click's own usage errors (a bad value, an unknown or
+    missing option, argument or command) print one ``error:`` line too."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            _fail(" ".join(exc.format_message().split()), exc.exit_code)
+        except click.Abort:  # an interrupt, reported as click reports it
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 @click.version_option(version=__version__)
 def main():
     """Transition probabilities and sum rules for driven, parametric and
@@ -56,30 +74,17 @@ def main():
 @click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None, help="Write to a file instead of stdout.")
 def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
     """Compute the M x M probability table of one oscillator FAMILY."""
+    builder, takes = _TABLES[family]
     given = {"--nu": nu, "--rho": rho, "--j": weight_j}
-    takes = _TABLE_OPTIONS[family]
     try:
         for name, value in given.items():
             if value is not None and name not in takes:
                 raise ValueError(f"{family} tables do not take {name}")
         if any(given[name] is None for name in takes):
             raise ValueError(f"{family} tables need {' and '.join(takes)}")
-        if family == "forced":
-            from .forced import forced_prob_table
-
-            table = forced_prob_table(nu, size=size, mode=mode)
-        elif family == "parametric":
-            from .parametric import param_prob_table
-
-            table = param_prob_table(rho, size=size, mode=mode)
-        else:
-            if mode == "exact":
-                raise ValueError(
-                    "the singular family is float-only (irrational exponent -2j)"
-                )
-            from .singular import singular_prob_table
-
-            table = singular_prob_table(rho, weight_j, size=size)
+        # looked up when the command runs, so a patched builder is the one called
+        build = getattr(importlib.import_module(f".{family}", __package__), builder)
+        table = build(*(given[name] for name in takes), size=size, mode=mode)
     except (ValueError, TypeError) as exc:
         _fail(str(exc), 2)
     except TableInvariantError as exc:

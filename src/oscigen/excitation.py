@@ -172,15 +172,12 @@ def _below_one(rho: float, wm: float, wp: float) -> float:
     return rho
 
 
-def _sudden_result(profile: FrequencyProfile, tol: float) -> BogoliubovResult:
-    wm, wp = profile.params["omega_minus"], profile.params["omega_plus"]
-    tj = profile.params["t_jump"]
-    xi = cmath.exp(-1j * wm * tj) / math.sqrt(2.0 * wm)
-    xip = -1j * wm * xi
-    alpha, beta = _project(wp, tj, xi, xip)
+def _result(alpha: complex, beta: complex, wm: float, wp: float, steps: int,
+            tol: float) -> BogoliubovResult:
+    """The result of the coefficients (alpha, beta) between frequencies wm and wp."""
     rho = _below_one(abs(beta / alpha) ** 2, wm, wp)
     residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
-    return BogoliubovResult(alpha, beta, rho, residual, 0, tol)
+    return BogoliubovResult(alpha, beta, rho, residual, steps, tol)
 
 
 # Magnus steps per omega_sq call in _transfer: large enough to amortize the
@@ -277,11 +274,14 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     _check_tol(tol)
     if profile.kind == "constant":
         return BogoliubovResult(1.0 + 0.0j, 0.0j, 0.0, 0.0, 0, tol)
-    if profile.kind == "sudden_step":
-        return _sudden_result(profile, tol)
 
     wm, wp = profile.omega_minus, profile.omega_plus
     t_start, t_end = profile.settle_times()
+    xi0 = cmath.exp(-1j * wm * t_start) / math.sqrt(2.0 * wm)
+    xip0 = -1j * wm * xi0
+    if profile.kind == "sudden_step":  # omega jumps at t_start = t_end
+        return _result(*_project(wp, t_end, xi0, xip0), wm, wp, 0, tol)
+
     period = 2.0 * math.pi / wp
     # the settled frequency must hold for five periods before matching
     probe = np.linspace(t_end, t_end + 5.0 * period, 64)
@@ -290,9 +290,6 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
         raise IntegrationError(
             "frequency does not stay settled after its matching time"
         )
-
-    xi0 = cmath.exp(-1j * wm * t_start) / math.sqrt(2.0 * wm)
-    xip0 = -1j * wm * xi0
 
     def coefficients(steps):
         m00, m01, m10, m11 = _transfer(profile.omega_sq, t_start, t_end, steps)
@@ -318,9 +315,7 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
         alpha, beta = coefficients(steps)
         if max(abs(alpha - coarse[0]), abs(beta - coarse[1])) <= tol * abs(alpha):
             break
-    rho = _below_one(abs(beta / alpha) ** 2, wm, wp)
-    residual = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
-    return BogoliubovResult(alpha, beta, rho, residual, steps, tol)
+    return _result(alpha, beta, wm, wp, steps, tol)
 
 
 def _tanh_ramp_rho(profile: FrequencyProfile) -> float:

@@ -30,10 +30,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import forced_poly, forced_table, poly_grid
+from .amplitude import forced_poly, forced_table
 from .domains import FLOAT, POLY, RatPoly
 from .errors import SingularEvaluationError
-from .probtable import ProbTable, SymbolicTable, make_table
+from .probtable import ProbTable, make_table
 from .quadrature import gauss_laguerre
 from .series import Series2
 
@@ -93,16 +93,8 @@ def forced_prob_table(nu, size: int = 16, mode: str = "float") -> ProbTable:
     In exact mode the symbolic polynomials (the e^{nu}-free part of each
     entry) ride along with the numeric values.
     """
-    nu_val = _nu_value(nu)
-    if size < 1:
-        raise ValueError("size must be positive")
-    if mode not in ("float", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    values = forced_table(nu_val, size, size)
-    symbolic = None
-    if mode == "exact":
-        symbolic = SymbolicTable("exp(-nu)", "nu", poly_grid(forced_poly, size))
-    return make_table("forced", {"nu": nu_val}, mode, values, symbolic)
+    return make_table("forced", {"nu": _nu_value(nu)}, size, mode, forced_table,
+                      ("exp(-nu)", "nu", forced_poly))
 
 
 @dataclass(frozen=True)

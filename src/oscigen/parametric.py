@@ -31,10 +31,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import param_poly, param_table, poly_grid
+from .amplitude import param_poly, param_table
 from .domains import FLOAT, POLY, RatPoly
 from .errors import SingularEvaluationError
-from .probtable import ProbTable, SymbolicTable, make_table
+from .probtable import ProbTable, make_table
 from .quadrature import gauss_jacobi_half, gauss_legendre
 from .series import Series2
 
@@ -105,16 +105,8 @@ def _float_grid(rho_val: float, max_m: int, max_n: int) -> np.ndarray:
 
 def param_prob_table(rho, size: int = 16, mode: str = "float") -> ProbTable:
     """Table of w_mn(rho); exact mode carries the q_mn polynomials."""
-    rho_val = _rho_value(rho)
-    if size < 1:
-        raise ValueError("size must be positive")
-    if mode not in ("float", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    values = param_table(rho_val, size, size)
-    symbolic = None
-    if mode == "exact":
-        symbolic = SymbolicTable("sqrt(1-rho)", "rho", poly_grid(param_poly, size))
-    return make_table("parametric", {"rho": rho_val}, mode, values, symbolic)
+    return make_table("parametric", {"rho": _rho_value(rho)}, size, mode, param_table,
+                      ("sqrt(1-rho)", "rho", param_poly))
 
 
 # -- closed-form identities --------------------------------------------------

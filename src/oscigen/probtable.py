@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .amplitude import poly_grid
 from .domains import RatPoly
 from .errors import TableInvariantError
 
@@ -314,10 +315,21 @@ def _strip(text: np.ndarray) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def make_table(family: str, params: dict, mode: str, values: np.ndarray,
-               symbolic: SymbolicTable | None = None) -> ProbTable:
-    """Attach the row tails, each row's deficit max(0, 1 - row sum), to a grid
-    of probabilities and validate the resulting table."""
+def make_table(family: str, params: dict, size: int, mode: str, kernel,
+               exact: tuple | None = None) -> ProbTable:
+    """The front end of the three table builders: check ``size`` and ``mode``,
+    take the values from ``kernel(*params.values(), size, size)`` and, in exact
+    mode, the polynomials from ``exact``, (prefactor, variable, poly(m, n)).
+    Each row's tail is its deficit max(0, 1 - row sum); the table is validated."""
+    if size < 1:
+        raise ValueError("size must be positive")
+    if mode not in ("float", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    values = kernel(*params.values(), size, size)
+    symbolic = None
+    if mode == "exact":
+        prefactor, variable, poly = exact
+        symbolic = SymbolicTable(prefactor, variable, poly_grid(poly, size))
     tails = np.maximum(0.0, 1.0 - values.sum(axis=1))
     table = ProbTable(family, params, mode, values, tails, symbolic)
     table.validate()

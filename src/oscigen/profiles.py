@@ -34,8 +34,6 @@ _FREQ_FIELDS = {
     "sudden_step": ("omega_minus", "omega_plus", "t_jump"),
     "tanh_ramp": ("omega2_minus", "omega2_plus", "T"),
 }
-_FORCE_KINDS = (*_FORCE_FIELDS, "tabulated")
-_FREQ_KINDS = (*_FREQ_FIELDS, "tabulated")
 
 _DECAY_REL = 1e-8
 _MAX_OMEGA = math.sqrt(np.finfo(float).max)  # largest omega whose square is finite
@@ -126,7 +124,32 @@ class _NotAKnotSpline:
         return ((c3 * d + c2) * d + s) * d + y
 
 
-class _Tabulated:
+@dataclass(frozen=True)
+class _Profile:
+    """A profile of one family (``_NAME``): a closed-form ``kind`` of
+    ``_FIELDS`` with its ``params``, or "tabulated" ``times`` and
+    ``values``, which the family's ``_check`` admits."""
+
+    kind: str
+    params: dict = field(default_factory=dict)
+    times: np.ndarray | None = None
+    values: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind == "tabulated":
+            t, v = _tabulated_arrays(self.times, self.values)
+            object.__setattr__(self, "times", t)
+            object.__setattr__(self, "values", v)
+        elif isinstance(self.kind, str) and self.kind in self._FIELDS:  # a list is no kind
+            _check_fields(self.kind, self.params, self._FIELDS[self.kind])
+        else:
+            raise ProfileError(f"unknown {self._NAME} profile kind {self.kind!r}")
+        self._check(self.params)
+
+    @classmethod
+    def tabulated(cls, times, values):
+        return cls("tabulated", {}, times=times, values=values)
+
     @cached_property
     def spline(self) -> _NotAKnotSpline:
         """Cubic spline through the tabulated samples, built once per
@@ -135,38 +158,23 @@ class _Tabulated:
         return _NotAKnotSpline(self.times, self.values)
 
 
-@dataclass(frozen=True)
-class ForceProfile(_Tabulated):
+class ForceProfile(_Profile):
     """Driving force f(t); kinds: gaussian, rectangular, damped_cosine,
     tabulated."""
 
-    kind: str
-    params: dict = field(default_factory=dict)
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
+    _NAME, _FIELDS = "force", _FORCE_FIELDS
 
-    def __post_init__(self):
-        if self.kind not in _FORCE_KINDS:
-            raise ProfileError(f"unknown force profile kind {self.kind!r}")
+    def _check(self, p):
         if self.kind == "tabulated":
-            t, v = _tabulated_arrays(self.times, self.values)
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "values", v)
-            peak = float(np.max(np.abs(v)))
-            if peak == 0.0:
-                return
-            if abs(v[0]) > _DECAY_REL * peak or abs(v[-1]) > _DECAY_REL * peak:
-                raise ProfileError(
-                    "tabulated force must start and end below 1e-8 of its peak"
-                )
-        else:
-            _check_fields(self.kind, self.params, _FORCE_FIELDS[self.kind])
-            if self.kind == "gaussian" and not self.params["tau"] > 0:
-                raise ProfileError("gaussian width tau must be positive")
-            if self.kind == "rectangular" and not self.params["t_off"] > self.params["t_on"]:
-                raise ProfileError("rectangular window must have t_off > t_on")
-            if self.kind == "damped_cosine" and not self.params["gamma"] > 0:
-                raise ProfileError("damping gamma must be positive")
+            peak = float(np.max(np.abs(self.values)))
+            if peak and max(abs(self.values[0]), abs(self.values[-1])) > _DECAY_REL * peak:
+                raise ProfileError("tabulated force must start and end below 1e-8 of its peak")
+        elif self.kind == "gaussian" and not p["tau"] > 0:
+            raise ProfileError("gaussian width tau must be positive")
+        elif self.kind == "rectangular" and not p["t_off"] > p["t_on"]:
+            raise ProfileError("rectangular window must have t_off > t_on")
+        elif self.kind == "damped_cosine" and not p["gamma"] > 0:
+            raise ProfileError("damping gamma must be positive")
 
     @classmethod
     def gaussian(cls, f0: float, tau: float, t0: float = 0.0) -> "ForceProfile":
@@ -179,10 +187,6 @@ class ForceProfile(_Tabulated):
     @classmethod
     def damped_cosine(cls, f0: float, gamma: float, omega_d: float) -> "ForceProfile":
         return cls("damped_cosine", {"f0": f0, "gamma": gamma, "omega_d": omega_d})
-
-    @classmethod
-    def tabulated(cls, times, values) -> "ForceProfile":
-        return cls("tabulated", {}, times=times, values=values)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -200,24 +204,16 @@ class ForceProfile(_Tabulated):
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class FrequencyProfile(_Tabulated):
+class FrequencyProfile(_Profile):
     """Oscillator frequency omega(t); kinds: constant, sudden_step,
     tanh_ramp, tabulated.  tanh_ramp interpolates omega^2 between its
     asymptotes: omega^2(t) = w2m + (w2p - w2m)(1 + tanh(t/T))/2."""
 
-    kind: str
-    params: dict = field(default_factory=dict)
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
+    _NAME, _FIELDS = "frequency", _FREQ_FIELDS
 
-    def __post_init__(self):
-        if self.kind not in _FREQ_KINDS:
-            raise ProfileError(f"unknown frequency profile kind {self.kind!r}")
+    def _check(self, p):
         if self.kind == "tabulated":
-            t, v = _tabulated_arrays(self.times, self.values)
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "values", v)
+            t, v = self.times, self.values
             if np.any(v <= 0):
                 raise ProfileError("omega(t) must stay positive")
             if np.any(v > _MAX_OMEGA):
@@ -226,23 +222,16 @@ class FrequencyProfile(_Tabulated):
                 )
             for side in (v[: max(2, t.size // 16)], v[-max(2, t.size // 16):]):
                 if np.max(np.abs(side - side[-1])) > 1e-6 * side[-1]:
-                    raise ProfileError(
-                        "tabulated frequency must be flat at both ends"
-                    )
-        else:
-            _check_fields(self.kind, self.params, _FREQ_FIELDS[self.kind])
-            p = self.params
-            if self.kind == "constant" and not p["omega"] > 0:
-                raise ProfileError("omega must be positive")
-            if self.kind == "sudden_step" and not (
-                p["omega_minus"] > 0 and p["omega_plus"] > 0
-            ):
-                raise ProfileError("asymptotic frequencies must be positive")
-            if self.kind == "tanh_ramp":
-                if not (p["omega2_minus"] > 0 and p["omega2_plus"] > 0):
-                    raise ProfileError("omega^2 asymptotes must be positive")
-                if not p["T"] > 0:
-                    raise ProfileError("ramp time T must be positive")
+                    raise ProfileError("tabulated frequency must be flat at both ends")
+        elif self.kind == "constant" and not p["omega"] > 0:
+            raise ProfileError("omega must be positive")
+        elif self.kind == "sudden_step" and not (p["omega_minus"] > 0 and p["omega_plus"] > 0):
+            raise ProfileError("asymptotic frequencies must be positive")
+        elif self.kind == "tanh_ramp":
+            if not (p["omega2_minus"] > 0 and p["omega2_plus"] > 0):
+                raise ProfileError("omega^2 asymptotes must be positive")
+            if not p["T"] > 0:
+                raise ProfileError("ramp time T must be positive")
 
     @classmethod
     def constant(cls, omega: float) -> "FrequencyProfile":
@@ -264,31 +253,19 @@ class FrequencyProfile(_Tabulated):
             {"omega2_minus": omega2_minus, "omega2_plus": omega2_plus, "T": T},
         )
 
-    @classmethod
-    def tabulated(cls, times, values) -> "FrequencyProfile":
-        return cls("tabulated", {}, times=times, values=values)
-
-    @property
-    def omega_minus(self) -> float:
+    def _asymptote(self, end: str) -> float:
+        """omega at t -> -inf (``end`` "minus") or +inf ("plus")."""
         p = self.params
         if self.kind == "constant":
             return p["omega"]
         if self.kind == "sudden_step":
-            return p["omega_minus"]
+            return p["omega_" + end]
         if self.kind == "tanh_ramp":
-            return math.sqrt(p["omega2_minus"])
-        return float(self.values[0])
+            return math.sqrt(p["omega2_" + end])
+        return float(self.values[0 if end == "minus" else -1])
 
-    @property
-    def omega_plus(self) -> float:
-        p = self.params
-        if self.kind == "constant":
-            return p["omega"]
-        if self.kind == "sudden_step":
-            return p["omega_plus"]
-        if self.kind == "tanh_ramp":
-            return math.sqrt(p["omega2_plus"])
-        return float(self.values[-1])
+    omega_minus = property(lambda self: self._asymptote("minus"))
+    omega_plus = property(lambda self: self._asymptote("plus"))
 
     def omega_sq(self, t):
         """omega^2(t), the coefficient of the oscillator equation, for an
@@ -395,15 +372,16 @@ def _load(source, what):
             f"profile field must be 'force' or 'frequency', got {doc['profile']!r}"
         )
     family = doc.pop("profile", None)
+    named = isinstance(kind, str)  # a JSON list or object is no kind
     if family is None:
-        if kind in _FORCE_KINDS and kind not in _FREQ_KINDS:
+        if named and kind in _FORCE_FIELDS:
             family = "force"
-        elif kind in _FREQ_KINDS and kind not in _FORCE_KINDS:
+        elif named and kind in _FREQ_FIELDS:
             family = "frequency"
-        elif what == "nu":
-            family = "force"
-        elif what == "rho":
-            family = "frequency"
+        elif what in ("nu", "rho"):
+            family = "force" if what == "nu" else "frequency"
+        elif kind != "tabulated":
+            raise ProfileError(f"unknown profile kind {kind!r}")
         else:
             raise ProfileError(
                 "tabulated profile is ambiguous: add a 'profile' field "

@@ -44,27 +44,26 @@ class QuadRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def _legendre_newton(n: int, tol: float = 1e-15) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Chebyshev initial guess, then Newton on P_n evaluated by recurrence.
-    k = np.arange(n)
-    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
-    for _ in range(100):
+    def legendre(x):  # P_n(x) and P_n'(x)
         p_prev = np.zeros_like(x)
         p = np.ones_like(x)
         for s in range(n):
             p_prev, p = p, ((2 * s + 1) * x * p - s * p_prev) / (s + 1)
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    k = np.arange(n)
+    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(x)
         dx = p / dp
         x = x - dx
-        if np.max(np.abs(dx)) < tol:
+        if np.max(np.abs(dx)) < 1e-15:
             break
     else:
         raise RuntimeError("Legendre node iteration failed to converge")
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    for s in range(n):
-        p_prev, p = p, ((2 * s + 1) * x * p - s * p_prev) / (s + 1)
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    dp = legendre(x)[1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
     return x[order], w[order]
@@ -75,8 +74,6 @@ def gauss_legendre(n: int) -> QuadRule:
     """n-point rule for the plain integral over [0, 1]."""
     if not 1 <= n <= 256:
         raise ValueError("node count out of range 1..256")
-    if n == 1:
-        return QuadRule("legendre", 1, np.array([0.5]), np.array([1.0]))
     x, w = _legendre_newton(n)
     return QuadRule("legendre", n, (x + 1.0) / 2.0, w / 2.0)
 

@@ -135,15 +135,13 @@ def _float_grid(rho_val: float, j_val: float, max_m: int, max_n: int) -> np.ndar
     return _one_minus_pow(rho_val, -2.0 * j_val) * (power * geom).rows
 
 
-def singular_prob_table(rho, j, size: int = 16) -> ProbTable:
-    """Table of w_mn for the singular family (float mode only; the general
-    exponent -2j is irrational)."""
-    rho_val = _rho_value(rho, open_top=True)
-    j_val = _j_value(j)
-    if size < 1:
-        raise ValueError("size must be positive")
-    values = singular_table(rho_val, j_val, size, size)
-    return make_table("singular", {"rho": rho_val, "j": j_val}, "float", values)
+def singular_prob_table(rho, j, size: int = 16, mode: str = "float") -> ProbTable:
+    """Table of w_mn for the singular family.  It has no exact mode: the
+    general exponent -2j is irrational."""
+    if mode == "exact":
+        raise ValueError("the singular family is float-only (irrational exponent -2j)")
+    params = {"rho": _rho_value(rho, open_top=True), "j": _j_value(j)}
+    return make_table("singular", params, size, mode, singular_table)
 
 
 def ground_row(n: int, rho, j) -> float:

@@ -4,9 +4,10 @@ Every closed-form identity of the three families is rechecked here: sum rules,
 anti-diagonal sums, the weighted integrals over rho, the row moments (from the
 generating function and from fixed 2049-column kernel tables), the closed-form
 vacuum rows, the singular-family reductions and the excitation extractors.  One
-check is special: the second weighted-integral identity disagrees with the
-value this package derives (1/2 for the (0,2) entry and 3/4 for (1,3)
-instead of 1), so it is *reported only* and never fails a run.
+check is special: the quoted second weighted integral (1 + (-1)^(m+n)) / |m - n|
+is the large-m limit of the value this package derives, not an identity (along
+n = m + 2, exact ``param_weighted_integrals`` give 1 - I = 1/2 at m = 0, 0.036 at
+m = 16 and 0.013 at m = 48), so it is *reported only* and never fails a run.
 """
 
 from __future__ import annotations

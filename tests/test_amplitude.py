@@ -236,13 +236,15 @@ def test_exact_tables_enforce_the_size_cap():
 
 
 def test_invariant_failures_are_typed():
-    bad = np.array([[0.5, 0.2], [0.1, 0.5]])
+    def kernel(values):
+        return lambda nu, rows, cols: np.array(values)
+
     with pytest.raises(TableInvariantError, match="asymmetry"):
-        make_table("forced", {"nu": 1.0}, "float", bad)
+        make_table("forced", {"nu": 1.0}, 2, "float", kernel([[0.5, 0.2], [0.1, 0.5]]))
     with pytest.raises(TableInvariantError, match="negative"):
-        make_table("forced", {"nu": 1.0}, "float", np.array([[-0.1]]))
+        make_table("forced", {"nu": 1.0}, 1, "float", kernel([[-0.1]]))
     with pytest.raises(TableInvariantError, match="NaN"):
-        make_table("forced", {"nu": 1.0}, "float", np.array([[math.nan]]))
+        make_table("forced", {"nu": 1.0}, 1, "float", kernel([[math.nan]]))
 
 
 # -- certified closed forms --------------------------------------------------

@@ -713,3 +713,65 @@ def test_table_invariant_violation_exit_4(runner, monkeypatch):
     assert result.stderr.startswith("error: table invariant violated")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("family, builder, params", [
+    ("parametric", "param_prob_table", ["--rho", "0.3"]),
+    ("singular", "singular_prob_table", ["--rho", "0.3", "--j", "-1"]),
+])
+def test_table_calls_the_family_builder(runner, monkeypatch, family, builder, params):
+    import importlib
+
+    module = importlib.import_module(f"oscigen.{family}")
+    real, calls = getattr(module, builder), []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, builder, spy)
+    result = runner.invoke(main, ["table", family, *params, "--max", "4"])
+    assert result.exit_code == 0
+    assert calls == [(tuple(float(x) for x in params[1::2]), {"size": 4, "mode": "float"})]
+
+
+# click's own usage errors: each prints one error: line with click's message
+USAGE_ERRORS = [
+    (["table", "forced", "--nu", "abc"], "Invalid value for '--nu': 'abc' is not a valid float."),
+    (["table", "forced", "--nu", "1", "--bogus", "2"], "No such option"),
+    (["table"], "Missing argument '{forced|parametric|singular}'. Choose from: forced, parametric, singular"),
+    (["excite", "--what", "nu"], "Missing option '--profile'."),
+    (["excite", "--profile", "nothere.json", "--what", "nu"], "'nothere.json' does not exist."),
+    (["nosuch"], "No such command 'nosuch'."),
+    ([], "Missing command."),
+]
+
+
+@pytest.mark.parametrize("args, message", USAGE_ERRORS,
+                         ids=["bad-value", "unknown-option", "no-family", "no-profile",
+                              "missing-profile", "unknown-command", "no-command"])
+def test_click_usage_errors_print_one_error_line(runner, monkeypatch, tmp_path, args, message):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and message in result.stderr
+
+
+def test_usage_error_of_the_module_entry_point(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "oscigen.cli", "table", "forced", "--nu", "abc"],
+        capture_output=True, text=True, cwd=tmp_path, env=_source_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: Invalid value for '--nu': 'abc' is not a valid float.\n"
+
+
+def test_help_is_not_an_error(runner):
+    for args in (["--help"], ["table", "--help"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ")
+        assert result.stderr == ""

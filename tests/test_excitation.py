@@ -103,6 +103,19 @@ def test_load_tabulated_needs_disambiguation(tmp_path):
     assert isinstance(load_profile(doc), ForceProfile)
 
 
+def test_load_profile_names_an_unknown_kind():
+    doc = {"kind": "sawtooth", "f0": 1.0}
+    with pytest.raises(ProfileError, match="^unknown profile kind 'sawtooth'$"):
+        load_profile(doc)
+    with pytest.raises(ProfileError, match="^unknown force profile kind 'sawtooth'$"):
+        load_profile(doc, what="nu")
+    with pytest.raises(ProfileError, match="^unknown frequency profile kind 'sawtooth'$"):
+        load_profile(doc, what="rho")
+    # a JSON list is no kind, and no key either
+    with pytest.raises(ProfileError, match=r"^unknown force profile kind \[1\]$"):
+        load_profile({"kind": [1]}, what="nu")
+
+
 @pytest.mark.parametrize("kind", ["tabulated", "gaussian"])
 @pytest.mark.parametrize("family", ["banana", "", 1, None])
 def test_load_profile_refuses_an_unknown_profile_field(kind, family):
@@ -201,10 +214,12 @@ def test_rho_sudden_step():
     r = bogoliubov_from_frequency(FrequencyProfile.sudden_step(1.0, 2.0))
     assert r.rho == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert r.wronskian_residual < 1e-12
+    assert r.steps == 0  # matched at the jump, not propagated
     # general jump formula ((w+ - w-)/(w+ + w-))^2
     r = bogoliubov_from_frequency(FrequencyProfile.sudden_step(0.7, 1.9, t_jump=2.0))
     want = ((1.9 - 0.7) / (1.9 + 0.7)) ** 2
     assert r.rho == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert r.steps == 0
 
 
 @pytest.mark.parametrize("omega_plus", [1e17, 1e-17])

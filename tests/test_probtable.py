@@ -91,7 +91,7 @@ def assert_writers_exact(table: ProbTable) -> None:
 BUILDERS = {
     "forced": lambda size, mode: forced_prob_table(3.7, size=size, mode=mode),
     "parametric": lambda size, mode: param_prob_table(0.61, size=size, mode=mode),
-    "singular": lambda size, mode: singular_prob_table(0.61, -1.3, size=size),
+    "singular": lambda size, mode: singular_prob_table(0.61, -1.3, size=size, mode=mode),
 }
 
 
@@ -104,7 +104,7 @@ def _parametric(rho):
 
 
 def _singular(rho, j):
-    return lambda size, mode: singular_prob_table(rho, j, size=size)
+    return lambda size, mode: singular_prob_table(rho, j, size=size, mode=mode)
 
 
 # The M = 256 cases reach entries below 1e-300 and subnormal (nu = 1e-6,
@@ -122,6 +122,17 @@ FLOAT_CASES = [
 @pytest.mark.parametrize("build, size", FLOAT_CASES)
 def test_float_tables_byte_identical(build, size):
     assert_writers_exact(build(size, "float"))
+
+
+def test_singular_tables_refuse_exact_mode():
+    with pytest.raises(ValueError, match=r"^the singular family is float-only \(irrational exponent -2j\)$"):
+        singular_prob_table(0.5, -1.0, size=4, mode="exact")
+
+
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+def test_builders_refuse_an_unknown_mode(family):
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        BUILDERS[family](4, "bogus")
 
 
 @pytest.mark.parametrize("size", [1, 2, 16, 17])
