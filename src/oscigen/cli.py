@@ -109,9 +109,9 @@ def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
 def cmd_verify(suite, fmt):
     """Re-derive and check every identity of the selected suite.
 
-    The second weighted-integral identity is reported but never gates the
-    result (its conventional right-hand side disagrees with the value the tables
-    give).  Exit code 0 when nothing failed.
+    The second weighted integral is reported but never gates the result:
+    its commonly quoted right-hand side is the large-m limit of the value the
+    tables give, not an identity.  Exit code 0 when nothing failed.
     """
     from .verify import run_suite
 

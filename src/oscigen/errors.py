@@ -21,9 +21,8 @@ class OracleFailureError(RuntimeError):
 
 
 class TableInvariantError(RuntimeError):
-    """A probability table broke one of its invariants: entries in [0, 1],
-    symmetry, row sums at most one and each row tail at least the row's
-    deficit max(0, 1 - row sum)."""
+    """A probability table broke one of its invariants (entries in [0, 1],
+    symmetry, row sums at most one), or a JSON record holds no table."""
 
 
 class IntegrationError(RuntimeError):

@@ -153,8 +153,8 @@ class WeightedIntegralRecord:
     and the closed-form values they are usually quoted against.
 
     The first identity holds and is asserted elsewhere; the second is
-    reported only (the computed value and the quoted formula disagree, see
-    the verifier's note)."""
+    reported only: the quoted formula is the large-m limit of the computed
+    value, not an identity (see the verifier's note)."""
 
     first: Fraction
     first_quad: float

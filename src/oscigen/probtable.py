@@ -32,24 +32,17 @@ class SymbolicTable:
 @dataclass(frozen=True)
 class ProbTable:
     """Matrix of transition probabilities w[m][n] for one family at a fixed
-    excitation parameter, with per-row truncation tails.
-
-    ``row_tails[m]`` is the mass of row m outside the table if the entries
-    are right.  ``make_table`` sets it to the deficit ``max(0, 1 - row_sum)``,
-    not to an independent bound, so ``validate`` cannot see a row that is
-    uniformly too small: a row of zeros passes with tail 1.
-    """
+    excitation parameter.  Row m's mass outside the table is 1 minus its
+    row sum, by the zeroth sum rule."""
 
     family: str
     params: dict
     mode: str
     values: np.ndarray
-    row_tails: np.ndarray
     symbolic: SymbolicTable | None = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        self.row_tails.setflags(write=False)
 
     @property
     def size(self) -> tuple[int, int]:
@@ -70,19 +63,24 @@ class ProbTable:
         sums = v.sum(axis=1)
         if sums.max() > 1.0 + 1e-12:
             raise TableInvariantError(f"row sum {sums.max():.17g} above one")
-        deficit = 1.0 - sums
-        if np.any(deficit > self.row_tails + 1e-15):
-            raise TableInvariantError(
-                "row tail below the deficit 1 - row sum: tables get their deficits as "
-                "tails, so only a tail edited below it in a JSON file trips this"
-            )
 
     # -- serialization -----------------------------------------------------
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProbTable":
         """Rebuild a table from its JSON record and validate it, so a
-        tampered file raises TableInvariantError."""
+        tampered file raises TableInvariantError: ``values`` must be a
+        nonempty table of numbers of shape ``size``.  Other members, such as
+        the row tails of older documents, are ignored."""
+        try:
+            values = np.array(d["values"])
+        except ValueError:      # ragged rows
+            values = np.array(None)
+        if values.dtype.kind not in "iuf" or values.ndim != 2 or 0 in values.shape:
+            raise TableInvariantError("values are not a nonempty table of numbers")
+        if list(values.shape) != d["size"]:
+            raise TableInvariantError(f"size {d['size']} disagrees with the "
+                                      f"{values.shape[0]} x {values.shape[1]} values")
         symbolic = None
         if d.get("symbolic") is not None:
             s = d["symbolic"]
@@ -95,8 +93,7 @@ class ProbTable:
             family=d["family"],
             params=dict(d["params"]),
             mode=d["mode"],
-            values=np.array(d["values"], dtype=float),
-            row_tails=np.array(d["row_tails"], dtype=float),
+            values=values.astype(float),
             symbolic=symbolic,
         )
         table.validate()
@@ -124,34 +121,34 @@ class ProbTable:
         return "".join(self._json_pieces())
 
     def write(self, stream, fmt: str) -> None:
-        """Write ``to_csv()`` (``fmt="csv"``) or ``to_json()`` to a text
-        stream.  The JSON document goes out in pieces, its symbolic block one
-        polynomial at a time, so an exact table's text is never held
-        whole."""
+        """Write ``to_csv()`` (``fmt="csv"``) or ``to_json()`` (``fmt="json"``)
+        to a text stream.  The JSON document goes out in pieces, its symbolic
+        block one polynomial at a time, so an exact table's text is never
+        held whole."""
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
         for piece in (self.to_csv(),) if fmt == "csv" else self._json_pieces():
             stream.write(piece)
 
     def _json_pieces(self):
-        """The text of ``to_json``: head, values, row tails, the symbolic
-        block one polynomial at a time, and the closing brace."""
+        """The text of ``to_json``: head and values, the symbolic block one
+        polynomial at a time, and the closing brace."""
         rows, cols = self.values.shape
         head = {"family": self.family, "mode": self.mode, "params": dict(self.params),
                 "size": [rows, cols]}
         head = json.dumps(head, indent=1)[:-2]  # the text without "\n}"
-        x = np.concatenate([np.ravel(self.values), self.row_tails])
+        x = np.ravel(self.values)
         texts = _texts(x)
         for i in np.flatnonzero(~np.isfinite(x) | np.signbit(x) & (x == 0.0)):
             texts[i] = np.frombuffer(json.dumps(float(x[i])).encode().ljust(_WIDTH, b"\0"), np.uint8)
         # each text followed by a comma, or a semicolon at the end of a row
         texts[:, -1] = ord(",")
         texts[cols - 1: rows * cols: max(cols, 1), -1] = ord(";")
-        values, _, tails = _strip(texts).rpartition(";")
-        values = values.replace(",", ",\n   ").replace(";", "\n  ],\n  [\n   ")
-        # a table without cells has no semicolon: json.dumps lays out its rows
+        values = _strip(texts)[:-1].replace(",", ",\n   ").replace(";", "\n  ],\n  [\n   ")
+        # a table without cells has no text: json.dumps lays out its rows
         values = (f"[\n  [\n   {values}\n  ]\n ]" if values else
                   json.dumps(self.values.tolist(), indent=1).replace("\n", "\n "))
-        tails = "[\n  " + tails[:-1].replace(",", ",\n  ") + "\n ]" if rows else "[]"
-        yield f'{head},\n "values": {values},\n "row_tails": {tails}'
+        yield f'{head},\n "values": {values}'
         if self.symbolic is not None:
             yield from _symbolic_pieces(self.symbolic)
         yield "\n}\n"
@@ -319,8 +316,8 @@ def make_table(family: str, params: dict, size: int, mode: str, kernel,
                exact: tuple | None = None) -> ProbTable:
     """The front end of the three table builders: check ``size`` and ``mode``,
     take the values from ``kernel(*params.values(), size, size)`` and, in exact
-    mode, the polynomials from ``exact``, (prefactor, variable, poly(m, n)).
-    Each row's tail is its deficit max(0, 1 - row sum); the table is validated."""
+    mode, the polynomials from ``exact``, (prefactor, variable, poly(m, n)),
+    and validate the table."""
     if size < 1:
         raise ValueError("size must be positive")
     if mode not in ("float", "exact"):
@@ -330,7 +327,6 @@ def make_table(family: str, params: dict, size: int, mode: str, kernel,
     if mode == "exact":
         prefactor, variable, poly = exact
         symbolic = SymbolicTable(prefactor, variable, poly_grid(poly, size))
-    tails = np.maximum(0.0, 1.0 - values.sum(axis=1))
-    table = ProbTable(family, params, mode, values, tails, symbolic)
+    table = ProbTable(family, params, mode, values, symbolic)
     table.validate()
     return table

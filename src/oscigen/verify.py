@@ -100,6 +100,18 @@ def _count(check_id, equation, bad, total, what) -> CheckResult:
                   computed=f"{total - bad}/{total} {what}", expected=f"{total}/{total}")
 
 
+def _antidiagonal_check(check_id, build, sk, grid, size, computed) -> CheckResult:
+    """The anti-diagonal sums S_k, k < ``size``, of ``build``'s float table
+    at each parameter of ``grid``, summed in order of m, against ``sk``."""
+    worst = 0.0
+    for x in grid:
+        values = build(x, size=size, mode="float").values
+        for k in range(size):
+            diag = sum(values[m][k - m] for m in range(k + 1))
+            worst = max(worst, abs(sk(k, x) - diag))
+    return _check(check_id, "S_k", worst, 1e-12, computed=computed)
+
+
 def _route_checks(prefix, cases) -> list[CheckResult]:
     """Compare the three independent routes to the same 11x11 tables: the
     amplitude kernel, the float series engine and the contour oracle.
@@ -211,19 +223,9 @@ def _forced_checks() -> list[CheckResult]:
         )
     )
 
-    # anti-diagonal sums
-    worst = 0.0
-    for nu in _NU_GRID:
-        table = forced.forced_prob_table(nu, size=17, mode="float")
-        for k in range(17):
-            diag = sum(table.values[m][k - m] for m in range(k + 1))
-            worst = max(worst, abs(forced.forced_sk(k, nu) - diag))
-    out.append(
-        _check(
-            "forced.antidiagonal", "S_k", worst, 1e-12,
-            computed="Laguerre partial sums vs table anti-diagonals",
-        )
-    )
+    out.append(_antidiagonal_check("forced.antidiagonal", forced.forced_prob_table,
+                                   forced.forced_sk, _NU_GRID, 17,
+                                   "Laguerre partial sums vs table anti-diagonals"))
 
     spots = max(
         abs(forced.forced_sk(0, nu) - math.exp(-nu)) for nu in _NU_GRID
@@ -361,19 +363,9 @@ def _parametric_checks() -> list[CheckResult]:
         )
     )
 
-    # anti-diagonal sums
-    worst = 0.0
-    for rho in (0.19, 0.5, 0.8):
-        table = parametric.param_prob_table(rho, size=13, mode="float")
-        for k in range(13):
-            diag = sum(table.values[m][k - m] for m in range(k + 1))
-            worst = max(worst, abs(diag - parametric.param_sk(k, rho)))
-    out.append(
-        _check(
-            "param.antidiagonal", "S_k", worst, 1e-12,
-            computed="sqrt(1-rho) for even k, 0 for odd k, vs table sums",
-        )
-    )
+    out.append(_antidiagonal_check("param.antidiagonal", parametric.param_prob_table,
+                                   parametric.param_sk, (0.19, 0.5, 0.8), 13,
+                                   "sqrt(1-rho) for even k, 0 for odd k, vs table sums"))
 
     # mean quantum number: generating function and a fixed 2049-column
     # kernel table (rows m <= 8 hold below 1e-84 past n = 2048 at rho = 0.8)

@@ -257,4 +257,4 @@ def test_unitarity_and_validation():
 def test_rho_one_gives_empty_float_table():
     table = param_prob_table(1.0, size=4, mode="float")
     assert np.all(table.values == 0.0)
-    assert np.all(table.row_tails == 1.0)
+    assert np.all(1.0 - table.values.sum(axis=1) == 1.0)

@@ -45,7 +45,6 @@ def reference_json(table: ProbTable) -> str:
         "params": dict(table.params),
         "size": [int(table.values.shape[0]), int(table.values.shape[1])],
         "values": [[cell(x) for x in row] for row in table.values],
-        "row_tails": [cell(t) for t in table.row_tails],
     }
     if table.symbolic is not None:
         d["symbolic"] = {
@@ -72,9 +71,8 @@ def assert_writers_exact(table: ProbTable) -> None:
     assert np.array_equal(got.view(np.int64), table.values.view(np.int64))
 
     doc = json.loads(text)
-    for key, want in (("values", table.values), ("row_tails", table.row_tails)):
-        got = np.array(doc[key], dtype=float)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    got = np.array(doc["values"], dtype=float)
+    assert np.array_equal(got.view(np.int64), table.values.view(np.int64))
     try:
         table.validate()
     except TableInvariantError:
@@ -142,7 +140,7 @@ def test_exact_tables_byte_identical(family, size):
     assert table.symbolic is not None
     assert_writers_exact(table)
     assert '\n "symbolic": {\n' in table.to_json()
-    # streamed: head, values and tails, symbolic head, each polynomial and
+    # streamed: head and values, symbolic head, each polynomial and
     # each row's close, closings
     assert len(list(table._json_pieces())) == size * (size + 1) + 4
 
@@ -163,7 +161,7 @@ def test_symbolic_block_without_entries_or_coefficients():
     for values, entries in ((np.zeros((0, 0)), ()), (np.zeros((1, 0)), ((),)),
                             (np.full((2, 2), 0.25), ((zero, one), (one, zero)))):
         symbolic = SymbolicTable('exp(-"nu")', "nu", entries)
-        table = ProbTable("forced", {}, "exact", values, np.zeros(values.shape[0]), symbolic)
+        table = ProbTable("forced", {}, "exact", values, symbolic)
         assert table.to_json() == reference_json(table)
 
 
@@ -175,6 +173,13 @@ def test_write_gives_the_document(fmt):
     stream = io.StringIO()
     table.write(stream, fmt)
     assert stream.getvalue() == (table.to_csv() if fmt == "csv" else table.to_json())
+
+
+def test_write_refuses_an_unknown_format():
+    import io
+
+    with pytest.raises(ValueError, match="^unknown format 'CSV'$"):
+        forced_prob_table(1.5, size=3).write(io.StringIO(), "CSV")
 
 
 def test_exact_json_write_holds_one_polynomial_at_a_time():
@@ -206,12 +211,11 @@ def test_exact_json_write_holds_one_polynomial_at_a_time():
 
 def test_signed_zero_and_extremes_keep_their_text():
     values = np.array([[0.0, -0.0, 5e-324], [1e-300, 1.0, -0.0], [5e-324, 0.0, 1e-300]])
-    table = ProbTable("forced", {"nu": 0.0}, "float", values, np.array([-0.0, 5e-324, 0.0]))
+    table = ProbTable("forced", {"nu": 0.0}, "float", values)
     assert_writers_exact(table)
     assert table.to_csv().splitlines()[1] == "0,0,-0,4.9406564584124654e-324"
     text = table.to_json()
     assert '"values": [\n  [\n   0,\n   -0.0,\n   4.9406564584124654e-324\n  ],' in text
-    assert '"row_tails": [\n  -0.0,\n  4.9406564584124654e-324,\n  0\n ]' in text
 
 
 @pytest.mark.parametrize("dirty", [False, True])
@@ -229,7 +233,7 @@ def test_kernel_writes_positive_zero_itself(dirty):
 
 def test_non_finite_cells_match_json_dumps():
     values = np.array([[np.nan, np.inf], [-np.inf, 0.5]])
-    table = ProbTable("forced", {"nu": 1.0}, "float", values, np.array([np.nan, 0.0]))
+    table = ProbTable("forced", {"nu": 1.0}, "float", values)
     assert table.to_csv() == reference_csv(table)
     assert table.to_json() == reference_json(table)
     assert "\n   NaN,\n   Infinity\n  ],\n  [\n   -Infinity,\n   0.5\n" in table.to_json()
@@ -238,20 +242,20 @@ def test_non_finite_cells_match_json_dumps():
 
 def test_non_symmetric_table():
     values = np.arange(16, dtype=float).reshape(4, 4) / 17.0
-    table = ProbTable("parametric", {"rho": 0.5}, "float", values, values[:, 0].copy())
+    table = ProbTable("parametric", {"rho": 0.5}, "float", values)
     assert_writers_exact(table)
 
 
 def test_non_square_table():
     values = np.linspace(0.0, 1.0, 15).reshape(3, 5) ** 3
-    table = ProbTable("singular", {"rho": 0.5, "j": -0.25}, "float", values, np.zeros(3))
+    table = ProbTable("singular", {"rho": 0.5, "j": -0.25}, "float", values)
     assert_writers_exact(table)
     assert table.to_csv().splitlines()[0] == "m\\n,0,1,2,3,4"
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
 def test_empty_tables(shape):
-    table = ProbTable("forced", {"nu": 1.0}, "float", np.zeros(shape), np.zeros(shape[0]))
+    table = ProbTable("forced", {"nu": 1.0}, "float", np.zeros(shape))
     assert table.to_csv() == reference_csv(table)
     assert table.to_json() == reference_json(table)
 
@@ -277,6 +281,37 @@ def test_tampered_json_is_rejected(tamper, message):
         ProbTable.from_json_dict(doc)
 
 
+# forced nu = 0.5, M = 2 as tables were written with their row tails, the
+# deficits max(0, 1 - row sum)
+OLD_FORMAT = """{"family": "forced", "mode": "float", "params": {"nu": 0.5}, "size": [2, 2],
+ "values": [[0.60653065971263342, 0.30326532985631671],
+            [0.30326532985631671, 0.15163266492815836]],
+ "row_tails": [0.090204010431049864, 0.54510200521552488]}"""
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param({}, None, id="old-format"),
+    pytest.param({"values": [0.5]}, "not a nonempty table", id="one-dimensional"),
+    pytest.param({"values": []}, "not a nonempty table", id="empty"),
+    pytest.param({"values": [[0.5, 0.25], [0.25]]}, "not a nonempty table", id="ragged"),
+    pytest.param({"values": [["0.5", "0.25"], ["0.25", "0.5"]]}, "not a nonempty table",
+                 id="non-numeric"),
+    pytest.param({"values": [[], []], "size": [2, 0]}, "not a nonempty table", id="zero-size"),
+    pytest.param({"size": [3, 3]}, r"^size \[3, 3\] disagrees with the 2 x 2 values$",
+                 id="size-mismatch"),
+])
+def test_json_records_are_read_strictly(edit, message):
+    doc = {**json.loads(OLD_FORMAT), **edit}
+    if message is not None:
+        with pytest.raises(TableInvariantError, match=message):
+            ProbTable.from_json_dict(doc)
+        return
+    table, want = ProbTable.from_json_dict(doc), forced_prob_table(0.5, size=2)
+    assert (table.family, table.mode, table.params, table.symbolic) == \
+        (want.family, want.mode, want.params, want.symbolic)
+    assert np.array_equal(table.values.view(np.int64), want.values.view(np.int64))
+
+
 # -- the cell formatter against Python's, value by value ----------------------
 
 def assert_cells_exact(values) -> None:
@@ -284,13 +319,13 @@ def assert_cells_exact(values) -> None:
     ``json_cell`` spells it."""
     values = np.asarray(values, dtype=float).reshape(1, -1)
     xs = values[0].tolist()
-    table = ProbTable("forced", {"nu": 1.0}, "float", values, np.zeros(1))
+    table = ProbTable("forced", {"nu": 1.0}, "float", values)
     cells = table.to_csv().splitlines()[1].split(",")[1:]
     want = list(map("%.17g".__mod__, xs))
     assert cells == want, [(x, c, w) for x, c, w in zip(xs, cells, want) if c != w][:5]
     text = table.to_json()
     start = '"values": [\n  ['
-    block = text[text.index(start) + len(start): text.index("\n  ]\n ],")]
+    block = text[text.index(start) + len(start): text.rindex("\n  ]\n ]")]
     cells = block.replace("\n   ", "").split(",")
     want = list(map(json_cell, xs))
     assert cells == want, [(x, c, w) for x, c, w in zip(xs, cells, want) if c != w][:5]
