@@ -15,34 +15,22 @@ import importlib
 
 __version__ = "0.1.0"
 
+# each module's __all__, in its order
 _EXPORTS = {
-    "domains": ("FLOAT", "POLY", "RatPoly"),
-    "series": ("Series2", "dft_extract_table"),
-    "quadrature": ("QuadRule", "gauss_jacobi_half", "gauss_laguerre", "gauss_legendre"),
-    "probtable": ("ProbTable",),
-    "forced": ("forced_gf_value", "forced_prob_table", "forced_sk", "forced_sum_rules"),
-    "parametric": (
-        "param_gf_value",
-        "param_identity_eq6",
-        "param_j_offdiag",
-        "param_jnn",
-        "param_mean_n",
-        "param_dispersion",
-        "param_prob_table",
-        "param_sk",
-        "param_weighted_integrals",
-    ),
-    "singular": (
-        "adiabatic_diag",
-        "energy_level",
-        "ground_row",
-        "j_from_g",
-        "lambda_value",
-        "singular_gf_value",
-        "singular_prob_table",
-    ),
-    "profiles": ("ForceProfile", "FrequencyProfile", "load_profile"),
-    "excitation": ("BogoliubovResult", "bogoliubov_from_frequency", "excitation_report", "nu_from_force"),
+    "domains": ("RatPoly", "FLOAT", "POLY"),
+    "series": ("MAX_WINDOW", "Series2", "check_window", "dft_extract_table"),
+    "quadrature": ("QuadRule", "gauss_legendre", "gauss_laguerre", "gauss_jacobi_half"),
+    "probtable": ("ProbTable", "SymbolicTable", "make_table"),
+    "forced": ("SumRuleRecord", "forced_gf_value", "forced_prob_table", "forced_sum_rules",
+               "forced_sk"),
+    "parametric": ("param_gf_value", "param_prob_table", "param_identity_eq6",
+                   "param_weighted_integrals", "param_jnn", "param_j_offdiag", "param_sk",
+                   "param_mean_n", "param_dispersion", "param_row_moments"),
+    "singular": ("MIN_J", "AdiabaticRecord", "j_from_g", "energy_level", "lambda_value",
+                 "singular_gf_value", "singular_prob_table", "ground_row", "adiabatic_diag"),
+    "profiles": ("ForceProfile", "FrequencyProfile", "load_profile", "ProfileError"),
+    "excitation": ("BogoliubovResult", "ExcitationReport", "nu_from_force",
+                   "bogoliubov_from_frequency", "excitation_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

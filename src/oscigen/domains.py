@@ -137,6 +137,13 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
+    def at_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """Values at float nodes, each taken exactly at the node's binary
+        value and rounded once: the alternating-sign polynomials of the
+        transition probabilities are too ill-conditioned for float Horner at
+        large nodes."""
+        return np.array([float(self(Fraction(x))) for x in nodes.tolist()])
+
     def format(self, var: str) -> str:
         if not self.coeffs:
             return "0"

@@ -114,20 +114,18 @@ def forced_sum_rules(m: int, n: int) -> SumRuleRecord:
     """Zeroth, first and central second moment of w_mn(nu) over [0, inf).
 
     Exact route: integrate the symbolic e^{-nu} * polynomial form term by
-    term.  Numeric route: Gauss-Laguerre of matching degree.
+    term.  Numeric route: Gauss-Laguerre of matching degree, with the
+    polynomial taken exactly at each node (:meth:`RatPoly.at_nodes`).
     """
     poly = forced_poly(m, n)
-    fact = [Fraction(math.factorial(k)) for k in range(poly.degree + 3)]
-    norm = sum((c * fact[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
-    mean = sum((c * fact[k + 1] for k, c in enumerate(poly.coeffs)), Fraction(0))
-    second = sum((c * fact[k + 2] for k, c in enumerate(poly.coeffs)), Fraction(0))
+    fact = [math.factorial(k) for k in range(poly.degree + 3)]
+    norm, mean, second = (sum((c * fact[k + p] for k, c in enumerate(poly.coeffs)), Fraction(0))
+                          for p in range(3))
     mu = mean / norm
     variance = second - 2 * mu * mean + mu * mu * norm
 
     rule = gauss_laguerre((m + n) // 2 + 4)
-    # rational Horner at the exact binary node value: the alternating-sign
-    # polynomials are too ill-conditioned for float evaluation at large nodes
-    px = np.array([float(poly(Fraction(x))) for x in rule.nodes])
+    px = poly.at_nodes(rule.nodes)
     norm_q = float(np.dot(rule.weights, px))
     mean_q = float(np.dot(rule.weights, rule.nodes * px))
     mu_q = mean_q / norm_q

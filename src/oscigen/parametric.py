@@ -138,13 +138,15 @@ def param_identity_eq6(u: float, v: float) -> Eq6Record:
     return Eq6Record(lhs, rhs, abs(lhs - rhs))
 
 
-def _beta_moments(a: Fraction, kmax: int) -> list[Fraction]:
-    """Exact moments of (1-rho)^a: the integrals of rho^k (1-rho)^a over
-    [0, 1] for k <= kmax, from 1/(a+1) by the ratio k/(k+a+1)."""
-    out = [1 / (a + 1)]
-    for k in range(1, kmax + 1):
-        out.append(out[-1] * k / (k + a + 1))
-    return out
+def _rho_integral(poly: RatPoly, a) -> Fraction:
+    """Exact integral of poly(rho) (1 - rho)^a over [0, 1] for rational
+    a > -1: sum_k c_k B(k + 1, a + 1), each Beta value from the one before
+    by the ratio (k + 1) / (k + a + 2)."""
+    total, beta = Fraction(0), 1 / Fraction(a + 1)
+    for k, c in enumerate(poly.coeffs):
+        total += c * beta
+        beta = beta * (k + 1) / (k + a + 2)
+    return total
 
 
 @dataclass(frozen=True)
@@ -167,35 +169,23 @@ class WeightedIntegralRecord:
 def param_weighted_integrals(m: int, n: int) -> WeightedIntegralRecord:
     """Integrals of w_mn/(1-rho) and w_mn/(rho sqrt(1-rho)) over [0, 1].
 
-    Both reduce to exact finite sums through the polynomial form of w_mn;
-    quadrature confirmations ride along.  The second integral is undefined
-    for m = n (its fields come back None)."""
+    Both are exact sums of Beta values over the polynomial form of w_mn;
+    Gauss-Jacobi and Gauss-Legendre confirmations ride along.  The second
+    integral is undefined for m = n (its fields come back None)."""
     poly = param_poly(m, n)
-    b1 = _beta_moments(Fraction(-1, 2), max(poly.degree, 0))
-    first = sum((c * b1[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
+    first = _rho_integral(poly, Fraction(-1, 2))
     expected_first = Fraction(1 + (-1) ** (m + n), m + n + 1)
-
     rule = gauss_jacobi_half((m + n) // 2 + 2)
-    qvals = np.array([poly(float(x)) for x in rule.nodes])
-    first_quad = float(np.dot(rule.weights, qvals))
-
+    first_quad = float(np.dot(rule.weights, poly.at_nodes(rule.nodes)))
     if m == n:
         return WeightedIntegralRecord(first, first_quad, expected_first, None, None, None)
 
-    if (m + n) % 2 == 0:
-        reduced = poly.shift_down(1)
-    else:
-        reduced = poly  # zero polynomial
-    second = sum(
-        (c * Fraction(1, k + 1) for k, c in enumerate(reduced.coeffs)), Fraction(0)
-    )
+    reduced = poly.shift_down(1)  # the zero polynomial for odd m + n
     lrule = gauss_legendre(max((m + n) // 2 + 1, 2))
-    pvals = np.array([reduced(float(x)) for x in lrule.nodes])
-    second_quad = float(np.dot(lrule.weights, pvals))
+    second_quad = float(np.dot(lrule.weights, reduced.at_nodes(lrule.nodes)))
     expected_second = Fraction(1 + (-1) ** (m + n), abs(m - n))
-    return WeightedIntegralRecord(
-        first, first_quad, expected_first, second, second_quad, expected_second
-    )
+    return WeightedIntegralRecord(first, first_quad, expected_first,
+                                  _rho_integral(reduced, 0), second_quad, expected_second)
 
 
 @dataclass(frozen=True)
@@ -209,31 +199,26 @@ def param_jnn(n: int) -> JnnRecord:
     """Plain integral of the diagonal entry w_nn over rho in [0, 1].
 
     Closed form (1/(2n+1)) [1 + 1/((2n+3)(2n-1))]; the symbolic route sums
-    exact sqrt-weight moments of q_nn, the numeric route applies the
-    Gauss-Jacobi rule to (1-rho) q_nn(rho)."""
+    the Beta values of sqrt(1-rho) q_nn, and the quadrature applies the
+    Gauss-Jacobi rule to (1-rho) q_nn(rho), taken exactly at each node."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     closed = Fraction(1, 2 * n + 1) * (1 + Fraction(1, (2 * n + 3) * (2 * n - 1)))
     poly = param_poly(n, n)
-    b3 = _beta_moments(Fraction(1, 2), max(poly.degree, 0))
-    symbolic = sum((c * b3[k] for k, c in enumerate(poly.coeffs)), Fraction(0))
     rule = gauss_jacobi_half(n + 3)
-    vals = np.array([(1.0 - float(x)) * poly(float(x)) for x in rule.nodes])
-    quad = float(np.dot(rule.weights, vals))
-    return JnnRecord(closed, symbolic, quad)
+    vals = (RatPoly((1, -1)) * poly).at_nodes(rule.nodes)
+    return JnnRecord(closed, _rho_integral(poly, Fraction(1, 2)),
+                     float(np.dot(rule.weights, vals)))
 
 
-def param_j_offdiag(m: int, n: int) -> float:
+def param_j_offdiag(m: int, n: int) -> Fraction:
     """Plain integral of an off-diagonal entry over rho (no simple closed
-    form); Gauss-Jacobi on the factored polynomial."""
+    form), exact: the Beta-value sum of sqrt(1-rho) q_mn."""
     if m == n:
         raise ValueError("use param_jnn for diagonal entries")
     if (m + n) % 2 == 1:
         raise ValueError("odd m + n entries vanish identically")
-    poly = param_poly(m, n)
-    rule = gauss_jacobi_half((m + n) // 2 + 3)
-    vals = np.array([(1.0 - float(x)) * poly(float(x)) for x in rule.nodes])
-    return float(np.dot(rule.weights, vals))
+    return _rho_integral(param_poly(m, n), Fraction(1, 2))
 
 
 def param_sk(k: int, rho) -> float:

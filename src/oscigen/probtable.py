@@ -15,6 +15,8 @@ from .errors import TableInvariantError
 
 __all__ = ["ProbTable", "SymbolicTable", "make_table"]
 
+_FAMILIES = ("forced", "parametric", "singular")
+
 
 @dataclass(frozen=True)
 class SymbolicTable:
@@ -69,33 +71,34 @@ class ProbTable:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ProbTable":
         """Rebuild a table from its JSON record and validate it, so a
-        tampered file raises TableInvariantError: ``values`` must be a
-        nonempty table of numbers of shape ``size``.  Other members, such as
-        the row tails of older documents, are ignored."""
+        tampered file raises TableInvariantError: ``family`` must be one of
+        the three, ``values`` a nonempty table of numbers of shape ``size``,
+        and ``mode`` ``"exact"`` exactly when a ``symbolic`` block holds one
+        polynomial per cell.  Other members, such as the row tails of older
+        documents, are ignored."""
         try:
-            values = np.array(d["values"])
+            family, mode, params, size, values = (
+                d[k] for k in ("family", "mode", "params", "size", "values"))
+        except KeyError as e:
+            raise TableInvariantError(f"record has no member {e.args[0]!r}") from None
+        try:
+            values = np.array(values)
         except ValueError:      # ragged rows
             values = np.array(None)
+        if family not in _FAMILIES:
+            raise TableInvariantError(f"unknown family {family!r}")
         if values.dtype.kind not in "iuf" or values.ndim != 2 or 0 in values.shape:
             raise TableInvariantError("values are not a nonempty table of numbers")
-        if list(values.shape) != d["size"]:
-            raise TableInvariantError(f"size {d['size']} disagrees with the "
+        if list(values.shape) != size:
+            raise TableInvariantError(f"size {size} disagrees with the "
                                       f"{values.shape[0]} x {values.shape[1]} values")
-        symbolic = None
-        if d.get("symbolic") is not None:
-            s = d["symbolic"]
-            entries = tuple(
-                tuple(RatPoly(tuple(Fraction(c) for c in p)) for p in row)
-                for row in s["entries"]
-            )
-            symbolic = SymbolicTable(s["prefactor"], s["variable"], entries)
-        table = cls(
-            family=d["family"],
-            params=dict(d["params"]),
-            mode=d["mode"],
-            values=values.astype(float),
-            symbolic=symbolic,
-        )
+        symbolic = d.get("symbolic")
+        if mode != ("float" if symbolic is None else "exact"):
+            raise TableInvariantError(f"mode {mode!r} disagrees with a record "
+                                      f"{'without' if symbolic is None else 'with'} symbolic entries")
+        if symbolic is not None:
+            symbolic = _read_symbolic(symbolic, values.shape)
+        table = cls(family, dict(params), mode, values.astype(float), symbolic)
         table.validate()
         return table
 
@@ -152,6 +155,20 @@ class ProbTable:
         if self.symbolic is not None:
             yield from _symbolic_pieces(self.symbolic)
         yield "\n}\n"
+
+
+def _read_symbolic(s, shape: tuple[int, int]) -> SymbolicTable:
+    """The ``"symbolic"`` member of a JSON record of a table of ``shape``:
+    one list of ``"p/q"`` coefficients per cell, else TableInvariantError."""
+    try:
+        rows = s["entries"]
+        if [len(row) for row in rows] != [shape[1]] * shape[0] or not all(
+                isinstance(p, list) for row in rows for p in row):
+            raise ValueError("not one polynomial per cell")
+        entries = tuple(tuple(RatPoly(map(Fraction, p)) for p in row) for row in rows)
+        return SymbolicTable(s["prefactor"], s["variable"], entries)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise TableInvariantError(f"symbolic entries unreadable: {e}") from None
 
 
 def _symbolic_pieces(symbolic: SymbolicTable):

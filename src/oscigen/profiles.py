@@ -307,16 +307,12 @@ class FrequencyProfile(_Profile):
             t_start = 0.5 * T * math.log(s_minus / (1.0 - s_minus))
             t_end = 0.5 * T * math.log((1.0 - s_plus) / s_plus)
             return t_start, t_end
-        # tabulated: scan the grid from both ends
+        # tabulated: scan the grid from both ends; argmax of an all-False
+        # scan is 0, the first or last sample
         dev_lo = np.abs(self.values - self.values[0]) > rel * self.values[0]
         dev_hi = np.abs(self.values - self.values[-1]) > rel * self.values[-1]
-        t_start = self.times[0] if not dev_lo.any() else self.times[np.argmax(dev_lo)]
-        t_end = (
-            self.times[-1]
-            if not dev_hi.any()
-            else self.times[len(self.times) - 1 - np.argmax(dev_hi[::-1])]
-        )
-        return float(t_start), float(t_end)
+        return (float(self.times[np.argmax(dev_lo)]),
+                float(self.times[len(self.times) - 1 - np.argmax(dev_hi[::-1])]))
 
 
 def _read_two_column_csv(path: Path) -> tuple[list[float], list[float]]:

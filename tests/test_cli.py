@@ -476,6 +476,9 @@ def test_package_resolves_public_names_on_access():
         module = importlib.import_module(f"oscigen.{oscigen._MODULE_OF[name]}")
         assert name in module.__all__
         assert getattr(oscigen, name) is getattr(module, name)
+    # and the reverse: every public name of an exported module resolves
+    for module_name, names in oscigen._EXPORTS.items():
+        assert list(names) == importlib.import_module(f"oscigen.{module_name}").__all__
     assert set(oscigen.__all__) | {"__version__"} <= set(dir(oscigen))
     with pytest.raises(AttributeError):
         oscigen.no_such_name

@@ -140,6 +140,34 @@ def test_offdiagonal_rho_integrals_match_beta_values():
         param_j_offdiag(2, 2)
 
 
+@pytest.mark.parametrize("m, n", [(20, 30), (30, 40), (60, 80)])
+def test_offdiagonal_rho_integrals_are_exact(m, n):
+    # a float Gauss-Jacobi route gave -460857 at (30, 40) for 0.0138
+    mpmath = pytest.importorskip("mpmath")
+    from test_amplitude import _closed_form_mp
+
+    got = param_j_offdiag(m, n)
+    assert isinstance(got, Fraction) and 0 < got < 1
+    with mpmath.workdps(40):
+        want = mpmath.quad(
+            lambda rho: _closed_form_mp(mpmath, "parametric", m, n, None, rho, None), [0, 1])
+        assert abs(mpmath.mpf(got.numerator) / got.denominator - want) <= 1e-30 * want
+
+
+def test_quadrature_confirmations_are_within_rounding():
+    # each node value is exact before it is rounded, so no cancellation
+    # grows with the degree
+    for n in range(51):
+        r = param_jnn(n)
+        assert r.quadrature == pytest.approx(float(r.symbolic), rel=1e-13, abs=0.0)
+    for total in (20, 50, 76, 100):
+        for m in range(0, total + 1, 7):
+            r = param_weighted_integrals(m, total - m)
+            assert r.first_quad == pytest.approx(float(r.first), rel=1e-13, abs=0.0)
+            if r.second is not None:
+                assert r.second_quad == pytest.approx(float(r.second), rel=1e-13, abs=0.0)
+
+
 def test_antidiagonal_sums():
     assert param_sk(2, 0.19) == pytest.approx(0.9, rel=1e-15, abs=0.0)
     assert param_sk(3, 0.7) == 0.0

@@ -289,6 +289,13 @@ OLD_FORMAT = """{"family": "forced", "mode": "float", "params": {"nu": 0.5}, "si
  "row_tails": [0.090204010431049864, 0.54510200521552488]}"""
 
 
+DROP = object()  # an edit that removes the member
+
+
+def _symbolic(entries) -> dict:
+    return {"prefactor": "exp(-nu)", "variable": "nu", "entries": entries}
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param({}, None, id="old-format"),
     pytest.param({"values": [0.5]}, "not a nonempty table", id="one-dimensional"),
@@ -299,9 +306,25 @@ OLD_FORMAT = """{"family": "forced", "mode": "float", "params": {"nu": 0.5}, "si
     pytest.param({"values": [[], []], "size": [2, 0]}, "not a nonempty table", id="zero-size"),
     pytest.param({"size": [3, 3]}, r"^size \[3, 3\] disagrees with the 2 x 2 values$",
                  id="size-mismatch"),
+    pytest.param({"size": DROP}, "^record has no member 'size'$", id="no-size"),
+    pytest.param({"family": DROP}, "^record has no member 'family'$", id="no-family"),
+    pytest.param({"family": "nosuch"}, "^unknown family 'nosuch'$", id="unknown-family"),
+    pytest.param({"mode": "bogus"}, "^mode 'bogus' disagrees", id="unknown-mode"),
+    pytest.param({"mode": "exact"}, "^mode 'exact' disagrees with a record without",
+                 id="exact-without-symbolic"),
+    pytest.param({"symbolic": _symbolic([[["1/1"], ["1/2"]], [["1/2"], ["1/4"]]])},
+                 "^mode 'float' disagrees with a record with", id="float-with-symbolic"),
+    pytest.param({"mode": "exact", "symbolic": _symbolic([[["1/1"]]])},
+                 "not one polynomial per cell", id="symbolic-cut"),
+    pytest.param({"mode": "exact", "symbolic": _symbolic([["12", ["1/2"]], [["1/2"], ["1/4"]]])},
+                 "not one polynomial per cell", id="polynomial-as-string"),
+    pytest.param({"mode": "exact", "symbolic": _symbolic([[["x"], ["1/2"]], [["1/2"], ["1/4"]]])},
+                 "^symbolic entries unreadable", id="non-rational-coefficient"),
+    pytest.param({"mode": "exact", "symbolic": {"entries": [[["1"], ["1"]], [["1"], ["1"]]]}},
+                 "^symbolic entries unreadable", id="no-prefactor"),
 ])
 def test_json_records_are_read_strictly(edit, message):
-    doc = {**json.loads(OLD_FORMAT), **edit}
+    doc = {k: v for k, v in {**json.loads(OLD_FORMAT), **edit}.items() if v is not DROP}
     if message is not None:
         with pytest.raises(TableInvariantError, match=message):
             ProbTable.from_json_dict(doc)
