@@ -20,7 +20,7 @@ _EXPORTS = {
     "domains": ("RatPoly", "FLOAT", "POLY"),
     "series": ("MAX_WINDOW", "Series2", "check_window", "dft_extract_table"),
     "quadrature": ("QuadRule", "gauss_legendre", "gauss_laguerre", "gauss_jacobi_half"),
-    "probtable": ("ProbTable", "SymbolicTable", "make_table"),
+    "probtable": ("ProbTable", "make_table"),
     "forced": ("SumRuleRecord", "forced_gf_value", "forced_prob_table", "forced_sum_rules",
                "forced_sk"),
     "parametric": ("param_gf_value", "param_prob_table", "param_identity_eq6",

@@ -31,7 +31,8 @@ table is symmetric by construction.
 ``forced_poly`` and ``param_poly`` evaluate the same closed forms exactly:
 the rational polynomial of one forced or parametric entry, with the
 e^-nu resp. sqrt(1-rho) prefactor left out, which exact-mode tables and
-the sum rules use.
+the sum rules use.  The rules that admit nu, rho and j live here too, so
+the family modules and the table records share them.
 """
 
 from __future__ import annotations
@@ -61,6 +62,44 @@ _DEGREES = 64  # degrees per block of step coefficients in _sweep
 # largest exact-mode table: an exact forced table takes about 14 s to build
 # at M = 128 on two cores, and the cost grows like M^4.4
 MAX_EXACT_SIZE = 128
+
+# lowest admitted weight, the lowest one tested against the closed forms.
+# The table kernel no longer loses rho where 1 - rho rounds.  No table from
+# rho = 1e-300 to 1 - 1e-6, M <= 512, overflowed or summed above one down to
+# j = -1e19; from j = -1e20 on, the 1 - rho rounding correction overflows.
+MIN_J = -1e15
+
+
+# -- parameter rules -----------------------------------------------------------
+
+
+def _nu_value(nu) -> float:
+    """The excitation parameter as a float, finite and nu >= 0."""
+    nu = float(nu)
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
+    return nu
+
+
+def _rho_value(rho, open_top: bool = False) -> float:
+    """The excitation parameter as a float in [0, 1], or in [0, 1) with
+    ``open_top``."""
+    rho = float(rho)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    if open_top and rho == 1.0:
+        raise ValueError("rho = 1 excluded here (divergent quantity)")
+    return rho
+
+
+def _j_value(j) -> float:
+    """The su(1,1) representation weight as a float, MIN_J <= j < 0.  Values
+    above -1/2 (like -1/4) do not come from any barrier strength g but are
+    admitted for the regular-oscillator sectors."""
+    j = float(j)
+    if not MIN_J <= j < 0.0:
+        raise ValueError(f"weight j must be negative and at least {MIN_J:g}, got {j}")
+    return j
 
 
 def _seed(w00: float, log_w00: float, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -257,13 +257,15 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     """Scattering coefficients (alpha, beta) and rho = |beta/alpha|^2.
 
     The in-state starts where omega(t) leaves omega_minus by more than
-    1e-15 relative and is projected once onto the out-basis where omega(t)
-    has settled to within 1e-15 of omega_plus, after the frequency has been
-    checked to stay there for five periods.  The propagation runs on equal
-    6th-order Magnus steps, at least 64 and two per period of the faster
-    asymptote, doubled until alpha and beta of N and 2N steps agree to
-    ``tol * |alpha|``; ``steps`` is that final 2N.  Needing more than 2^22
-    steps raises ``IntegrationError``, at once if the first doubling would.
+    1e-15 relative, or at the first sample of a tabulated profile, whose
+    spline may move before the first sample that leaves omega_minus.  It is
+    projected once onto the out-basis where omega(t) has settled to within
+    1e-15 of omega_plus, after the frequency has been checked to stay there
+    for five periods.  The propagation runs on equal 6th-order Magnus
+    steps, at least 64 and two per period of the faster asymptote, doubled
+    until alpha and beta of N and 2N steps agree to ``tol * |alpha|``;
+    ``steps`` is that final 2N.  Needing more than 2^22 steps raises
+    ``IntegrationError``, at once if the first doubling would.
     """
     if not isinstance(profile, FrequencyProfile):
         raise TypeError("rho extraction needs a frequency profile")

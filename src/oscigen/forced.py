@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import forced_poly, forced_table
+from .amplitude import _nu_value, forced_poly, forced_table
 from .domains import FLOAT, POLY, RatPoly
 from .errors import SingularEvaluationError
 from .probtable import ProbTable, make_table
@@ -44,14 +44,6 @@ __all__ = [
     "forced_sum_rules",
     "forced_sk",
 ]
-
-
-def _nu_value(nu) -> float:
-    """The excitation parameter as a float, finite and nu >= 0."""
-    nu = float(nu)
-    if not 0.0 <= nu < math.inf:
-        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
-    return nu
 
 
 def forced_gf_value(u, v, nu) -> complex:
@@ -93,8 +85,7 @@ def forced_prob_table(nu, size: int = 16, mode: str = "float") -> ProbTable:
     In exact mode the symbolic polynomials (the e^{nu}-free part of each
     entry) ride along with the numeric values.
     """
-    return make_table("forced", {"nu": _nu_value(nu)}, size, mode, forced_table,
-                      ("exp(-nu)", "nu", forced_poly))
+    return make_table("forced", {"nu": nu}, size, mode, forced_table, forced_poly)
 
 
 @dataclass(frozen=True)

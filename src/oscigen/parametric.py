@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import param_poly, param_table
+from .amplitude import _rho_value, param_poly, param_table
 from .domains import FLOAT, POLY, RatPoly
 from .errors import SingularEvaluationError
 from .probtable import ProbTable, make_table
@@ -50,17 +50,6 @@ __all__ = [
     "param_dispersion",
     "param_row_moments",
 ]
-
-
-def _rho_value(rho, open_top: bool = False) -> float:
-    """The excitation parameter as a float in [0, 1], or in [0, 1) with
-    ``open_top``."""
-    rho = float(rho)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    if open_top and rho == 1.0:
-        raise ValueError("rho = 1 excluded here (divergent quantity)")
-    return rho
 
 
 def _checked_sqrt(z: np.ndarray, what: str) -> np.ndarray:
@@ -105,8 +94,7 @@ def _float_grid(rho_val: float, max_m: int, max_n: int) -> np.ndarray:
 
 def param_prob_table(rho, size: int = 16, mode: str = "float") -> ProbTable:
     """Table of w_mn(rho); exact mode carries the q_mn polynomials."""
-    return make_table("parametric", {"rho": _rho_value(rho)}, size, mode, param_table,
-                      ("sqrt(1-rho)", "rho", param_poly))
+    return make_table("parametric", {"rho": rho}, size, mode, param_table, param_poly)
 
 
 # -- closed-form identities --------------------------------------------------

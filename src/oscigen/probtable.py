@@ -9,39 +9,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import poly_grid
+from .amplitude import _j_value, _nu_value, _rho_value, poly_grid
 from .domains import RatPoly
 from .errors import TableInvariantError
 
-__all__ = ["ProbTable", "SymbolicTable", "make_table"]
+__all__ = ["ProbTable", "make_table"]
 
-_FAMILIES = ("forced", "parametric", "singular")
-
-
-@dataclass(frozen=True)
-class SymbolicTable:
-    """Exact-mode payload: entry (m, n) is ``prefactor * poly(parameter)``
-    with rational polynomial coefficients."""
-
-    prefactor: str
-    variable: str
-    entries: tuple[tuple[RatPoly, ...], ...]
-
-    def poly(self, m: int, n: int) -> RatPoly:
-        return self.entries[m][n]
+# per family: the rule of each of its parameters, in order, and the
+# (prefactor, variable) of its exact form, entry (m, n) = prefactor *
+# symbolic[m][n](variable); the singular family has none
+_FAMILIES = {
+    "forced": ({"nu": _nu_value}, ("exp(-nu)", "nu")),
+    "parametric": ({"rho": _rho_value}, ("sqrt(1-rho)", "rho")),
+    "singular": ({"rho": functools.partial(_rho_value, open_top=True), "j": _j_value}, None),
+}
 
 
 @dataclass(frozen=True)
 class ProbTable:
     """Matrix of transition probabilities w[m][n] for one family at a fixed
     excitation parameter.  Row m's mass outside the table is 1 minus its
-    row sum, by the zeroth sum rule."""
+    row sum, by the zeroth sum rule.  An exact-mode table also holds the
+    rational polynomial of each entry, ``symbolic[m][n]``, which the
+    family's prefactor multiplies."""
 
     family: str
     params: dict
-    mode: str
     values: np.ndarray
-    symbolic: SymbolicTable | None = None
+    symbolic: tuple[tuple[RatPoly, ...], ...] | None = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -49,6 +44,10 @@ class ProbTable:
     @property
     def size(self) -> tuple[int, int]:
         return self.values.shape
+
+    @property
+    def mode(self) -> str:
+        return "float" if self.symbolic is None else "exact"
 
     def validate(self) -> None:
         """Check the table invariants (entry bounds, symmetry to 1e-12, row
@@ -72,8 +71,10 @@ class ProbTable:
     def from_json_dict(cls, d: dict) -> "ProbTable":
         """Rebuild a table from its JSON record and validate it, so a
         tampered file raises TableInvariantError: ``family`` must be one of
-        the three, ``values`` a nonempty table of numbers of shape ``size``,
-        and ``mode`` ``"exact"`` exactly when a ``symbolic`` block holds one
+        the three, ``params`` an object of exactly the family's parameters,
+        each a number its builder admits, ``values`` a nonempty table of
+        numbers of shape ``size``, and ``mode`` ``"exact"`` exactly when a
+        ``symbolic`` block holds the family's prefactor and variable and one
         polynomial per cell.  Other members, such as the row tails of older
         documents, are ignored."""
         try:
@@ -87,6 +88,7 @@ class ProbTable:
             values = np.array(None)
         if family not in _FAMILIES:
             raise TableInvariantError(f"unknown family {family!r}")
+        params = _read_params(params, _FAMILIES[family][0])
         if values.dtype.kind not in "iuf" or values.ndim != 2 or 0 in values.shape:
             raise TableInvariantError("values are not a nonempty table of numbers")
         if list(values.shape) != size:
@@ -97,8 +99,8 @@ class ProbTable:
             raise TableInvariantError(f"mode {mode!r} disagrees with a record "
                                       f"{'without' if symbolic is None else 'with'} symbolic entries")
         if symbolic is not None:
-            symbolic = _read_symbolic(symbolic, values.shape)
-        table = cls(family, dict(params), mode, values.astype(float), symbolic)
+            symbolic = _read_symbolic(symbolic, values.shape, family)
+        table = cls(family, params, values.astype(float), symbolic)
         table.validate()
         return table
 
@@ -153,32 +155,51 @@ class ProbTable:
                   json.dumps(self.values.tolist(), indent=1).replace("\n", "\n "))
         yield f'{head},\n "values": {values}'
         if self.symbolic is not None:
-            yield from _symbolic_pieces(self.symbolic)
+            yield from _symbolic_pieces(self.symbolic, *_FAMILIES[self.family][1])
         yield "\n}\n"
 
 
-def _read_symbolic(s, shape: tuple[int, int]) -> SymbolicTable:
-    """The ``"symbolic"`` member of a JSON record of a table of ``shape``:
-    one list of ``"p/q"`` coefficients per cell, else TableInvariantError."""
+def _read_params(params, rules: dict) -> dict:
+    """The ``"params"`` member of a JSON record: an object of exactly the
+    parameters that ``rules`` names, each a JSON number its rule admits,
+    else TableInvariantError."""
+    if not isinstance(params, dict) or params.keys() != rules.keys() or any(
+            type(x) not in (int, float) for x in params.values()):
+        raise TableInvariantError(f"params must be an object of the numbers "
+                                  f"{' and '.join(rules)}, got {params!r}")
+    try:
+        return {name: rule(params[name]) for name, rule in rules.items()}
+    except ValueError as e:
+        raise TableInvariantError(str(e)) from None
+
+
+def _read_symbolic(s, shape: tuple[int, int], family: str) -> tuple:
+    """The ``"symbolic"`` member of a JSON record of a ``family`` table of
+    ``shape``: the family's prefactor and variable, and one list of
+    ``"p/q"`` coefficients per cell, else TableInvariantError."""
+    form = _FAMILIES[family][1]
     try:
         rows = s["entries"]
+        if form is None:
+            raise ValueError(f"{family} tables have no exact form")
+        if (s["prefactor"], s["variable"]) != form:
+            raise ValueError(f"not of the form {form[0]} * poly({form[1]})")
         if [len(row) for row in rows] != [shape[1]] * shape[0] or not all(
                 isinstance(p, list) for row in rows for p in row):
             raise ValueError("not one polynomial per cell")
-        entries = tuple(tuple(RatPoly(map(Fraction, p)) for p in row) for row in rows)
-        return SymbolicTable(s["prefactor"], s["variable"], entries)
+        return tuple(tuple(RatPoly(map(Fraction, p)) for p in row) for row in rows)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise TableInvariantError(f"symbolic entries unreadable: {e}") from None
 
 
-def _symbolic_pieces(symbolic: SymbolicTable):
+def _symbolic_pieces(entries, prefactor: str, variable: str):
     """The ``"symbolic"`` member of the JSON document as ``json.dumps`` lays
     it out at ``indent=1``, each coefficient a ``"p/q"`` string, one
     polynomial per piece."""
-    yield (f',\n "symbolic": {{\n  "prefactor": {json.dumps(symbolic.prefactor)},'
-           f'\n  "variable": {json.dumps(symbolic.variable)},\n  "entries": ')
+    yield (f',\n "symbolic": {{\n  "prefactor": {json.dumps(prefactor)},'
+           f'\n  "variable": {json.dumps(variable)},\n  "entries": ')
     sep = "[\n   "
-    for row in symbolic.entries:
+    for row in entries:
         lead = sep + "[\n    "
         for p in row:
             yield lead + ('[\n     "' + '",\n     "'.join(
@@ -187,7 +208,7 @@ def _symbolic_pieces(symbolic: SymbolicTable):
             lead = ",\n    "
         yield "\n   ]" if row else sep + "[]"
         sep = ",\n   "
-    yield "\n  ]\n }" if symbolic.entries else "[]\n }"
+    yield "\n  ]\n }" if entries else "[]\n }"
 
 
 # -- float text --------------------------------------------------------------
@@ -330,20 +351,17 @@ def _strip(text: np.ndarray) -> str:
 
 
 def make_table(family: str, params: dict, size: int, mode: str, kernel,
-               exact: tuple | None = None) -> ProbTable:
-    """The front end of the three table builders: check ``size`` and ``mode``,
-    take the values from ``kernel(*params.values(), size, size)`` and, in exact
-    mode, the polynomials from ``exact``, (prefactor, variable, poly(m, n)),
-    and validate the table."""
+               poly=None) -> ProbTable:
+    """The front end of the three table builders: check ``params`` by the
+    family's rules, ``size`` and ``mode``, take the values from
+    ``kernel(*params.values(), size, size)`` and, in exact mode, the
+    polynomials ``poly(m, n)``, and validate the table."""
+    params = {name: rule(params[name]) for name, rule in _FAMILIES[family][0].items()}
     if size < 1:
         raise ValueError("size must be positive")
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     values = kernel(*params.values(), size, size)
-    symbolic = None
-    if mode == "exact":
-        prefactor, variable, poly = exact
-        symbolic = SymbolicTable(prefactor, variable, poly_grid(poly, size))
-    table = ProbTable(family, params, mode, values, symbolic)
+    table = ProbTable(family, params, values, poly_grid(poly, size) if mode == "exact" else None)
     table.validate()
     return table

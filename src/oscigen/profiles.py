@@ -287,7 +287,9 @@ class FrequencyProfile(_Profile):
 
     def settle_times(self) -> tuple[float, float]:
         """(t_start, t_end) outside of which |omega(t) - omega_-+| stays
-        below 1e-15 times the asymptote."""
+        below 1e-15 times the asymptote.  A tabulated profile starts at its
+        first sample: the spline may move before the first sample that
+        leaves ``values[0]``, but omega is ``values[0]`` up to ``times[0]``."""
         rel = 1e-15
         p = self.params
         if self.kind == "constant":
@@ -307,12 +309,10 @@ class FrequencyProfile(_Profile):
             t_start = 0.5 * T * math.log(s_minus / (1.0 - s_minus))
             t_end = 0.5 * T * math.log((1.0 - s_plus) / s_plus)
             return t_start, t_end
-        # tabulated: scan the grid from both ends; argmax of an all-False
-        # scan is 0, the first or last sample
-        dev_lo = np.abs(self.values - self.values[0]) > rel * self.values[0]
-        dev_hi = np.abs(self.values - self.values[-1]) > rel * self.values[-1]
-        return (float(self.times[np.argmax(dev_lo)]),
-                float(self.times[len(self.times) - 1 - np.argmax(dev_hi[::-1])]))
+        # tabulated: scan the grid from the end (the caller probes past
+        # it); argmax of an all-False scan is 0, the last sample
+        dev = np.abs(self.values - self.values[-1]) > rel * self.values[-1]
+        return float(self.times[0]), float(self.times[len(self.times) - 1 - np.argmax(dev[::-1])])
 
 
 def _read_two_column_csv(path: Path) -> tuple[list[float], list[float]]:

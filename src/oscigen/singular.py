@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import _one_minus_pow, singular_table
+from .amplitude import MIN_J, _j_value, _one_minus_pow, _rho_value, singular_table
 from .domains import FLOAT
 from .errors import SingularEvaluationError
-from .parametric import _checked_sqrt, _rho_value
+from .parametric import _checked_sqrt
 from .probtable import ProbTable, make_table
 from .series import Series2
 
@@ -44,23 +44,6 @@ __all__ = [
     "ground_row",
     "adiabatic_diag",
 ]
-
-
-# lowest admitted weight, the lowest one tested against the closed forms.
-# The table kernel no longer loses rho where 1 - rho rounds.  No table from
-# rho = 1e-300 to 1 - 1e-6, M <= 512, overflowed or summed above one down to
-# j = -1e19; from j = -1e20 on, the 1 - rho rounding correction overflows.
-MIN_J = -1e15
-
-
-def _j_value(j) -> float:
-    """The su(1,1) representation weight as a float, MIN_J <= j < 0.  Values
-    above -1/2 (like -1/4) do not come from any barrier strength g but are
-    admitted for the regular-oscillator sectors."""
-    j = float(j)
-    if not MIN_J <= j < 0.0:
-        raise ValueError(f"weight j must be negative and at least {MIN_J:g}, got {j}")
-    return j
 
 
 def j_from_g(g: float) -> float:
@@ -140,8 +123,7 @@ def singular_prob_table(rho, j, size: int = 16, mode: str = "float") -> ProbTabl
     general exponent -2j is irrational."""
     if mode == "exact":
         raise ValueError("the singular family is float-only (irrational exponent -2j)")
-    params = {"rho": _rho_value(rho, open_top=True), "j": _j_value(j)}
-    return make_table("singular", params, size, mode, singular_table)
+    return make_table("singular", {"rho": rho, "j": j}, size, mode, singular_table)
 
 
 def ground_row(n: int, rho, j) -> float:

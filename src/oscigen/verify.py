@@ -16,7 +16,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -112,61 +111,44 @@ def _antidiagonal_check(check_id, build, sk, grid, size, computed) -> CheckResul
     return _check(check_id, "S_k", worst, 1e-12, computed=computed)
 
 
-def _route_checks(prefix, cases) -> list[CheckResult]:
-    """Compare the three independent routes to the same 11x11 tables: the
-    amplitude kernel, the float series engine and the contour oracle.
-    ``cases`` holds one (kernel table, series table, generating function)
-    triple per parameter point."""
+def _route_checks(prefix, kernel, series, gf, points, exact=None) -> list[CheckResult]:
+    """Compare the three independent routes to the same 11x11 tables at each
+    parameter tuple x of ``points``: the amplitude kernel ``kernel(*x, rows,
+    cols)``, the float series engine ``series(*x, max_m, max_n)`` and the
+    contour oracle of ``gf(u, v, *x)``.  Given ``exact``, the exact series
+    grid, the closed form ``poly(m, n)`` and ``prefactor(x)`` of a
+    one-parameter family, also compare the kernel with the series
+    polynomials, each taken at the binary value of x and rounded once, and
+    those polynomials with the closed form, coefficient for coefficient."""
     worst_so = worst_ks = worst_ko = 0.0
-    for ker, ser, gf in cases:
-        dft = dft_extract_table(gf, 10, 10, grid=_ORACLE_GRID_SIZE)
+    for x in points:
+        ker, ser = kernel(*x, 11, 11), series(*x, 10, 10)
+        dft = dft_extract_table(lambda u, v: gf(u, v, *x), 10, 10, grid=_ORACLE_GRID_SIZE)
         worst_so = max(worst_so, float(np.max(np.abs(ser - dft))))
         worst_ks = max(worst_ks, float(np.max(np.abs(ker - ser))))
         worst_ko = max(worst_ko, float(np.max(np.abs(ker - dft))))
-    return [
-        _check(
-            f"{prefix}.oracle-dft", "w_mn", worst_so, _TOL_ORACLE,
-            computed="series engine vs contour extraction",
-        ),
-        _check(
-            f"{prefix}.kernel-series", "w_mn", worst_ks, 1e-12,
-            computed="amplitude kernel vs series engine",
-        ),
-        _check(
-            f"{prefix}.kernel-oracle", "w_mn", worst_ko, _TOL_ORACLE,
-            computed="amplitude kernel vs contour extraction",
-        ),
-    ]
-
-
-def _kernel_exact_check(prefix, kernel, grid, points, prefactor) -> CheckResult:
-    """Kernel tables against the exact-mode polynomials evaluated in rational
-    arithmetic at the binary value of each parameter and rounded once."""
+    out = [_check(f"{prefix}.oracle-dft", "w_mn", worst_so, _TOL_ORACLE,
+                  computed="series engine vs contour extraction"),
+           _check(f"{prefix}.kernel-series", "w_mn", worst_ks, 1e-12,
+                  computed="amplitude kernel vs series engine"),
+           _check(f"{prefix}.kernel-oracle", "w_mn", worst_ko, _TOL_ORACLE,
+                  computed="amplitude kernel vs contour extraction")]
+    if exact is None:
+        return out
+    grid, poly, prefactor = exact
     size = grid.max_deg_u + 1
+    nodes = np.array([x for (x,) in points])
+    at = np.array([[p.at_nodes(nodes) for p in row] for row in grid.rows])
     worst = 0.0
-    for x in points:
-        exact = np.array(
-            [[float(p(Fraction(x))) for p in row] for row in grid.rows]
-        )
-        diff = kernel(x, size, size) - prefactor(x) * exact
+    for i, x in enumerate(nodes.tolist()):
+        diff = kernel(x, size, size) - prefactor(x) * at[:, :, i]
         worst = max(worst, float(np.max(np.abs(diff))))
-    return _check(
-        f"{prefix}.kernel-exact", "w_mn", worst, 1e-14,
-        computed=f"amplitude kernel vs rational polynomials, {size}x{size}",
-    )
-
-
-def _series_exact_check(prefix, grid, poly) -> CheckResult:
-    """Exact series polynomials against the closed-form ones, coefficient
-    for coefficient."""
-    size = grid.max_deg_u + 1
-    bad = sum(
-        grid.coeff(m, n).coeffs != poly(m, n).coeffs
-        for m in range(size)
-        for n in range(size)
-    )
-    return _count(f"{prefix}.series-exact", "w_mn", bad, size * size,
-                  "series polynomials equal the closed form")
+    bad = sum(grid.coeff(m, n).coeffs != poly(m, n).coeffs
+              for m in range(size) for n in range(size))
+    return out + [_check(f"{prefix}.kernel-exact", "w_mn", worst, 1e-14,
+                         computed=f"amplitude kernel vs rational polynomials, {size}x{size}"),
+                  _count(f"{prefix}.series-exact", "w_mn", bad, size * size,
+                         "series polynomials equal the closed form")]
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +251,9 @@ def _forced_checks() -> list[CheckResult]:
     )
 
     out += _route_checks(
-        "forced",
-        [
-            (
-                amplitude.forced_table(nu, 11, 11),
-                forced._float_grid(nu, 10, 10),
-                lambda U, V, nu=nu: forced.forced_gf_value(U, V, nu),
-            )
-            for nu in _NU_GRID
-        ],
+        "forced", amplitude.forced_table, forced._float_grid, forced.forced_gf_value,
+        [(nu,) for nu in _NU_GRID], (exact, amplitude.forced_poly, lambda nu: math.exp(-nu)),
     )
-    out.append(
-        _kernel_exact_check(
-            "forced", amplitude.forced_table, exact, _NU_GRID,
-            lambda nu: math.exp(-nu),
-        )
-    )
-    out.append(_series_exact_check("forced", exact, amplitude.forced_poly))
     return out
 
 
@@ -431,23 +399,10 @@ def _parametric_checks() -> list[CheckResult]:
     )
 
     out += _route_checks(
-        "param",
-        [
-            (
-                amplitude.param_table(rho, 11, 11),
-                parametric._float_grid(rho, 10, 10),
-                lambda U, V, r=rho: parametric.param_gf_value(U, V, r),
-            )
-            for rho in _RHO_GRID
-        ],
+        "param", amplitude.param_table, parametric._float_grid, parametric.param_gf_value,
+        [(rho,) for rho in _RHO_GRID],
+        (grid, amplitude.param_poly, lambda rho: math.sqrt(1.0 - rho)),
     )
-    out.append(
-        _kernel_exact_check(
-            "param", amplitude.param_table, grid, _RHO_GRID,
-            lambda rho: math.sqrt(1.0 - rho),
-        )
-    )
-    out.append(_series_exact_check("param", grid, amplitude.param_poly))
     return out
 
 
@@ -564,16 +519,8 @@ def _singular_checks() -> list[CheckResult]:
     )
 
     out += _route_checks(
-        "singular",
-        [
-            (
-                amplitude.singular_table(rho, j, 11, 11),
-                singular._float_grid(rho, j, 10, 10),
-                lambda U, V, r=rho, jj=j: singular.singular_gf_value(U, V, r, jj),
-            )
-            for rho in _RHO_GRID
-            for j in _J_GRID
-        ],
+        "singular", amplitude.singular_table, singular._float_grid, singular.singular_gf_value,
+        [(rho, j) for rho in _RHO_GRID for j in _J_GRID],
     )
     return out
 

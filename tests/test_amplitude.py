@@ -32,7 +32,7 @@ JS = (-0.25, -0.5, -0.75, -0.6, -1.3, -3.0, -10.0)
 def _exact_values(table, x, prefactor):
     """Exact-mode polynomials evaluated in rationals, rounded once."""
     return prefactor * np.array(
-        [[float(p(Fraction(x))) for p in row] for row in table.symbolic.entries]
+        [[float(p(Fraction(x))) for p in row] for row in table.symbolic]
     )
 
 
@@ -93,8 +93,8 @@ def test_exact_paths_build_no_series(monkeypatch):
 
     monkeypatch.setattr(Series2, "exp", refuse)
     monkeypatch.setattr(Series2, "pow_real", refuse)
-    assert forced_prob_table(1.5, size=20, mode="exact").symbolic.poly(19, 3) == forced_poly(3, 19)
-    assert param_prob_table(0.4, size=20, mode="exact").symbolic.poly(5, 17) == param_poly(17, 5)
+    assert forced_prob_table(1.5, size=20, mode="exact").symbolic[19][3] == forced_poly(3, 19)
+    assert param_prob_table(0.4, size=20, mode="exact").symbolic[5][17] == param_poly(17, 5)
     r = forced_sum_rules(6, 9)
     assert (r.norm, r.mean, r.variance) == (1, 16, 124)
     assert param_weighted_integrals(4, 10).first == Fraction(2, 15)

@@ -267,6 +267,25 @@ def test_rho_tabulated_profile():
     assert r.wronskian_residual < 1e-8
 
 
+def test_rho_tabulated_profile_with_a_kinked_start():
+    """A profile that starts to move between two samples: its spline moves
+    before the first sample that leaves values[0], so the propagation must
+    start at the first sample.  Reference: scipy's DOP853 from there."""
+    integrate = pytest.importorskip("scipy.integrate")
+    from oscigen.excitation import _project
+
+    ts = np.linspace(-20.0, 20.0, 401)
+    om = np.where(ts < -2.0, 1.0, 1.0 + 0.5 * (1.0 + np.tanh(ts)) - 0.5 * (1.0 + np.tanh(-2.0)))
+    prof = FrequencyProfile.tabulated(ts, om)
+    wm, wp = prof.omega_minus, prof.omega_plus
+    xi0 = np.exp(-1j * wm * ts[0]) / math.sqrt(2.0 * wm)
+    sol = integrate.solve_ivp(lambda t, y: [y[1], -prof.omega_sq(t) * y[0]], (ts[0], ts[-1]),
+                              [xi0, -1j * wm * xi0], method="DOP853", rtol=1e-13, atol=1e-15)
+    alpha, beta = _project(wp, ts[-1], *sol.y[:, -1])
+    want = abs(beta / alpha) ** 2
+    assert bogoliubov_from_frequency(prof, tol=1e-12).rho == pytest.approx(want, rel=1e-7, abs=0.0)
+
+
 def test_wronskian_contract_scales_with_tolerance():
     r = bogoliubov_from_frequency(FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0), tol=1e-8)
     assert r.wronskian_residual < 10.0 * 1e-8

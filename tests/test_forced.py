@@ -62,7 +62,7 @@ def test_vacuum_row_is_poisson():
 
 def test_first_diagonal_entry_polynomial():
     table = forced_prob_table(1.0, size=4, mode="exact")
-    assert table.symbolic.poly(1, 1) == RatPoly((1, -2, 1))  # (1-nu)^2
+    assert table.symbolic[1][1] == RatPoly((1, -2, 1))  # (1-nu)^2
     assert table.values[1][1] == pytest.approx(0.0, abs=1e-15)
     t2 = forced_prob_table(0.5, size=4, mode="exact")
     assert t2.values[1][1] == pytest.approx(0.25 * math.exp(-0.5), rel=1e-13, abs=0.0)
@@ -139,7 +139,7 @@ def test_table_symmetry_and_bounds():
     exact = forced_prob_table(2.0, size=8, mode="exact")
     for m in range(8):
         for n in range(8):
-            assert exact.symbolic.poly(m, n) == exact.symbolic.poly(n, m)
+            assert exact.symbolic[m][n] == exact.symbolic[n][m]
 
 
 def test_row_mass_past_the_table_within_its_deficit():
@@ -166,5 +166,5 @@ def test_json_round_trip_preserves_entries():
     table = forced_prob_table(1.5, size=6, mode="exact")
     back = ProbTable.from_json_dict(json.loads(table.to_json()))
     assert np.array_equal(back.values, table.values)
-    assert back.symbolic.entries == table.symbolic.entries
+    assert back.symbolic == table.symbolic
     assert back.params == table.params

@@ -59,7 +59,7 @@ def test_parity_entries_vanish_exactly():
     for m in range(13):
         for n in range(13):
             if (m + n) % 2 == 1:
-                assert not exact.symbolic.poly(m, n)
+                assert not exact.symbolic[m][n]
                 assert flt.values[m][n] == 0.0
 
 
@@ -69,7 +69,7 @@ def test_structure_of_exact_polynomials():
         for n in range(13):
             if (m + n) % 2 == 1:
                 continue
-            q = table.symbolic.poly(m, n)
+            q = table.symbolic[m][n]
             half = abs(m - n) // 2
             assert all(c == 0 for c in q.coeffs[:half])
             assert q.degree <= (m + n) // 2

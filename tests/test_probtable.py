@@ -34,6 +34,10 @@ def json_cell(x: float) -> str:
     return "%.17g" % x
 
 
+# the prefactor and variable of each family's exact form
+FORMS = {"forced": ("exp(-nu)", "nu"), "parametric": ("sqrt(1-rho)", "rho")}
+
+
 def reference_json(table: ProbTable) -> str:
     """json.dumps of the table record with every float as ``json_cell``
     spells it: each goes in as a NUL-marked string, and the quotes and
@@ -47,12 +51,13 @@ def reference_json(table: ProbTable) -> str:
         "values": [[cell(x) for x in row] for row in table.values],
     }
     if table.symbolic is not None:
+        prefactor, variable = FORMS[table.family]
         d["symbolic"] = {
-            "prefactor": table.symbolic.prefactor,
-            "variable": table.symbolic.variable,
+            "prefactor": prefactor,
+            "variable": variable,
             "entries": [
                 [[f"{c.numerator}/{c.denominator}" for c in p.coeffs] for p in row]
-                for row in table.symbolic.entries
+                for row in table.symbolic
             ],
         }
     return re.sub(r'"\\u0000([^"]*)"', r"\1", json.dumps(d, indent=1)) + "\n"
@@ -155,13 +160,12 @@ def test_symbolic_block_without_entries_or_coefficients():
     from fractions import Fraction
 
     from oscigen.domains import RatPoly
-    from oscigen.probtable import SymbolicTable
 
     zero, one = RatPoly(), RatPoly((Fraction(1), Fraction(-1, 3)))
     for values, entries in ((np.zeros((0, 0)), ()), (np.zeros((1, 0)), ((),)),
                             (np.full((2, 2), 0.25), ((zero, one), (one, zero)))):
-        symbolic = SymbolicTable('exp(-"nu")', "nu", entries)
-        table = ProbTable("forced", {}, "exact", values, symbolic)
+        table = ProbTable("forced", {}, values, entries)
+        assert table.mode == "exact"
         assert table.to_json() == reference_json(table)
 
 
@@ -201,7 +205,7 @@ def test_exact_json_write_holds_one_polynomial_at_a_time():
 
     table = forced_prob_table(2.37, size=64, mode="exact")
     largest = max(len(json.dumps([f"{c.numerator}/{c.denominator}" for c in p.coeffs], indent=4))
-                  for row in table.symbolic.entries for p in row)
+                  for row in table.symbolic for p in row)
     table.write(Discard(), "json")  # the cell kernel builds its tables once
     floats = write_peak(dataclasses.replace(table, symbolic=None))
     # a row of polynomial texts, as the writer once held, is 29 times the
@@ -211,7 +215,7 @@ def test_exact_json_write_holds_one_polynomial_at_a_time():
 
 def test_signed_zero_and_extremes_keep_their_text():
     values = np.array([[0.0, -0.0, 5e-324], [1e-300, 1.0, -0.0], [5e-324, 0.0, 1e-300]])
-    table = ProbTable("forced", {"nu": 0.0}, "float", values)
+    table = ProbTable("forced", {"nu": 0.0}, values)
     assert_writers_exact(table)
     assert table.to_csv().splitlines()[1] == "0,0,-0,4.9406564584124654e-324"
     text = table.to_json()
@@ -233,7 +237,7 @@ def test_kernel_writes_positive_zero_itself(dirty):
 
 def test_non_finite_cells_match_json_dumps():
     values = np.array([[np.nan, np.inf], [-np.inf, 0.5]])
-    table = ProbTable("forced", {"nu": 1.0}, "float", values)
+    table = ProbTable("forced", {"nu": 1.0}, values)
     assert table.to_csv() == reference_csv(table)
     assert table.to_json() == reference_json(table)
     assert "\n   NaN,\n   Infinity\n  ],\n  [\n   -Infinity,\n   0.5\n" in table.to_json()
@@ -242,20 +246,20 @@ def test_non_finite_cells_match_json_dumps():
 
 def test_non_symmetric_table():
     values = np.arange(16, dtype=float).reshape(4, 4) / 17.0
-    table = ProbTable("parametric", {"rho": 0.5}, "float", values)
+    table = ProbTable("parametric", {"rho": 0.5}, values)
     assert_writers_exact(table)
 
 
 def test_non_square_table():
     values = np.linspace(0.0, 1.0, 15).reshape(3, 5) ** 3
-    table = ProbTable("singular", {"rho": 0.5, "j": -0.25}, "float", values)
+    table = ProbTable("singular", {"rho": 0.5, "j": -0.25}, values)
     assert_writers_exact(table)
     assert table.to_csv().splitlines()[0] == "m\\n,0,1,2,3,4"
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
 def test_empty_tables(shape):
-    table = ProbTable("forced", {"nu": 1.0}, "float", np.zeros(shape))
+    table = ProbTable("forced", {"nu": 1.0}, np.zeros(shape))
     assert table.to_csv() == reference_csv(table)
     assert table.to_json() == reference_json(table)
 
@@ -292,6 +296,9 @@ OLD_FORMAT = """{"family": "forced", "mode": "float", "params": {"nu": 0.5}, "si
 DROP = object()  # an edit that removes the member
 
 
+ENTRIES = [[["1/1"], ["1/2"]], [["1/2"], ["1/4"]]]
+
+
 def _symbolic(entries) -> dict:
     return {"prefactor": "exp(-nu)", "variable": "nu", "entries": entries}
 
@@ -312,7 +319,7 @@ def _symbolic(entries) -> dict:
     pytest.param({"mode": "bogus"}, "^mode 'bogus' disagrees", id="unknown-mode"),
     pytest.param({"mode": "exact"}, "^mode 'exact' disagrees with a record without",
                  id="exact-without-symbolic"),
-    pytest.param({"symbolic": _symbolic([[["1/1"], ["1/2"]], [["1/2"], ["1/4"]]])},
+    pytest.param({"symbolic": _symbolic(ENTRIES)},
                  "^mode 'float' disagrees with a record with", id="float-with-symbolic"),
     pytest.param({"mode": "exact", "symbolic": _symbolic([[["1/1"]]])},
                  "not one polynomial per cell", id="symbolic-cut"),
@@ -322,6 +329,32 @@ def _symbolic(entries) -> dict:
                  "^symbolic entries unreadable", id="non-rational-coefficient"),
     pytest.param({"mode": "exact", "symbolic": {"entries": [[["1"], ["1"]], [["1"], ["1"]]]}},
                  "^symbolic entries unreadable", id="no-prefactor"),
+    pytest.param({"mode": "exact", "symbolic": {**_symbolic(ENTRIES), "prefactor": "sqrt(1-rho)"}},
+                 r"not of the form exp\(-nu\) \* poly\(nu\)$", id="foreign-prefactor"),
+    pytest.param({"family": "singular", "params": {"rho": 0.5, "j": -0.25}, "mode": "exact",
+                  "symbolic": _symbolic(ENTRIES)},
+                 "^symbolic entries unreadable: singular tables have no exact form$",
+                 id="singular-with-symbolic"),
+    pytest.param({"params": 3}, "^params must be an object of the numbers nu, got 3$", id="params-number"),
+    pytest.param({"params": "ab"}, "^params must be an object of the numbers nu, got 'ab'$", id="params-string"),
+    pytest.param({"params": {}}, "^params must be an object of the numbers nu, got {}$", id="params-empty"),
+    pytest.param({"params": {"rho": 0.5}}, "^params must be an object of the numbers nu,", id="params-foreign"),
+    pytest.param({"params": {"nu": 0.5, "rho": 0.5}}, "^params must be an object of the numbers nu,",
+                 id="params-extra"),
+    pytest.param({"family": "singular", "params": {"rho": 0.5}},
+                 "^params must be an object of the numbers rho and j,", id="params-missing"),
+    pytest.param({"params": {"nu": "abc"}}, "^params must be an object of the numbers nu, got {'nu': 'abc'}$", id="nu-string"),
+    pytest.param({"params": {"nu": True}}, "^params must be an object of the numbers nu, got {'nu': True}$", id="nu-boolean"),
+    pytest.param({"params": {"nu": -1.0}}, "^nu must be nonnegative and finite, got -1.0$",
+                 id="nu-negative"),
+    pytest.param({"params": {"nu": math.nan}}, "^nu must be nonnegative and finite, got nan$",
+                 id="nu-nan"),
+    pytest.param({"family": "parametric", "params": {"rho": 1.5}},
+                 r"^rho must lie in \[0, 1\], got 1.5$", id="rho-above-one"),
+    pytest.param({"family": "singular", "params": {"rho": 1.0, "j": -0.25}},
+                 r"^rho = 1 excluded here \(divergent quantity\)$", id="singular-rho-one"),
+    pytest.param({"family": "singular", "params": {"rho": 0.5, "j": 0.0}},
+                 "^weight j must be negative", id="singular-j-zero"),
 ])
 def test_json_records_are_read_strictly(edit, message):
     doc = {k: v for k, v in {**json.loads(OLD_FORMAT), **edit}.items() if v is not DROP}
@@ -342,7 +375,7 @@ def assert_cells_exact(values) -> None:
     ``json_cell`` spells it."""
     values = np.asarray(values, dtype=float).reshape(1, -1)
     xs = values[0].tolist()
-    table = ProbTable("forced", {"nu": 1.0}, "float", values)
+    table = ProbTable("forced", {"nu": 1.0}, values)
     cells = table.to_csv().splitlines()[1].split(",")[1:]
     want = list(map("%.17g".__mod__, xs))
     assert cells == want, [(x, c, w) for x, c, w in zip(xs, cells, want) if c != w][:5]
