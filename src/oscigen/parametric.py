@@ -33,10 +33,9 @@ import numpy as np
 
 from .amplitude import _rho_value, param_poly, param_table
 from .domains import FLOAT, POLY, RatPoly
-from .errors import SingularEvaluationError
 from .probtable import ProbTable, make_table
 from .quadrature import gauss_jacobi_half, gauss_legendre
-from .series import Series2
+from .series import Series2, _checked_sqrt
 
 __all__ = [
     "param_gf_value",
@@ -50,16 +49,6 @@ __all__ = [
     "param_dispersion",
     "param_row_moments",
 ]
-
-
-def _checked_sqrt(z: np.ndarray, what: str) -> np.ndarray:
-    """Principal square root after verifying the argument stays off the
-    branch cut (the nonpositive real axis)."""
-    z = np.asarray(z, dtype=complex)
-    on_cut = (z.real <= 0.0) & (np.abs(z.imag) <= 1e-13 * (np.abs(z) + 1.0))
-    if np.any(on_cut):
-        raise SingularEvaluationError(f"{what} touched the branch cut")
-    return np.sqrt(z)
 
 
 def param_gf_value(u, v, rho) -> complex:

@@ -26,14 +26,15 @@ run the element operators.
 coefficients of an analytic function on a bidisk by a double trapezoidal
 contour average, touching none of the series arithmetic above; it
 evaluates the torus a strip of rows at a time, so its memory does not grow
-with the square of the grid.
+with the square of the grid.  ``_checked_sqrt`` is the principal square root
+that the generating-function evaluators fed to it share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleFailureError, WindowMismatchError
+from .errors import OracleFailureError, SingularEvaluationError, WindowMismatchError
 
 __all__ = ["MAX_WINDOW", "Series2", "check_window", "dft_extract_table"]
 
@@ -246,7 +247,17 @@ class Series2:
 
 
 # ---------------------------------------------------------------------------
-# contour-integral oracle
+# contour-integral oracle and the square root of its evaluators
+
+def _checked_sqrt(z: np.ndarray, what: str) -> np.ndarray:
+    """Principal square root after verifying the argument stays off the
+    branch cut (the nonpositive real axis)."""
+    z = np.asarray(z, dtype=complex)
+    on_cut = (z.real <= 0.0) & (np.abs(z.imag) <= 1e-13 * (np.abs(z) + 1.0))
+    if np.any(on_cut):
+        raise SingularEvaluationError(f"{what} touched the branch cut")
+    return np.sqrt(z)
+
 
 def dft_extract_table(evaluator, max_m: int, max_n: int,
                       grid: int | None = None) -> np.ndarray:

@@ -29,9 +29,8 @@ import numpy as np
 from .amplitude import MIN_J, _j_value, _one_minus_pow, _rho_value, singular_table
 from .domains import FLOAT
 from .errors import SingularEvaluationError
-from .parametric import _checked_sqrt
 from .probtable import ProbTable, make_table
-from .series import Series2
+from .series import Series2, _checked_sqrt
 
 __all__ = [
     "MIN_J",

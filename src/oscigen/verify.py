@@ -12,6 +12,7 @@ m = 16 and 0.013 at m = 48), so it is *reported only* and never fails a run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -60,12 +61,19 @@ class VerifyReport:
         return 1 if self.counts()["fail"] else 0
 
     def to_json_dict(self) -> dict:
+        """The report as strict JSON data: a non-finite residual or tol
+        (the reported-only check's tol is inf) is written as None."""
         n = self.counts()
+        checks = [asdict(c) for c in self.checks]
+        for c in checks:
+            for key in ("residual", "tol"):
+                if not math.isfinite(c[key]):
+                    c[key] = None
         return {
             "suite": self.suite,
             "wall_time": self.wall_time,
             "summary": {"pass": n["pass"], "fail": n["fail"], "reported_only": n["reported-only"]},
-            "checks": [asdict(c) for c in self.checks],
+            "checks": checks,
         }
 
     def format_text(self) -> str:
@@ -86,6 +94,11 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _cells(size):
+    """The (m, n) of a size x size table, row by row."""
+    return itertools.product(range(size), repeat=2)
+
+
 def _check(check_id, equation, residual, tol, computed="", expected="", note=""):
     status = "pass" if residual <= tol else "fail"
     return CheckResult(
@@ -93,10 +106,35 @@ def _check(check_id, equation, residual, tol, computed="", expected="", note="")
     )
 
 
-def _count(check_id, equation, bad, total, what) -> CheckResult:
-    """A check that passes when none of ``total`` cases is bad."""
-    return _check(check_id, equation, float(bad), 0.0,
-                  computed=f"{total - bad}/{total} {what}", expected=f"{total}/{total}")
+def _count(check_id, equation, right, what) -> CheckResult:
+    """A check that passes when every case of ``right``, one flag each, holds."""
+    right = list(right)
+    good, total = sum(right), len(right)
+    return _check(check_id, equation, float(total - good), 0.0,
+                  computed=f"{good}/{total} {what}", expected=f"{total}/{total}")
+
+
+def _exact_checks(prefix, equation, cases, what, rule, tol, expected="") -> list[CheckResult]:
+    """The ``.exact`` count and the ``.quadrature`` check of ``cases``, one
+    (exact value right, quadrature error) pair each; ``rule`` names the
+    quadrature."""
+    right, errors = zip(*cases)
+    return [_count(f"{prefix}.exact", equation, right, what),
+            _check(f"{prefix}.quadrature", equation, max(errors), tol,
+                   computed=f"{rule} cross-check", expected=expected)]
+
+
+def _unitarity_check(check_id, grids, tol, computed) -> CheckResult:
+    """The worst |1 - sum_n w_mn| over the rows of ``grids``."""
+    worst = max(float(np.max(np.abs(1.0 - g.sum(axis=1)))) for g in grids)
+    return _check(check_id, "row sums", worst, tol, computed=computed)
+
+
+def _symmetry_check(check_id, grids, computed, exact_ok=True) -> CheckResult:
+    """The worst |w_mn - w_nm| over the square ``grids``, or 1 unless
+    ``exact_ok``."""
+    worst = max(float(np.max(np.abs(g - g.T))) for g in grids)
+    return _check(check_id, "w_mn", worst if exact_ok else 1.0, 1e-12, computed=computed)
 
 
 def _antidiagonal_check(check_id, build, sk, grid, size, computed) -> CheckResult:
@@ -139,116 +177,64 @@ def _route_checks(prefix, kernel, series, gf, points, exact=None) -> list[CheckR
     size = grid.max_deg_u + 1
     nodes = np.array([x for (x,) in points])
     at = np.array([[p.at_nodes(nodes) for p in row] for row in grid.rows])
-    worst = 0.0
-    for i, x in enumerate(nodes.tolist()):
-        diff = kernel(x, size, size) - prefactor(x) * at[:, :, i]
-        worst = max(worst, float(np.max(np.abs(diff))))
-    bad = sum(grid.coeff(m, n).coeffs != poly(m, n).coeffs
-              for m in range(size) for n in range(size))
+    worst = max(float(np.max(np.abs(kernel(x, size, size) - prefactor(x) * at[:, :, i])))
+                for i, x in enumerate(nodes.tolist()))
     return out + [_check(f"{prefix}.kernel-exact", "w_mn", worst, 1e-14,
                          computed=f"amplitude kernel vs rational polynomials, {size}x{size}"),
-                  _count(f"{prefix}.series-exact", "w_mn", bad, size * size,
+                  _count(f"{prefix}.series-exact", "w_mn",
+                         (grid.coeff(m, n) == poly(m, n) for m, n in _cells(size)),
                          "series polynomials equal the closed form")]
 
 
 # ---------------------------------------------------------------------------
 # forced oscillator
 
-def _forced_checks() -> list[CheckResult]:
-    out = []
+def _sum_rule_case(m, n):
+    """Whether the exact moments of w_mn are right, and the worst relative
+    error of their Gauss-Laguerre values."""
+    r = forced.forced_sum_rules(m, n)
+    want = (1, m + n + 1, 2 * m * n + m + n + 1)
+    quad = (r.norm_quad, r.mean_quad, r.variance_quad)
+    return (r.norm, r.mean, r.variance) == want, max(abs(q - w) / w for q, w in zip(quad, want))
 
+
+def _forced_checks() -> list[CheckResult]:
     # exact sum rules, m,n <= 8
-    bad = 0
-    worst_quad = 0.0
-    for m in range(9):
-        for n in range(9):
-            r = forced.forced_sum_rules(m, n)
-            bad += (r.norm, r.mean, r.variance) != (1, m + n + 1, 2 * m * n + m + n + 1)
-            for got, want in (
-                (r.norm_quad, 1.0),
-                (r.mean_quad, m + n + 1.0),
-                (r.variance_quad, 2.0 * m * n + m + n + 1.0),
-            ):
-                worst_quad = max(worst_quad, abs(got - want) / want)
-    out.append(_count("forced.sum-rules.exact", "moments", bad, 81,
-                      "triples exactly (1, m+n+1, 2mn+m+n+1)"))
-    out.append(
-        _check(
-            "forced.sum-rules.quadrature", "moments", worst_quad, 1e-12,
-            computed="Gauss-Laguerre cross-check", expected="matches exact values",
-        )
-    )
+    out = _exact_checks("forced.sum-rules", "moments", (_sum_rule_case(*c) for c in _cells(9)),
+                        "triples exactly (1, m+n+1, 2mn+m+n+1)", "Gauss-Laguerre", 1e-12,
+                        expected="matches exact values")
 
     # Poisson vacuum row
-    worst = 0.0
-    for nu in _NU_GRID:
-        table = forced.forced_prob_table(nu, size=13, mode="float")
-        for n in range(13):
-            want = math.exp(-nu) * nu**n / math.factorial(n)
-            worst = max(worst, abs(table.values[0][n] - want))
-    out.append(
-        _check(
-            "forced.poisson-row", "vacuum row", worst, 1e-12,
-            computed="w_0n vs nu^n e^-nu / n!",
-        )
-    )
-
-    bad = 0
-    for n in range(13):
-        r = forced.forced_sum_rules(0, n)
-        if r.variance != r.mean:
-            bad += 1
-    out.append(
-        _check(
-            "forced.poisson-variance", "moments", float(bad), 0.0,
-            computed="variance == mean exactly on row 0", expected="13/13",
-        )
-    )
+    rows = {nu: forced.forced_prob_table(nu, size=13, mode="float").values[0] for nu in _NU_GRID}
+    worst = max(abs(row[n] - math.exp(-nu) * nu**n / math.factorial(n))
+                for nu, row in rows.items() for n in range(13))
+    out.append(_check("forced.poisson-row", "vacuum row", worst, 1e-12,
+                      computed="w_0n vs nu^n e^-nu / n!"))
+    row0 = (forced.forced_sum_rules(0, n) for n in range(13))
+    out.append(_count("forced.poisson-variance", "moments", (r.variance == r.mean for r in row0),
+                      "variance == mean exactly on row 0"))
 
     out.append(_antidiagonal_check("forced.antidiagonal", forced.forced_prob_table,
                                    forced.forced_sk, _NU_GRID, 17,
                                    "Laguerre partial sums vs table anti-diagonals"))
-
-    spots = max(
-        abs(forced.forced_sk(0, nu) - math.exp(-nu)) for nu in _NU_GRID
-    )
-    spots = max(spots, abs(forced.forced_sk(1, 1.0) - 2.0 * math.exp(-1.0)))
-    spots = max(spots, abs(forced.forced_sk(3, 1.0) - (4.0 / 3.0) * math.exp(-1.0)))
-    out.append(
-        _check(
-            "forced.antidiagonal.spot", "S_k", spots, 1e-12,
-            computed="S_0 = e^-nu, S_1(1) = 2/e, S_3(1) = 4/(3e)",
-        )
-    )
+    spots = max([abs(forced.forced_sk(0, nu) - math.exp(-nu)) for nu in _NU_GRID]
+                + [abs(forced.forced_sk(1, 1.0) - 2.0 * math.exp(-1.0)),
+                   abs(forced.forced_sk(3, 1.0) - (4.0 / 3.0) * math.exp(-1.0))])
+    out.append(_check("forced.antidiagonal.spot", "S_k", spots, 1e-12,
+                      computed="S_0 = e^-nu, S_1(1) = 2/e, S_3(1) = 4/(3e)"))
 
     # unitarity with a wide window
-    worst = 0.0
-    for nu in (0.3, 1.0, 3.0, 5.0):
-        grid = forced._float_grid(nu, 8, 64)
-        worst = max(worst, float((1.0 - grid.sum(axis=1)).max()))
-    out.append(
-        _check(
-            "forced.unitarity", "row sums", worst, 1e-10,
-            computed="1 - sum_n w_mn for m <= 8, nu <= 5, 65 columns",
-        )
-    )
+    out.append(_unitarity_check(
+        "forced.unitarity", (forced._float_grid(nu, 8, 64) for nu in (0.3, 1.0, 3.0, 5.0)),
+        1e-10, "1 - sum_n w_mn for m <= 8, nu <= 5, 65 columns"))
 
     # symmetry of the series, which unlike the kernel is not symmetric by
     # construction
-    worst = 0.0
-    for nu in _NU_GRID:
-        v = forced._float_grid(nu, 12, 12)
-        worst = max(worst, float(np.max(np.abs(v - v.T))))
     exact = forced._exact_grid(8, 8)
-    sym_ok = all(
-        exact.coeff(m, n) == exact.coeff(n, m) for m in range(9) for n in range(9)
-    )
-    out.append(
-        _check(
-            "forced.symmetry", "w_mn", worst if sym_ok else 1.0, 1e-12,
-            computed="float series and exact polynomials",
-        )
-    )
+    out.append(_symmetry_check(
+        "forced.symmetry", (forced._float_grid(nu, 12, 12) for nu in _NU_GRID),
+        "float series and exact polynomials",
+        exact_ok=all(exact.coeff(m, n) == exact.coeff(n, m) for m, n in _cells(9))))
 
     out += _route_checks(
         "forced", amplitude.forced_table, forced._float_grid, forced.forced_gf_value,
@@ -261,36 +247,18 @@ def _forced_checks() -> list[CheckResult]:
 # parametric oscillator
 
 def _parametric_checks() -> list[CheckResult]:
-    out = []
-
     # arctanh integral identity on a grid
-    worst = 0.0
-    for u in np.linspace(-0.7, 0.7, 5):
-        for v in np.linspace(-0.7, 0.7, 5):
-            worst = max(worst, parametric.param_identity_eq6(float(u), float(v)).residual)
-    out.append(
-        _check(
-            "param.arctanh-integral", "1/(1-rho)", worst, 1e-9,
-            computed="Jacobi quadrature vs 2(arctanh u - arctanh v)/(u-v)",
-        )
-    )
+    knots = np.linspace(-0.7, 0.7, 5).tolist()
+    worst = max(parametric.param_identity_eq6(u, v).residual for u in knots for v in knots)
+    out = [_check("param.arctanh-integral", "1/(1-rho)", worst, 1e-9,
+                  computed="Jacobi quadrature vs 2(arctanh u - arctanh v)/(u-v)")]
 
     # first weighted integral: exact and quadrature
-    bad = 0
-    worst_quad = 0.0
-    for m in range(11):
-        for n in range(11):
-            r = parametric.param_weighted_integrals(m, n)
-            bad += r.first != r.expected_first
-            worst_quad = max(worst_quad, abs(float(r.first) - r.first_quad))
-    out.append(_count("param.weighted-first.exact", "1/(1-rho)", bad, 121,
-                      "equal (1+(-1)^(m+n))/(m+n+1) exactly"))
-    out.append(
-        _check(
-            "param.weighted-first.quadrature", "1/(1-rho)", worst_quad, 1e-10,
-            computed="Gauss-Jacobi cross-check",
-        )
-    )
+    weighted = (parametric.param_weighted_integrals(*c) for c in _cells(11))
+    out += _exact_checks("param.weighted-first", "1/(1-rho)",
+                         ((r.first == r.expected_first, abs(float(r.first) - r.first_quad))
+                          for r in weighted),
+                         "equal (1+(-1)^(m+n))/(m+n+1) exactly", "Gauss-Jacobi", 1e-10)
 
     # second weighted integral: reported only
     r02 = parametric.param_weighted_integrals(0, 2)
@@ -316,20 +284,10 @@ def _parametric_checks() -> list[CheckResult]:
     )
 
     # diagonal rho-integrals J_nn
-    bad = 0
-    worst_quad = 0.0
-    for n in range(7):
-        r = parametric.param_jnn(n)
-        bad += r.closed_form != r.symbolic
-        worst_quad = max(worst_quad, abs(float(r.closed_form) - r.quadrature))
-    out.append(_count("param.diagonal-integral.exact", "J_nn", bad, 7,
-                      "match (1/(2n+1))[1 + 1/((2n+3)(2n-1))] exactly"))
-    out.append(
-        _check(
-            "param.diagonal-integral.quadrature", "J_nn", worst_quad, 1e-10,
-            computed="Gauss-Jacobi cross-check",
-        )
-    )
+    out += _exact_checks("param.diagonal-integral", "J_nn",
+                         ((r.closed_form == r.symbolic, abs(float(r.closed_form) - r.quadrature))
+                          for r in map(parametric.param_jnn, range(7))),
+                         "match (1/(2n+1))[1 + 1/((2n+3)(2n-1))] exactly", "Gauss-Jacobi", 1e-10)
 
     out.append(_antidiagonal_check("param.antidiagonal", parametric.param_prob_table,
                                    parametric.param_sk, (0.19, 0.5, 0.8), 13,
@@ -345,58 +303,28 @@ def _parametric_checks() -> list[CheckResult]:
             gf = parametric.param_row_moments(m, rho, power=1)[1]
             err = max(abs(gf - want), abs(np.arange(2049) @ table[m] - want))
             worst = max(worst, err / max(1.0, want))
-    out.append(
-        _check(
-            "param.mean-n", "<n>_m", worst, 1e-8,
-            computed="-1/2 + (m+1/2)(1+rho)/(1-rho) vs G(u, e^s) and table moments",
-        )
-    )
+    out.append(_check("param.mean-n", "<n>_m", worst, 1e-8,
+                      computed="-1/2 + (m+1/2)(1+rho)/(1-rho) vs G(u, e^s) and table moments"))
 
-    worst = 0.0
-    for rho in tables:
-        got = parametric.param_dispersion(0, rho)
-        want = 2.0 * rho / (1.0 - rho) ** 2
-        worst = max(worst, abs(got - want) / want)
-    out.append(
-        _check(
-            "param.dispersion-vacuum", "<dn^2>_0", worst, 1e-8,
-            computed="G(u, e^s) moments vs 2 rho/(1-rho)^2",
-        )
-    )
+    vacuum = {rho: 2.0 * rho / (1.0 - rho) ** 2 for rho in tables}
+    worst = max(abs(parametric.param_dispersion(0, rho) - want) / want
+                for rho, want in vacuum.items())
+    out.append(_check("param.dispersion-vacuum", "<dn^2>_0", worst, 1e-8,
+                      computed="G(u, e^s) moments vs 2 rho/(1-rho)^2"))
 
     # parity and structure of the exact polynomials
     grid = parametric._exact_grid(12, 12)
-    parity_ok = structure_ok = True
-    for m in range(13):
-        for n in range(13):
-            q = grid.coeff(m, n)
-            if (m + n) % 2 == 1:
-                parity_ok = parity_ok and not q
-            else:
-                half = abs(m - n) // 2
-                structure_ok = structure_ok and all(
-                    c == 0 for c in q.coeffs[:half]
-                ) and q.degree <= (m + n) // 2
-    out.append(
-        _check(
-            "param.parity", "w_mn", 0.0 if parity_ok else 1.0, 0.0,
-            computed="w_mn = 0 exactly for odd m+n, m,n <= 12",
-        )
-    )
-    out.append(
-        _check(
-            "param.structure", "w_mn", 0.0 if structure_ok else 1.0, 0.0,
-            computed="q_mn divisible by rho^(|m-n|/2), degree <= (m+n)/2",
-        )
-    )
+    odd = [grid.coeff(m, n) for m, n in _cells(13) if (m + n) % 2]
+    even = [(abs(m - n) // 2, (m + n) // 2, grid.coeff(m, n))
+            for m, n in _cells(13) if (m + n) % 2 == 0]
+    out.append(_count("param.parity", "w_mn", (not q for q in odd),
+                      "w_mn = 0 exactly for odd m+n, m,n <= 12"))
+    out.append(_count("param.structure", "w_mn",
+                      (not any(q.coeffs[:half]) and q.degree <= top for half, top, q in even),
+                      "q_mn divisible by rho^(|m-n|/2), degree <= (m+n)/2"))
 
-    worst = max(float((1.0 - t.sum(axis=1)).max()) for t in tables.values())
-    out.append(
-        _check(
-            "param.unitarity", "row sums", worst, 1e-10,
-            computed="1 - sum_n w_mn, m <= 8, n <= 2048, rho <= 0.8",
-        )
-    )
+    out.append(_unitarity_check("param.unitarity", tables.values(), 1e-10,
+                                "1 - sum_n w_mn, m <= 8, n <= 2048, rho <= 0.8"))
 
     out += _route_checks(
         "param", amplitude.param_table, parametric._float_grid, parametric.param_gf_value,
@@ -421,8 +349,6 @@ def _vacuum_row_sum(rho: float, j: float) -> float:
 
 
 def _singular_checks() -> list[CheckResult]:
-    out = []
-
     # the two series expansions, not the kernel, which computes both the
     # same way
     worst_even = worst_odd = 0.0
@@ -432,45 +358,23 @@ def _singular_checks() -> list[CheckResult]:
         odd = singular._float_grid(rho, -0.75, 6, 6)
         worst_even = max(worst_even, float(np.max(np.abs(even - par[::2, ::2]))))
         worst_odd = max(worst_odd, float(np.max(np.abs(odd - par[1::2, 1::2]))))
-    out.append(
-        _check(
-            "singular.reduction-even", "families", worst_even, 1e-10,
-            computed="j=-1/4 series vs even-even variable-frequency series",
-        )
-    )
-    out.append(
-        _check(
-            "singular.reduction-odd", "families", worst_odd, 1e-10,
-            computed="j=-3/4 series vs odd-odd variable-frequency series",
-        )
-    )
+    out = [_check("singular.reduction-even", "families", worst_even, 1e-10,
+                  computed="j=-1/4 series vs even-even variable-frequency series"),
+           _check("singular.reduction-odd", "families", worst_odd, 1e-10,
+                  computed="j=-3/4 series vs odd-odd variable-frequency series")]
 
     # vacuum row closed form vs series extraction; entry n of a kernel row
     # is ground_row(n) bit for bit, whatever the row's width
-    worst = 0.0
-    for rho in _RHO_GRID:
-        for j in _J_GRID:
-            row = singular._float_grid(rho, j, 0, 12)[0]
-            kernel = amplitude.singular_table(rho, j, 1, 13)[0]
-            worst = max(worst, float(np.max(np.abs(row - kernel))))
-    out.append(
-        _check(
-            "singular.ground-row", "w_0n", worst, 1e-10,
-            computed="Gamma-ratio closed form vs series row",
-        )
-    )
+    worst = max(float(np.max(np.abs(singular._float_grid(rho, j, 0, 12)[0]
+                                    - amplitude.singular_table(rho, j, 1, 13)[0])))
+                for rho in _RHO_GRID for j in _J_GRID)
+    out.append(_check("singular.ground-row", "w_0n", worst, 1e-10,
+                      computed="Gamma-ratio closed form vs series row"))
 
     # vacuum row normalization
-    worst = 0.0
-    for rho in (0.5, 0.8):
-        for j in _J_GRID:
-            worst = max(worst, abs(1.0 - _vacuum_row_sum(rho, j)))
-    out.append(
-        _check(
-            "singular.ground-row-normalization", "w_0n", worst, 1e-8,
-            computed="sum of the closed-form vacuum row",
-        )
-    )
+    worst = max(abs(1.0 - _vacuum_row_sum(rho, j)) for rho in (0.5, 0.8) for j in _J_GRID)
+    out.append(_check("singular.ground-row-normalization", "w_0n", worst, 1e-8,
+                      computed="sum of the closed-form vacuum row"))
 
     # adiabatic slope, Richardson extraction and the two algebraic forms
     worst_rich = worst_forms = 0.0
@@ -484,39 +388,19 @@ def _singular_checks() -> list[CheckResult]:
                 s.append((1.0 - w_nn) / eps)
             extracted = 2.0 * s[0] - s[1]
             worst_rich = max(worst_rich, abs(extracted - rec.slope) / rec.slope)
-    out.append(
-        _check(
-            "singular.adiabatic-slope", "w_nn", worst_rich, 1e-4,
-            computed="Richardson (1-w_nn)/rho vs 2[n^2-(2n+1)j]",
-        )
-    )
-    out.append(
-        _check(
-            "singular.slope-forms", "w_nn", worst_forms, 1e-12,
-            computed="2[n^2-(2n+1)j] vs (1/2)(N^2+N+1)",
-        )
-    )
+    out.append(_check("singular.adiabatic-slope", "w_nn", worst_rich, 1e-4,
+                      computed="Richardson (1-w_nn)/rho vs 2[n^2-(2n+1)j]"))
+    out.append(_check("singular.slope-forms", "w_nn", worst_forms, 1e-12,
+                      computed="2[n^2-(2n+1)j] vs (1/2)(N^2+N+1)"))
 
     # unitarity of the kernel rows, symmetry of the series
-    worst_sum = worst_sym = 0.0
-    for rho in (0.5, 0.8):
-        for j in (-0.25, -0.75, -1.3, -2.0):
-            grid = amplitude.singular_table(rho, j, 9, 2049)
-            worst_sum = max(worst_sum, float((1.0 - grid.sum(axis=1)).max()))
-            square = singular._float_grid(rho, j, 8, 8)
-            worst_sym = max(worst_sym, float(np.max(np.abs(square - square.T))))
-    out.append(
-        _check(
-            "singular.unitarity", "row sums", worst_sum, 1e-8,
-            computed="1 - sum_n w_mn, m <= 8, n <= 2048, rho <= 0.8, |j| <= 2",
-        )
-    )
-    out.append(
-        _check(
-            "singular.symmetry", "w_mn", worst_sym, 1e-12,
-            computed="w_mn vs w_nm on 9x9 tables",
-        )
-    )
+    points = [(rho, j) for rho in (0.5, 0.8) for j in (-0.25, -0.75, -1.3, -2.0)]
+    out.append(_unitarity_check(
+        "singular.unitarity", (amplitude.singular_table(*x, 9, 2049) for x in points), 1e-8,
+        "1 - sum_n w_mn, m <= 8, n <= 2048, rho <= 0.8, |j| <= 2"))
+    out.append(_symmetry_check("singular.symmetry",
+                               (singular._float_grid(*x, 8, 8) for x in points),
+                               "w_mn vs w_nm on 9x9 tables"))
 
     out += _route_checks(
         "singular", amplitude.singular_table, singular._float_grid, singular.singular_gf_value,

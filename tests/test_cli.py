@@ -442,8 +442,10 @@ def test_cli_import_loads_no_command_module():
 ])
 def test_table_loads_only_its_family(argv):
     loaded = _modules_after(["table", *argv, "--max", "4"])
-    assert f"oscigen.{argv[0]}" in loaded
-    assert not loaded & {"oscigen.verify", "oscigen.excitation", "oscigen.profiles"}
+    family = f"oscigen.{argv[0]}"
+    assert family in loaded
+    others = {"oscigen.forced", "oscigen.parametric", "oscigen.singular"} - {family}
+    assert not loaded & ({"oscigen.verify", "oscigen.excitation", "oscigen.profiles"} | others)
 
 
 def test_excite_does_not_load_verify(tmp_path):
@@ -693,6 +695,85 @@ def test_verify_text_output_lines(runner):
     assert result.exit_code == 0
     assert "[PASS]" in result.output
     assert "passed" in result.output.splitlines()[-1]
+
+
+def test_verify_json_is_strict(runner):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    result = runner.invoke(main, ["verify", "--suite", "parametric", "--format", "json"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output, parse_constant=refuse)
+    reported = {c["id"]: c for c in doc["checks"]}["param.weighted-second.reported"]
+    assert reported["tol"] is None
+    assert reported["residual"] == 0.5
+
+
+def test_verify_report_writes_non_finite_numbers_as_null_in_json_only():
+    from oscigen.verify import CheckResult, VerifyReport
+
+    report = VerifyReport("x", [CheckResult("a", "eq", "", "", math.nan, math.inf, "reported-only"),
+                                CheckResult("b", "eq", "", "", 0.25, 1.0, "pass")])
+    checks = report.to_json_dict()["checks"]
+    assert [(c["residual"], c["tol"]) for c in checks] == [(None, None), (0.25, 1.0)]
+    assert "residual=nan tol=inf" in report.format_text()
+
+
+def _failed(suite):
+    return [c.id for c in run_suite(suite).checks if c.status == "fail"]
+
+
+def _wrong_mean(monkeypatch):
+    """Make forced_sum_rules report mean m + n + 2 at (m, n) = (2, 3) only."""
+    import dataclasses
+
+    from oscigen import forced
+
+    real = forced.forced_sum_rules
+
+    def wrong(m, n):
+        r = real(m, n)
+        return dataclasses.replace(r, mean=r.mean + 1) if (m, n) == (2, 3) else r
+
+    monkeypatch.setattr(forced, "forced_sum_rules", wrong)
+
+
+def test_verify_fails_a_wrong_exact_sum_rule(monkeypatch):
+    _wrong_mean(monkeypatch)
+    report = run_suite("forced")
+    failed = [c for c in report.checks if c.status == "fail"]
+    assert [c.id for c in failed] == ["forced.sum-rules.exact"]
+    assert failed[0].computed.startswith("80/81 ")
+    assert report.exit_code == 1
+
+
+def test_verify_unitarity_fails_rows_summing_past_one(monkeypatch):
+    from oscigen import forced
+
+    real = forced._float_grid
+    monkeypatch.setattr(forced, "_float_grid", lambda *a: real(*a) * (1.0 + 1e-6))
+    assert "forced.unitarity" in _failed("forced")
+
+
+def test_verify_fails_an_asymmetric_singular_series(monkeypatch):
+    from oscigen import singular
+
+    real = singular._float_grid
+
+    def skewed(*args):
+        grid = np.array(real(*args))
+        grid[0, -1] += 1e-9
+        return grid
+
+    monkeypatch.setattr(singular, "_float_grid", skewed)
+    assert "singular.symmetry" in _failed("singular")
+
+
+def test_verify_cli_exits_1_on_a_failed_check(runner, monkeypatch):
+    _wrong_mean(monkeypatch)
+    result = runner.invoke(main, ["verify", "--suite", "forced"])
+    assert result.exit_code == 1
+    assert "[FAIL] forced.sum-rules.exact" in result.output
 
 
 def test_table_forced_large_nu(runner):
