@@ -18,16 +18,16 @@ __version__ = "0.1.0"
 # each module's __all__, in its order
 _EXPORTS = {
     "domains": ("RatPoly", "FLOAT", "POLY"),
-    "series": ("MAX_WINDOW", "Series2", "check_window", "dft_extract_table"),
+    "series": ("MAX_WINDOW", "Series2", "check_window", "dft_extract_table", "forced_gf_value",
+               "param_gf_value", "lambda_value", "singular_gf_value"),
     "quadrature": ("QuadRule", "gauss_legendre", "gauss_laguerre", "gauss_jacobi_half"),
     "probtable": ("ProbTable", "make_table"),
-    "forced": ("SumRuleRecord", "forced_gf_value", "forced_prob_table", "forced_sum_rules",
-               "forced_sk"),
-    "parametric": ("param_gf_value", "param_prob_table", "param_identity_eq6",
-                   "param_weighted_integrals", "param_jnn", "param_j_offdiag", "param_sk",
-                   "param_mean_n", "param_dispersion", "param_row_moments"),
-    "singular": ("MIN_J", "AdiabaticRecord", "j_from_g", "energy_level", "lambda_value",
-                 "singular_gf_value", "singular_prob_table", "ground_row", "adiabatic_diag"),
+    "forced": ("SumRuleRecord", "forced_prob_table", "forced_sum_rules", "forced_sk"),
+    "parametric": ("param_prob_table", "param_identity_eq6", "param_weighted_integrals",
+                   "param_jnn", "param_j_offdiag", "param_sk", "param_mean_n",
+                   "param_dispersion", "param_row_moments"),
+    "singular": ("MIN_J", "AdiabaticRecord", "j_from_g", "energy_level", "singular_prob_table",
+                 "ground_row", "adiabatic_diag"),
     "profiles": ("ForceProfile", "FrequencyProfile", "load_profile", "ProfileError"),
     "excitation": ("BogoliubovResult", "ExcitationReport", "nu_from_force",
                    "bogoliubov_from_frequency", "excitation_report"),

@@ -32,7 +32,8 @@ table is symmetric by construction.
 the rational polynomial of one forced or parametric entry, with the
 e^-nu resp. sqrt(1-rho) prefactor left out, which exact-mode tables and
 the sum rules use.  The rules that admit nu, rho and j live here too, so
-the family modules and the table records share them.
+the family modules and the table records share them, and so does the
+window cap that both the kernels and :class:`oscigen.series.Series2` enforce.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ from fractions import Fraction
 import numpy as np
 
 from .domains import RatPoly
-from .series import check_window
 
 __all__ = [
     "MAX_EXACT_SIZE",
+    "MAX_WINDOW",
+    "check_window",
     "forced_poly",
     "forced_table",
     "param_poly",
@@ -62,6 +64,7 @@ _DEGREES = 64  # degrees per block of step coefficients in _sweep
 # largest exact-mode table: an exact forced table takes about 14 s to build
 # at M = 128 on two cores, and the cost grows like M^4.4
 MAX_EXACT_SIZE = 128
+MAX_WINDOW = 4096  # largest index of a kernel table or a Series2 window
 
 # lowest admitted weight, the lowest one tested against the closed forms.
 # The table kernel no longer loses rho where 1 - rho rounds.  No table from
@@ -70,7 +73,13 @@ MAX_EXACT_SIZE = 128
 MIN_J = -1e15
 
 
-# -- parameter rules -----------------------------------------------------------
+# -- window and parameter rules ------------------------------------------------
+
+
+def check_window(max_deg_u: int, max_deg_v: int) -> None:
+    """Reject a window beyond ``MAX_WINDOW`` before anything is allocated."""
+    if max_deg_u > MAX_WINDOW or max_deg_v > MAX_WINDOW:
+        raise ValueError(f"window ({max_deg_u},{max_deg_v}) exceeds cap {MAX_WINDOW}")
 
 
 def _nu_value(nu) -> float:

@@ -30,12 +30,6 @@ from .errors import IntegrationError, TableInvariantError
 # needed before any command runs; a test pins them to ``verify.SUITES``.
 SUITE_NAMES = ("forced", "parametric", "singular", "excitation")
 
-# each table family: its builder in the module of the family's name, and the
-# parameter options it takes, in the builder's order; it refuses the others
-_TABLES = {"forced": ("forced_prob_table", ("--nu",)),
-           "parametric": ("param_prob_table", ("--rho",)),
-           "singular": ("singular_prob_table", ("--rho", "--j"))}
-
 
 def _fail(message: str, code: int):
     click.echo(f"error: {message}", err=True)
@@ -74,17 +68,20 @@ def main():
 @click.option("--output", type=click.Path(dir_okay=False, writable=True), default=None, help="Write to a file instead of stdout.")
 def cmd_table(family, nu, rho, weight_j, size, mode, fmt, output):
     """Compute the M x M probability table of one oscillator FAMILY."""
-    builder, takes = _TABLES[family]
-    given = {"--nu": nu, "--rho": rho, "--j": weight_j}
+    from .probtable import FAMILIES
+
+    fam = FAMILIES[family]
+    given = {"nu": nu, "rho": rho, "j": weight_j}
     try:
+        # the family's parameters, in its builder's order; it refuses the others
         for name, value in given.items():
-            if value is not None and name not in takes:
-                raise ValueError(f"{family} tables do not take {name}")
-        if any(given[name] is None for name in takes):
-            raise ValueError(f"{family} tables need {' and '.join(takes)}")
+            if value is not None and name not in fam.rules:
+                raise ValueError(f"{family} tables do not take --{name}")
+        if any(given[name] is None for name in fam.rules):
+            raise ValueError(f"{family} tables need {' and '.join('--' + n for n in fam.rules)}")
         # looked up when the command runs, so a patched builder is the one called
-        build = getattr(importlib.import_module(f".{family}", __package__), builder)
-        table = build(*(given[name] for name in takes), size=size, mode=mode)
+        build = getattr(importlib.import_module(f".{family}", __package__), fam.builder)
+        table = build(*(given[name] for name in fam.rules), size=size, mode=mode)
     except (ValueError, TypeError) as exc:
         _fail(str(exc), 2)
     except TableInvariantError as exc:

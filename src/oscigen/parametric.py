@@ -15,12 +15,12 @@ rho^{|m-n|/2}.  The exact-mode table carries those polynomials, which turns
 the weighted integrals over rho into finite Beta-integral sums.  Numeric
 tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`,
 and the polynomials from the same closed form in integer arithmetic
-(:func:`oscigen.amplitude.param_poly`).  The series engine is the
-independent route ``verify`` checks both against: one builder expands
-G / sqrt(1 - rho) over ``POLY`` (``_exact_grid``) or at a fixed rho
-(``_float_grid``, which multiplies sqrt(1 - rho) back in).  The row
-moments sum_n n^p w_mn are series coefficients of G(u, e^s), so no table
-is summed or truncated for them.
+(:func:`oscigen.amplitude.param_poly`).  The routes ``verify`` checks both
+against, the series of G / sqrt(1 - rho) and the contour oracle of G, live
+in :mod:`oscigen.series`, and the Gauss-Jacobi confirmations of the
+integrals in :mod:`oscigen.verify`.  The row moments sum_n n^p w_mn are
+series coefficients of G(u, e^s), so no table is summed or truncated for
+them.
 """
 
 from __future__ import annotations
@@ -31,14 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import _rho_value, param_poly, param_table
-from .domains import FLOAT, POLY, RatPoly
+from .amplitude import _rho_value, param_poly
+from .domains import FLOAT, RatPoly
 from .probtable import ProbTable, make_table
-from .quadrature import gauss_jacobi_half, gauss_legendre
-from .series import Series2, _checked_sqrt
 
 __all__ = [
-    "param_gf_value",
     "param_prob_table",
     "param_identity_eq6",
     "param_weighted_integrals",
@@ -51,39 +48,9 @@ __all__ = [
 ]
 
 
-def param_gf_value(u, v, rho) -> complex:
-    """Evaluate G(u, v | rho) on the principal branch (value +1 at the
-    origin for rho = 0)."""
-    rho_val = _rho_value(rho)
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    den = (1.0 - u * v) ** 2 - rho_val * (u - v) ** 2
-    out = math.sqrt(1.0 - rho_val) / _checked_sqrt(den, "parametric denominator")
-    return complex(out) if out.ndim == 0 else out
-
-
-# -- series extraction -------------------------------------------------------
-
-def _series(dom, rho, max_m: int, max_n: int) -> Series2:
-    """G / sqrt(1 - rho) = ((1-uv)^2 - rho (u-v)^2)^{-1/2} over ``dom``;
-    ``rho`` is a float or the polynomial variable."""
-    terms = {(0, 0): 1, (1, 1): 2 * rho - 2, (2, 2): 1, (2, 0): -rho, (0, 2): -rho}
-    return Series2.from_terms(dom, max_m, max_n, terms).pow_real(Fraction(-1, 2))
-
-
-def _exact_grid(max_m: int, max_n: int) -> Series2:
-    """The q_mn polynomials: the cross-check of :func:`param_poly`."""
-    return _series(POLY, RatPoly((0, 1)), max_m, max_n)
-
-
-def _float_grid(rho_val: float, max_m: int, max_n: int) -> np.ndarray:
-    """w_mn at a fixed rho from the series."""
-    return math.sqrt(1.0 - rho_val) * _series(FLOAT, rho_val, max_m, max_n).rows
-
-
 def param_prob_table(rho, size: int = 16, mode: str = "float") -> ProbTable:
     """Table of w_mn(rho); exact mode carries the q_mn polynomials."""
-    return make_table("parametric", {"rho": rho}, size, mode, param_table, param_poly)
+    return make_table("parametric", {"rho": rho}, size, mode)
 
 
 # -- closed-form identities --------------------------------------------------
@@ -100,18 +67,21 @@ def param_identity_eq6(u: float, v: float) -> Eq6Record:
     closed form 2 (arctanh u - arctanh v) / (u - v).
 
     The integrand equals (1-rho)^{-1/2} / sqrt((1-uv)^2 - rho (u-v)^2), so
-    the 64-node Gauss-Jacobi rule handles the endpoint exactly.  At u = v
-    the right side degenerates to the analytic limit 2 / (1 - u^2).
+    the 64-node Gauss-Jacobi rule handles the endpoint exactly.  With
+    u >= v, s = 2 / ((1-u)(1+v)) and x = s (u - v), the closed form is
+    s log1p(x) / x, which tends to s as x -> 0: one formula, with no
+    cancellation, on the diagonal and near it.
     """
     if not (-1.0 < u < 1.0 and -1.0 < v < 1.0):
         raise ValueError("u, v must lie in (-1, 1)")
+    from .quadrature import gauss_jacobi_half
+
     rule = gauss_jacobi_half(64)
     den = (1.0 - u * v) ** 2 - rule.nodes * (u - v) ** 2
     lhs = float(np.dot(rule.weights, 1.0 / np.sqrt(den)))
-    if abs(u - v) < 1e-12:
-        rhs = 2.0 / (1.0 - u * u)
-    else:
-        rhs = 2.0 * (math.atanh(u) - math.atanh(v)) / (u - v)
+    s = 2.0 / ((1.0 - max(u, v)) * (1.0 + min(u, v)))
+    x = s * abs(u - v)
+    rhs = s * math.log1p(x) / x if x else s
     return Eq6Record(lhs, rhs, abs(lhs - rhs))
 
 
@@ -128,64 +98,47 @@ def _rho_integral(poly: RatPoly, a) -> Fraction:
 
 @dataclass(frozen=True)
 class WeightedIntegralRecord:
-    """Both weighted integrals of one entry, their quadrature confirmations
-    and the closed-form values they are usually quoted against.
+    """Both weighted integrals of one entry and the closed-form values they
+    are usually quoted against.
 
     The first identity holds and is asserted elsewhere; the second is
     reported only: the quoted formula is the large-m limit of the computed
     value, not an identity (see the verifier's note)."""
 
     first: Fraction
-    first_quad: float
     expected_first: Fraction
     second: Fraction | None
-    second_quad: float | None
     expected_second: Fraction | None
 
 
 def param_weighted_integrals(m: int, n: int) -> WeightedIntegralRecord:
-    """Integrals of w_mn/(1-rho) and w_mn/(rho sqrt(1-rho)) over [0, 1].
-
-    Both are exact sums of Beta values over the polynomial form of w_mn;
-    Gauss-Jacobi and Gauss-Legendre confirmations ride along.  The second
-    integral is undefined for m = n (its fields come back None)."""
+    """Integrals of w_mn/(1-rho) and w_mn/(rho sqrt(1-rho)) over [0, 1],
+    each an exact sum of Beta values over the polynomial form of w_mn.  The
+    second integral is undefined for m = n (its fields come back None)."""
     poly = param_poly(m, n)
     first = _rho_integral(poly, Fraction(-1, 2))
     expected_first = Fraction(1 + (-1) ** (m + n), m + n + 1)
-    rule = gauss_jacobi_half((m + n) // 2 + 2)
-    first_quad = float(np.dot(rule.weights, poly.at_nodes(rule.nodes)))
     if m == n:
-        return WeightedIntegralRecord(first, first_quad, expected_first, None, None, None)
-
+        return WeightedIntegralRecord(first, expected_first, None, None)
     reduced = poly.shift_down(1)  # the zero polynomial for odd m + n
-    lrule = gauss_legendre(max((m + n) // 2 + 1, 2))
-    second_quad = float(np.dot(lrule.weights, reduced.at_nodes(lrule.nodes)))
-    expected_second = Fraction(1 + (-1) ** (m + n), abs(m - n))
-    return WeightedIntegralRecord(first, first_quad, expected_first,
-                                  _rho_integral(reduced, 0), second_quad, expected_second)
+    return WeightedIntegralRecord(first, expected_first, _rho_integral(reduced, 0),
+                                  Fraction(1 + (-1) ** (m + n), abs(m - n)))
 
 
 @dataclass(frozen=True)
 class JnnRecord:
     closed_form: Fraction
     symbolic: Fraction
-    quadrature: float
 
 
 def param_jnn(n: int) -> JnnRecord:
-    """Plain integral of the diagonal entry w_nn over rho in [0, 1].
-
-    Closed form (1/(2n+1)) [1 + 1/((2n+3)(2n-1))]; the symbolic route sums
-    the Beta values of sqrt(1-rho) q_nn, and the quadrature applies the
-    Gauss-Jacobi rule to (1-rho) q_nn(rho), taken exactly at each node."""
+    """Plain integral of the diagonal entry w_nn over rho in [0, 1]: the
+    closed form (1/(2n+1)) [1 + 1/((2n+3)(2n-1))] and the Beta-value sum of
+    sqrt(1-rho) q_nn."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     closed = Fraction(1, 2 * n + 1) * (1 + Fraction(1, (2 * n + 3) * (2 * n - 1)))
-    poly = param_poly(n, n)
-    rule = gauss_jacobi_half(n + 3)
-    vals = (RatPoly((1, -1)) * poly).at_nodes(rule.nodes)
-    return JnnRecord(closed, _rho_integral(poly, Fraction(1, 2)),
-                     float(np.dot(rule.weights, vals)))
+    return JnnRecord(closed, _rho_integral(param_poly(n, n), Fraction(1, 2)))
 
 
 def param_j_offdiag(m: int, n: int) -> Fraction:
@@ -228,6 +181,8 @@ def _shifted_coeffs(m: int, rho, power: int) -> np.ndarray:
     if m < 0:
         raise ValueError("m must be nonnegative")
     rho_val = _rho_value(rho, open_top=True)
+    from .series import Series2
+
     terms = {(0, 0): 1.0, (0, 1): -2.0, (0, 2): 1.0}
     for k in range(1, power + 1):
         c = rho_val / (1.0 - rho_val) * 2.0**k / math.factorial(k)

@@ -4,24 +4,45 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import _j_value, _nu_value, _rho_value, poly_grid
+from .amplitude import (_j_value, _nu_value, _one_minus_pow, _rho_value, forced_poly,
+                        forced_table, param_poly, param_table, poly_grid, singular_table)
 from .domains import RatPoly
 from .errors import TableInvariantError
 
 __all__ = ["ProbTable", "make_table"]
 
-# per family: the rule of each of its parameters, in order, and the
-# (prefactor, variable) of its exact form, entry (m, n) = prefactor *
-# symbolic[m][n](variable); the singular family has none
-_FAMILIES = {
-    "forced": ({"nu": _nu_value}, ("exp(-nu)", "nu")),
-    "parametric": ({"rho": _rho_value}, ("sqrt(1-rho)", "rho")),
-    "singular": ({"rho": functools.partial(_rho_value, open_top=True), "j": _j_value}, None),
+
+@dataclass(frozen=True)
+class Family:
+    """One family's facts: the rule of each parameter, in kernel order, the
+    table kernel ``kernel(*params, rows, cols)``, the name of its builder in
+    the family module, and ``prefactor(*params)``, which multiplies each
+    series coefficient and exact ``poly(m, n)``, whose text and variable are
+    ``form``; the singular family has neither."""
+
+    rules: dict
+    kernel: Callable
+    builder: str
+    prefactor: Callable
+    poly: Callable | None = None
+    form: tuple[str, str] | None = None
+
+
+FAMILIES = {
+    "forced": Family({"nu": _nu_value}, forced_table, "forced_prob_table",
+                     lambda nu: math.exp(-nu), forced_poly, ("exp(-nu)", "nu")),
+    "parametric": Family({"rho": _rho_value}, param_table, "param_prob_table",
+                         lambda rho: math.sqrt(1.0 - rho), param_poly, ("sqrt(1-rho)", "rho")),
+    "singular": Family({"rho": functools.partial(_rho_value, open_top=True), "j": _j_value},
+                       singular_table, "singular_prob_table",
+                       lambda rho, j: _one_minus_pow(rho, -2.0 * j)),
 }
 
 
@@ -86,9 +107,9 @@ class ProbTable:
             values = np.array(values)
         except ValueError:      # ragged rows
             values = np.array(None)
-        if family not in _FAMILIES:
+        if family not in FAMILIES:
             raise TableInvariantError(f"unknown family {family!r}")
-        params = _read_params(params, _FAMILIES[family][0])
+        params = _read_params(params, FAMILIES[family].rules)
         if values.dtype.kind not in "iuf" or values.ndim != 2 or 0 in values.shape:
             raise TableInvariantError("values are not a nonempty table of numbers")
         if list(values.shape) != size:
@@ -155,7 +176,7 @@ class ProbTable:
                   json.dumps(self.values.tolist(), indent=1).replace("\n", "\n "))
         yield f'{head},\n "values": {values}'
         if self.symbolic is not None:
-            yield from _symbolic_pieces(self.symbolic, *_FAMILIES[self.family][1])
+            yield from _symbolic_pieces(self.symbolic, *FAMILIES[self.family].form)
         yield "\n}\n"
 
 
@@ -177,7 +198,7 @@ def _read_symbolic(s, shape: tuple[int, int], family: str) -> tuple:
     """The ``"symbolic"`` member of a JSON record of a ``family`` table of
     ``shape``: the family's prefactor and variable, and one list of
     ``"p/q"`` coefficients per cell, else TableInvariantError."""
-    form = _FAMILIES[family][1]
+    form = FAMILIES[family].form
     try:
         rows = s["entries"]
         if form is None:
@@ -350,18 +371,17 @@ def _strip(text: np.ndarray) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def make_table(family: str, params: dict, size: int, mode: str, kernel,
-               poly=None) -> ProbTable:
+def make_table(family: str, params: dict, size: int, mode: str) -> ProbTable:
     """The front end of the three table builders: check ``params`` by the
-    family's rules, ``size`` and ``mode``, take the values from
-    ``kernel(*params.values(), size, size)`` and, in exact mode, the
-    polynomials ``poly(m, n)``, and validate the table."""
-    params = {name: rule(params[name]) for name, rule in _FAMILIES[family][0].items()}
+    family's rules, ``size`` and ``mode``, take the values from the family's
+    kernel and, in exact mode, its polynomials, and validate the table."""
+    fam = FAMILIES[family]
+    params = {name: rule(params[name]) for name, rule in fam.rules.items()}
     if size < 1:
         raise ValueError("size must be positive")
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    values = kernel(*params.values(), size, size)
-    table = ProbTable(family, params, values, poly_grid(poly, size) if mode == "exact" else None)
+    symbolic = poly_grid(fam.poly, size) if mode == "exact" else None
+    table = ProbTable(family, params, fam.kernel(*params.values(), size, size), symbolic)
     table.validate()
     return table

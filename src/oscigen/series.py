@@ -28,25 +28,30 @@ contour average, touching none of the series arithmetic above; it
 evaluates the torus a strip of rows at a time, so its memory does not grow
 with the square of the grid.  ``_checked_sqrt`` is the principal square root
 that the generating-function evaluators fed to it share.
+
+Each family's generating function is here as the two routes ``verify``
+checks the amplitude kernels against: its values (``*_gf_value``) for the
+oracle, and its series (``float_grid``, times the prefactor of the family's
+record, and ``exact_grid``).  No table command loads this module.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
+from .amplitude import MAX_WINDOW, _j_value, _nu_value, _rho_value, check_window
+from .domains import FLOAT, POLY, RatPoly
 from .errors import OracleFailureError, SingularEvaluationError, WindowMismatchError
+from .probtable import FAMILIES
 
-__all__ = ["MAX_WINDOW", "Series2", "check_window", "dft_extract_table"]
+__all__ = ["MAX_WINDOW", "Series2", "check_window", "dft_extract_table", "forced_gf_value",
+           "param_gf_value", "lambda_value", "singular_gf_value"]
 
-MAX_WINDOW = 4096
 _RADIUS = 0.5  # of the torus dft_extract_table integrates on
 _STRIP = 16     # u-rows of the torus dft_extract_table evaluates at once
-
-
-def check_window(max_deg_u: int, max_deg_v: int) -> None:
-    """Reject a window beyond ``MAX_WINDOW`` before anything is allocated."""
-    if max_deg_u > MAX_WINDOW or max_deg_v > MAX_WINDOW:
-        raise ValueError(f"window ({max_deg_u},{max_deg_v}) exceeds cap {MAX_WINDOW}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +303,107 @@ def dft_extract_table(evaluator, max_m: int, max_n: int,
     if worst > 1e-10:
         raise OracleFailureError(f"imaginary residue {worst:.3e} above 1.0e-10")
     return block.real
+
+
+# ---------------------------------------------------------------------------
+# the generating function of each family, as values for the oracle and as a
+# series for the engine: the two routes ``verify`` checks the kernels against
+
+def forced_gf_value(u, v, nu) -> complex:
+    """Evaluate the forced G(u, v | nu); accepts scalars or numpy arrays.
+    The only singularity is the simple pole at uv = 1."""
+    nu_val = _nu_value(nu)
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    w = 1.0 - u * v
+    if np.any(np.abs(w) < 1e-13):
+        raise SingularEvaluationError("uv = 1 pole of the generating function")
+    out = np.exp(-nu_val * (1.0 - u) * (1.0 - v) / w) / w
+    return complex(out) if out.ndim == 0 else out
+
+
+def param_gf_value(u, v, rho) -> complex:
+    """Evaluate the parametric G(u, v | rho) on the principal branch (value
+    +1 at the origin for rho = 0)."""
+    rho_val = _rho_value(rho)
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    den = (1.0 - u * v) ** 2 - rho_val * (u - v) ** 2
+    out = math.sqrt(1.0 - rho_val) / _checked_sqrt(den, "parametric denominator")
+    return complex(out) if out.ndim == 0 else out
+
+
+def _lambda_raw(u, v, rho_val: float):
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    t = 1.0 - rho_val * (u + v) + u * v
+    rad = t * t - 4.0 * u * v * (1.0 - rho_val) ** 2
+    den = t + _checked_sqrt(rad, "lambda radicand")
+    if np.any(np.abs(den) < 1e-13):
+        raise SingularEvaluationError("lambda denominator vanished")
+    return 2.0 * (1.0 - rho_val) / den
+
+
+def lambda_value(u, v, rho) -> complex:
+    """The kernel lambda of the singular generating function, principal branch."""
+    lam = _lambda_raw(u, v, _rho_value(rho))
+    return complex(lam) if lam.ndim == 0 else lam
+
+
+def singular_gf_value(u, v, rho, j) -> complex:
+    """Evaluate the singular lambda^{-2j} / (1 - uv lambda^2), principal power."""
+    rho_val = _rho_value(rho)
+    j_val = _j_value(j)
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    lam = _lambda_raw(u, v, rho_val)
+    den = 1.0 - u * v * lam * lam
+    if np.any(np.abs(den) < 1e-13):
+        raise SingularEvaluationError("pole of the generating function")
+    out = lam ** (-2.0 * j_val) / den
+    return complex(out) if out.ndim == 0 else out
+
+
+def _forced_series(dom, nu, max_m: int, max_n: int) -> Series2:
+    """e^{nu} G = (1-uv)^{-1} exp(nu (u + v - 2uv) / (1-uv)) over ``dom``;
+    ``nu`` is a float or the polynomial variable."""
+    inv = Series2.from_terms(dom, max_m, max_n, {(0, 0): 1, (1, 1): -1}).inverse()
+    lin = Series2.from_terms(dom, max_m, max_n, {(1, 0): 1, (0, 1): 1, (1, 1): -2})
+    return inv * (lin * inv).scale(nu).exp()
+
+
+def _param_series(dom, rho, max_m: int, max_n: int) -> Series2:
+    """G / sqrt(1 - rho) = ((1-uv)^2 - rho (u-v)^2)^{-1/2} over ``dom``;
+    ``rho`` is a float or the polynomial variable."""
+    terms = {(0, 0): 1, (1, 1): 2 * rho - 2, (2, 2): 1, (2, 0): -rho, (0, 2): -rho}
+    return Series2.from_terms(dom, max_m, max_n, terms).pow_real(Fraction(-1, 2))
+
+
+def _singular_series(dom, rho, j, max_m: int, max_n: int) -> Series2:
+    """g / (1-rho)^{-2j} over the float ``dom``.  lambda factors as (1-rho) L
+    with L(0,0) = 1, and L comes from nested series square root and
+    inversion; the prefactor, multiplied in last as the table kernel starts
+    its vacuum row, keeps rho where 1 - rho rounds."""
+    t = Series2.from_terms(dom, max_m, max_n,
+                           {(0, 0): 1.0, (1, 0): -rho, (0, 1): -rho, (1, 1): 1.0})
+    uv = Series2.from_terms(dom, max_m, max_n, {(1, 1): 1.0})
+    root = (t * t - uv.scale(4.0 * (1.0 - rho) ** 2)).pow_real(0.5)
+    lam_unit = (t + root).inverse().scale(2.0)  # lambda / (1 - rho)
+    geom = (Series2.one(dom, max_m, max_n)
+            - (uv * lam_unit * lam_unit).scale((1.0 - rho) ** 2)).inverse()
+    return lam_unit.pow_real(-2.0 * j) * geom
+
+
+_SERIES = {"forced": _forced_series, "parametric": _param_series, "singular": _singular_series}
+
+
+def float_grid(family: str, params: tuple, max_m: int, max_n: int) -> np.ndarray:
+    """w_mn for m <= max_m, n <= max_n at the float parameters ``params``, in
+    kernel order, from the family's series times its prefactor."""
+    return FAMILIES[family].prefactor(*params) * _SERIES[family](FLOAT, *params, max_m, max_n).rows
+
+
+def exact_grid(family: str, max_m: int, max_n: int) -> Series2:
+    """The polynomials of a forced or parametric table from its series: the
+    cross-check of the family's closed-form ``poly``."""
+    return _SERIES[family](POLY, RatPoly((0, 1)), max_m, max_n)

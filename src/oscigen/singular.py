@@ -15,8 +15,9 @@ and j = -3/4 reproduce the even and odd sectors of the regular
 variable-frequency oscillator; those reductions double as exact
 cross-checks for this family, whose general tables are float-only (the
 exponent -2j is irrational in general).  Tables come from the Jacobi
-amplitude kernel of :mod:`oscigen.amplitude`; the float series of g(u, v) is
-the independent route ``verify`` compares it against.
+amplitude kernel of :mod:`oscigen.amplitude`; the float series of g(u, v)
+and its contour oracle, the routes ``verify`` compares it against, live in
+:mod:`oscigen.series`.
 """
 
 from __future__ import annotations
@@ -24,21 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .amplitude import MIN_J, _j_value, _one_minus_pow, _rho_value, singular_table
-from .domains import FLOAT
-from .errors import SingularEvaluationError
+from .amplitude import MIN_J, _j_value, _rho_value, singular_table
 from .probtable import ProbTable, make_table
-from .series import Series2, _checked_sqrt
 
 __all__ = [
     "MIN_J",
     "AdiabaticRecord",
     "j_from_g",
     "energy_level",
-    "lambda_value",
-    "singular_gf_value",
     "singular_prob_table",
     "ground_row",
     "adiabatic_diag",
@@ -63,66 +57,12 @@ def energy_level(n: int, omega: float, j) -> float:
     return 2.0 * omega * (n - _j_value(j))
 
 
-def _lambda_raw(u, v, rho_val: float):
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    t = 1.0 - rho_val * (u + v) + u * v
-    rad = t * t - 4.0 * u * v * (1.0 - rho_val) ** 2
-    den = t + _checked_sqrt(rad, "lambda radicand")
-    if np.any(np.abs(den) < 1e-13):
-        raise SingularEvaluationError("lambda denominator vanished")
-    return 2.0 * (1.0 - rho_val) / den
-
-
-def lambda_value(u, v, rho) -> complex:
-    """The kernel lambda of the generating function, principal branch."""
-    lam = _lambda_raw(u, v, _rho_value(rho))
-    return complex(lam) if lam.ndim == 0 else lam
-
-
-def singular_gf_value(u, v, rho, j) -> complex:
-    """Evaluate lambda^{-2j} / (1 - uv lambda^2), principal power."""
-    rho_val = _rho_value(rho)
-    j_val = _j_value(j)
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    lam = _lambda_raw(u, v, rho_val)
-    den = 1.0 - u * v * lam * lam
-    if np.any(np.abs(den) < 1e-13):
-        raise SingularEvaluationError("pole of the generating function")
-    out = lam ** (-2.0 * j_val) / den
-    return complex(out) if out.ndim == 0 else out
-
-
-def _float_grid(rho_val: float, j_val: float, max_m: int, max_n: int) -> np.ndarray:
-    """w_mn from the series of g(u, v).
-
-    lambda factors as (1-rho) * L with L(0,0) = 1; L comes from nested
-    series square root and inversion, and the prefactor (1-rho)^{-2j} is
-    multiplied in at the end, as the table kernel starts its vacuum row, so
-    it keeps rho where 1 - rho rounds.
-    """
-    t = Series2.from_terms(
-        FLOAT, max_m, max_n,
-        {(0, 0): 1.0, (1, 0): -rho_val, (0, 1): -rho_val, (1, 1): 1.0},
-    )
-    uv = Series2.from_terms(FLOAT, max_m, max_n, {(1, 1): 1.0})
-    root = (t * t - uv.scale(4.0 * (1.0 - rho_val) ** 2)).pow_real(0.5)
-    lam_unit = (t + root).inverse().scale(2.0)  # lambda / (1 - rho)
-    power = lam_unit.pow_real(-2.0 * j_val)
-    geom = (
-        Series2.one(FLOAT, max_m, max_n)
-        - (uv * lam_unit * lam_unit).scale((1.0 - rho_val) ** 2)
-    ).inverse()
-    return _one_minus_pow(rho_val, -2.0 * j_val) * (power * geom).rows
-
-
 def singular_prob_table(rho, j, size: int = 16, mode: str = "float") -> ProbTable:
     """Table of w_mn for the singular family.  It has no exact mode: the
     general exponent -2j is irrational."""
     if mode == "exact":
         raise ValueError("the singular family is float-only (irrational exponent -2j)")
-    return make_table("singular", {"rho": rho, "j": j}, size, mode, singular_table)
+    return make_table("singular", {"rho": rho, "j": j}, size, mode)
 
 
 def ground_row(n: int, rho, j) -> float:

@@ -3,7 +3,9 @@
 Every closed-form identity of the three families is rechecked here: sum rules,
 anti-diagonal sums, the weighted integrals over rho, the row moments (from the
 generating function and from fixed 2049-column kernel tables), the closed-form
-vacuum rows, the singular-family reductions and the excitation extractors.  One
+vacuum rows, the singular-family reductions and the excitation extractors, with
+the Gauss confirmations of the exact integrals and the routes of
+:mod:`oscigen.series` that the amplitude kernels are checked against.  One
 check is special: the quoted second weighted integral (1 + (-1)^(m+n)) / |m - n|
 is the large-m limit of the value this package derives, not an identity (along
 n = m + 2, exact ``param_weighted_integrals`` give 1 - I = 1/2 at m = 0, 0.036 at
@@ -20,9 +22,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import amplitude, forced, parametric, singular
+from . import amplitude, forced, parametric, series, singular
+from .domains import RatPoly
 from .excitation import _tanh_ramp_rho, bogoliubov_from_frequency, nu_from_force
+from .probtable import FAMILIES
 from .profiles import ForceProfile, FrequencyProfile
+from .quadrature import gauss_jacobi_half, gauss_laguerre
 from .series import dft_extract_table
 
 __all__ = ["CheckResult", "VerifyReport", "run_suite", "SUITES"]
@@ -149,18 +154,19 @@ def _antidiagonal_check(check_id, build, sk, grid, size, computed) -> CheckResul
     return _check(check_id, "S_k", worst, 1e-12, computed=computed)
 
 
-def _route_checks(prefix, kernel, series, gf, points, exact=None) -> list[CheckResult]:
+def _route_checks(prefix, family, gf, points, exact=None) -> list[CheckResult]:
     """Compare the three independent routes to the same 11x11 tables at each
-    parameter tuple x of ``points``: the amplitude kernel ``kernel(*x, rows,
-    cols)``, the float series engine ``series(*x, max_m, max_n)`` and the
-    contour oracle of ``gf(u, v, *x)``.  Given ``exact``, the exact series
-    grid, the closed form ``poly(m, n)`` and ``prefactor(x)`` of a
-    one-parameter family, also compare the kernel with the series
-    polynomials, each taken at the binary value of x and rounded once, and
-    those polynomials with the closed form, coefficient for coefficient."""
+    parameter tuple x of ``points``: the family's amplitude kernel, its float
+    series (:func:`oscigen.series.float_grid`) and the contour oracle of
+    ``gf(u, v, *x)``.  Given ``exact``, the exact series grid of a
+    one-parameter family, also compare the kernel with its polynomials, each
+    taken at the binary value of x, rounded once and multiplied by the
+    family's prefactor, and those polynomials with the family's closed form,
+    coefficient for coefficient."""
+    fam = FAMILIES[family]
     worst_so = worst_ks = worst_ko = 0.0
     for x in points:
-        ker, ser = kernel(*x, 11, 11), series(*x, 10, 10)
+        ker, ser = fam.kernel(*x, 11, 11), series.float_grid(family, x, 10, 10)
         dft = dft_extract_table(lambda u, v: gf(u, v, *x), 10, 10, grid=_ORACLE_GRID_SIZE)
         worst_so = max(worst_so, float(np.max(np.abs(ser - dft))))
         worst_ks = max(worst_ks, float(np.max(np.abs(ker - ser))))
@@ -173,17 +179,41 @@ def _route_checks(prefix, kernel, series, gf, points, exact=None) -> list[CheckR
                   computed="amplitude kernel vs contour extraction")]
     if exact is None:
         return out
-    grid, poly, prefactor = exact
-    size = grid.max_deg_u + 1
+    size = exact.max_deg_u + 1
     nodes = np.array([x for (x,) in points])
-    at = np.array([[p.at_nodes(nodes) for p in row] for row in grid.rows])
-    worst = max(float(np.max(np.abs(kernel(x, size, size) - prefactor(x) * at[:, :, i])))
+    at = np.array([[p.at_nodes(nodes) for p in row] for row in exact.rows])
+    worst = max(float(np.max(np.abs(fam.kernel(x, size, size) - fam.prefactor(x) * at[:, :, i])))
                 for i, x in enumerate(nodes.tolist()))
     return out + [_check(f"{prefix}.kernel-exact", "w_mn", worst, 1e-14,
                          computed=f"amplitude kernel vs rational polynomials, {size}x{size}"),
                   _count(f"{prefix}.series-exact", "w_mn",
-                         (grid.coeff(m, n) == poly(m, n) for m, n in _cells(size)),
+                         (exact.coeff(m, n) == fam.poly(m, n) for m, n in _cells(size)),
                          "series polynomials equal the closed form")]
+
+
+# the Gauss confirmations of the exact integrals, each polynomial taken
+# exactly at each node (RatPoly.at_nodes) and rounded once
+
+def _laguerre_moments(m, n) -> tuple[float, float, float]:
+    """Zeroth, first and central second moment of w_mn over nu."""
+    rule = gauss_laguerre((m + n) // 2 + 4)
+    px = amplitude.forced_poly(m, n).at_nodes(rule.nodes)
+    norm = float(np.dot(rule.weights, px))
+    mean = float(np.dot(rule.weights, rule.nodes * px))
+    return norm, mean, float(np.dot(rule.weights, (rule.nodes - mean / norm) ** 2 * px))
+
+
+def _first_quad(m, n) -> float:
+    """The first weighted integral, of w_mn / (1-rho) = (1-rho)^(-1/2) q_mn."""
+    rule = gauss_jacobi_half((m + n) // 2 + 2)
+    return float(np.dot(rule.weights, amplitude.param_poly(m, n).at_nodes(rule.nodes)))
+
+
+def _jnn_quad(n) -> float:
+    """J_nn, the integral of w_nn = (1-rho)^(-1/2) (1-rho) q_nn."""
+    rule = gauss_jacobi_half(n + 3)
+    poly = RatPoly((1, -1)) * amplitude.param_poly(n, n)
+    return float(np.dot(rule.weights, poly.at_nodes(rule.nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +224,8 @@ def _sum_rule_case(m, n):
     error of their Gauss-Laguerre values."""
     r = forced.forced_sum_rules(m, n)
     want = (1, m + n + 1, 2 * m * n + m + n + 1)
-    quad = (r.norm_quad, r.mean_quad, r.variance_quad)
-    return (r.norm, r.mean, r.variance) == want, max(abs(q - w) / w for q, w in zip(quad, want))
+    return (r.norm, r.mean, r.variance) == want, max(
+        abs(q - w) / w for q, w in zip(_laguerre_moments(m, n), want))
 
 
 def _forced_checks() -> list[CheckResult]:
@@ -225,21 +255,20 @@ def _forced_checks() -> list[CheckResult]:
 
     # unitarity with a wide window
     out.append(_unitarity_check(
-        "forced.unitarity", (forced._float_grid(nu, 8, 64) for nu in (0.3, 1.0, 3.0, 5.0)),
+        "forced.unitarity",
+        (series.float_grid("forced", (nu,), 8, 64) for nu in (0.3, 1.0, 3.0, 5.0)),
         1e-10, "1 - sum_n w_mn for m <= 8, nu <= 5, 65 columns"))
 
     # symmetry of the series, which unlike the kernel is not symmetric by
     # construction
-    exact = forced._exact_grid(8, 8)
+    exact = series.exact_grid("forced", 8, 8)
     out.append(_symmetry_check(
-        "forced.symmetry", (forced._float_grid(nu, 12, 12) for nu in _NU_GRID),
+        "forced.symmetry", (series.float_grid("forced", (nu,), 12, 12) for nu in _NU_GRID),
         "float series and exact polynomials",
         exact_ok=all(exact.coeff(m, n) == exact.coeff(n, m) for m, n in _cells(9))))
 
-    out += _route_checks(
-        "forced", amplitude.forced_table, forced._float_grid, forced.forced_gf_value,
-        [(nu,) for nu in _NU_GRID], (exact, amplitude.forced_poly, lambda nu: math.exp(-nu)),
-    )
+    out += _route_checks("forced", "forced", series.forced_gf_value,
+                         [(nu,) for nu in _NU_GRID], exact)
     return out
 
 
@@ -254,10 +283,11 @@ def _parametric_checks() -> list[CheckResult]:
                   computed="Jacobi quadrature vs 2(arctanh u - arctanh v)/(u-v)")]
 
     # first weighted integral: exact and quadrature
-    weighted = (parametric.param_weighted_integrals(*c) for c in _cells(11))
-    out += _exact_checks("param.weighted-first", "1/(1-rho)",
-                         ((r.first == r.expected_first, abs(float(r.first) - r.first_quad))
-                          for r in weighted),
+    cases = []
+    for m, n in _cells(11):
+        r = parametric.param_weighted_integrals(m, n)
+        cases.append((r.first == r.expected_first, abs(float(r.first) - _first_quad(m, n))))
+    out += _exact_checks("param.weighted-first", "1/(1-rho)", cases,
                          "equal (1+(-1)^(m+n))/(m+n+1) exactly", "Gauss-Jacobi", 1e-10)
 
     # second weighted integral: reported only
@@ -284,9 +314,11 @@ def _parametric_checks() -> list[CheckResult]:
     )
 
     # diagonal rho-integrals J_nn
-    out += _exact_checks("param.diagonal-integral", "J_nn",
-                         ((r.closed_form == r.symbolic, abs(float(r.closed_form) - r.quadrature))
-                          for r in map(parametric.param_jnn, range(7))),
+    cases = []
+    for n in range(7):
+        r = parametric.param_jnn(n)
+        cases.append((r.closed_form == r.symbolic, abs(float(r.closed_form) - _jnn_quad(n))))
+    out += _exact_checks("param.diagonal-integral", "J_nn", cases,
                          "match (1/(2n+1))[1 + 1/((2n+3)(2n-1))] exactly", "Gauss-Jacobi", 1e-10)
 
     out.append(_antidiagonal_check("param.antidiagonal", parametric.param_prob_table,
@@ -313,7 +345,7 @@ def _parametric_checks() -> list[CheckResult]:
                       computed="G(u, e^s) moments vs 2 rho/(1-rho)^2"))
 
     # parity and structure of the exact polynomials
-    grid = parametric._exact_grid(12, 12)
+    grid = series.exact_grid("parametric", 12, 12)
     odd = [grid.coeff(m, n) for m, n in _cells(13) if (m + n) % 2]
     even = [(abs(m - n) // 2, (m + n) // 2, grid.coeff(m, n))
             for m, n in _cells(13) if (m + n) % 2 == 0]
@@ -326,11 +358,8 @@ def _parametric_checks() -> list[CheckResult]:
     out.append(_unitarity_check("param.unitarity", tables.values(), 1e-10,
                                 "1 - sum_n w_mn, m <= 8, n <= 2048, rho <= 0.8"))
 
-    out += _route_checks(
-        "param", amplitude.param_table, parametric._float_grid, parametric.param_gf_value,
-        [(rho,) for rho in _RHO_GRID],
-        (grid, amplitude.param_poly, lambda rho: math.sqrt(1.0 - rho)),
-    )
+    out += _route_checks("param", "parametric", series.param_gf_value,
+                         [(rho,) for rho in _RHO_GRID], grid)
     return out
 
 
@@ -353,9 +382,9 @@ def _singular_checks() -> list[CheckResult]:
     # same way
     worst_even = worst_odd = 0.0
     for rho in _RHO_GRID:
-        par = parametric._float_grid(rho, 13, 13)
-        even = singular._float_grid(rho, -0.25, 6, 6)
-        odd = singular._float_grid(rho, -0.75, 6, 6)
+        par = series.float_grid("parametric", (rho,), 13, 13)
+        even = series.float_grid("singular", (rho, -0.25), 6, 6)
+        odd = series.float_grid("singular", (rho, -0.75), 6, 6)
         worst_even = max(worst_even, float(np.max(np.abs(even - par[::2, ::2]))))
         worst_odd = max(worst_odd, float(np.max(np.abs(odd - par[1::2, 1::2]))))
     out = [_check("singular.reduction-even", "families", worst_even, 1e-10,
@@ -365,7 +394,7 @@ def _singular_checks() -> list[CheckResult]:
 
     # vacuum row closed form vs series extraction; entry n of a kernel row
     # is ground_row(n) bit for bit, whatever the row's width
-    worst = max(float(np.max(np.abs(singular._float_grid(rho, j, 0, 12)[0]
+    worst = max(float(np.max(np.abs(series.float_grid("singular", (rho, j), 0, 12)[0]
                                     - amplitude.singular_table(rho, j, 1, 13)[0])))
                 for rho in _RHO_GRID for j in _J_GRID)
     out.append(_check("singular.ground-row", "w_0n", worst, 1e-10,
@@ -399,13 +428,11 @@ def _singular_checks() -> list[CheckResult]:
         "singular.unitarity", (amplitude.singular_table(*x, 9, 2049) for x in points), 1e-8,
         "1 - sum_n w_mn, m <= 8, n <= 2048, rho <= 0.8, |j| <= 2"))
     out.append(_symmetry_check("singular.symmetry",
-                               (singular._float_grid(*x, 8, 8) for x in points),
+                               (series.float_grid("singular", x, 8, 8) for x in points),
                                "w_mn vs w_nm on 9x9 tables"))
 
-    out += _route_checks(
-        "singular", amplitude.singular_table, singular._float_grid, singular.singular_gf_value,
-        [(rho, j) for rho in _RHO_GRID for j in _J_GRID],
-    )
+    out += _route_checks("singular", "singular", series.singular_gf_value,
+                         [(rho, j) for rho in _RHO_GRID for j in _J_GRID])
     return out
 
 

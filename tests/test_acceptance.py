@@ -9,11 +9,12 @@ import pytest
 
 import oscigen.forced as forced
 import oscigen.parametric as parametric
+import oscigen.series as series
 import oscigen.singular as singular
 from oscigen.excitation import bogoliubov_from_frequency, nu_from_force
 from oscigen.profiles import ForceProfile, FrequencyProfile
 from oscigen.series import dft_extract_table
-from oscigen.verify import run_suite
+from oscigen.verify import _jnn_quad, _laguerre_moments, run_suite
 
 NU_GRID = (0.3, 1.0, 3.0)
 RHO_GRID = (0.1, 0.5, 0.9)
@@ -32,11 +33,8 @@ def test_c01_exact_sum_rules():
             assert r.norm == Fraction(1)
             assert r.mean == Fraction(m + n + 1)
             assert r.variance == Fraction(2 * m * n + m + n + 1)
-            for got, want in (
-                (r.norm_quad, 1.0),
-                (r.mean_quad, m + n + 1.0),
-                (r.variance_quad, 2.0 * m * n + m + n + 1.0),
-            ):
+            for got, want in zip(_laguerre_moments(m, n),
+                                 (1.0, m + n + 1.0, 2.0 * m * n + m + n + 1.0)):
                 rel = abs(got - want) / want
                 assert rel < 1e-12
                 worst_quad = max(worst_quad, rel)
@@ -88,7 +86,7 @@ def test_c04_parametric_identities():
     for n in range(7):
         r = parametric.param_jnn(n)
         assert r.symbolic == r.closed_form
-        worst8 = max(worst8, abs(float(r.closed_form) - r.quadrature))
+        worst8 = max(worst8, abs(float(r.closed_form) - _jnn_quad(n)))
     assert param_jnn_values_hold()
     assert worst8 < 1e-10
 
@@ -189,24 +187,24 @@ def test_c08_adiabatic_expansion():
 def test_c09_oracle_equivalence():
     worst = 0.0
     for nu in NU_GRID:
-        ser = forced._float_grid(nu, 10, 10)
+        ser = series.float_grid("forced", (nu,), 10, 10)
         dft = dft_extract_table(
-            lambda U, V, p=nu: forced.forced_gf_value(U, V, p),
+            lambda U, V, p=nu: series.forced_gf_value(U, V, p),
             10, 10, grid=256,
         )
         worst = max(worst, float(np.max(np.abs(ser - dft))))
     for rho in RHO_GRID:
-        ser = parametric._float_grid(rho, 10, 10)
+        ser = series.float_grid("parametric", (rho,), 10, 10)
         dft = dft_extract_table(
-            lambda U, V, p=rho: parametric.param_gf_value(U, V, p),
+            lambda U, V, p=rho: series.param_gf_value(U, V, p),
             10, 10, grid=256,
         )
         worst = max(worst, float(np.max(np.abs(ser - dft))))
     for rho in RHO_GRID:
         for j in J_GRID:
-            ser = singular._float_grid(rho, j, 10, 10)
+            ser = series.float_grid("singular", (rho, j), 10, 10)
             dft = dft_extract_table(
-                lambda U, V, p=rho, q=j: singular.singular_gf_value(U, V, p, q),
+                lambda U, V, p=rho, q=j: series.singular_gf_value(U, V, p, q),
                 10, 10, grid=256,
             )
             worst = max(worst, float(np.max(np.abs(ser - dft))))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oscigen import errors, forced, parametric, singular
+from oscigen import errors, parametric, singular
 from oscigen.amplitude import (
     MAX_EXACT_SIZE,
+    MAX_WINDOW,
     forced_poly,
     forced_table,
     param_poly,
@@ -19,9 +21,9 @@ from oscigen.amplitude import (
 from oscigen.errors import TableInvariantError
 from oscigen.forced import forced_prob_table, forced_sum_rules
 from oscigen.parametric import param_prob_table, param_row_moments, param_weighted_integrals
-from oscigen.probtable import make_table
+from oscigen.probtable import FAMILIES, make_table
 from oscigen.quadrature import gauss_jacobi_half, gauss_laguerre, gauss_legendre
-from oscigen.series import MAX_WINDOW, Series2
+from oscigen.series import Series2, exact_grid, float_grid
 from oscigen.singular import ground_row, singular_prob_table
 
 M = 20
@@ -42,16 +44,16 @@ def test_forced_kernel_matches_series():
     # nu = 10 is left to the rational route below: the float series factors
     # out e^nu and loses about 1e-10 there
     for nu in (0.0, 1e-6, 0.3, 3.0):
-        ser = forced._float_grid(nu, M - 1, M - 1)
+        ser = float_grid("forced", (nu,), M - 1, M - 1)
         assert np.max(np.abs(forced_table(nu, M, M) - ser)) <= 1e-13
 
 
 def test_singular_and_parametric_kernels_match_series():
     for rho in RHOS:
-        ser = parametric._float_grid(rho, M - 1, M - 1)
+        ser = float_grid("parametric", (rho,), M - 1, M - 1)
         assert np.max(np.abs(param_table(rho, M, M) - ser)) <= 1e-13
         for j in JS:
-            ser = singular._float_grid(rho, j, M - 1, M - 1)
+            ser = float_grid("singular", (rho, j), M - 1, M - 1)
             assert np.max(np.abs(singular_table(rho, j, M, M) - ser)) <= 1e-13
 
 
@@ -67,8 +69,8 @@ def test_asymmetric_windows_are_slices_of_the_square_table():
 
 def test_closed_form_polynomials_equal_the_series_ones():
     for grid, poly, size in (
-        (forced._exact_grid(15, 15), forced_poly, 16),
-        (parametric._exact_grid(23, 23), param_poly, 24),
+        (exact_grid("forced", 15, 15), forced_poly, 16),
+        (exact_grid("parametric", 23, 23), param_poly, 24),
     ):
         closed = poly_grid(poly, size)
         for m in range(size):
@@ -235,16 +237,16 @@ def test_exact_tables_enforce_the_size_cap():
             build(0.5, size=MAX_EXACT_SIZE + 1, mode="exact")
 
 
-def test_invariant_failures_are_typed():
+def test_invariant_failures_are_typed(monkeypatch):
     def kernel(values):
         return lambda nu, rows, cols: np.array(values)
 
-    with pytest.raises(TableInvariantError, match="asymmetry"):
-        make_table("forced", {"nu": 1.0}, 2, "float", kernel([[0.5, 0.2], [0.1, 0.5]]))
-    with pytest.raises(TableInvariantError, match="negative"):
-        make_table("forced", {"nu": 1.0}, 1, "float", kernel([[-0.1]]))
-    with pytest.raises(TableInvariantError, match="NaN"):
-        make_table("forced", {"nu": 1.0}, 1, "float", kernel([[math.nan]]))
+    for values, match in (([[0.5, 0.2], [0.1, 0.5]], "asymmetry"), ([[-0.1]], "negative"),
+                          ([[math.nan]], "NaN")):
+        monkeypatch.setitem(FAMILIES, "forced",
+                            dataclasses.replace(FAMILIES["forced"], kernel=kernel(values)))
+        with pytest.raises(TableInvariantError, match=match):
+            make_table("forced", {"nu": 1.0}, len(values), "float")
 
 
 # -- certified closed forms --------------------------------------------------

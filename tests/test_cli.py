@@ -445,7 +445,9 @@ def test_table_loads_only_its_family(argv):
     family = f"oscigen.{argv[0]}"
     assert family in loaded
     others = {"oscigen.forced", "oscigen.parametric", "oscigen.singular"} - {family}
-    assert not loaded & ({"oscigen.verify", "oscigen.excitation", "oscigen.profiles"} | others)
+    # the checking routes (series, quadrature) stay unloaded too
+    assert not loaded & ({"oscigen.verify", "oscigen.excitation", "oscigen.profiles",
+                          "oscigen.series", "oscigen.quadrature"} | others)
 
 
 def test_excite_does_not_load_verify(tmp_path):
@@ -454,7 +456,7 @@ def test_excite_does_not_load_verify(tmp_path):
     loaded = _modules_after(["excite", "--profile", str(path), "--what", "nu", "--omega", "1"])
     assert {"oscigen.excitation", "oscigen.profiles"} <= loaded
     assert not {"oscigen.verify", "oscigen.forced", "oscigen.parametric",
-                "oscigen.probtable"} & loaded
+                "oscigen.probtable", "oscigen.series"} & loaded
 
 
 def test_suite_choices_are_the_verify_suites():
@@ -748,25 +750,43 @@ def test_verify_fails_a_wrong_exact_sum_rule(monkeypatch):
 
 
 def test_verify_unitarity_fails_rows_summing_past_one(monkeypatch):
-    from oscigen import forced
+    from oscigen import series
 
-    real = forced._float_grid
-    monkeypatch.setattr(forced, "_float_grid", lambda *a: real(*a) * (1.0 + 1e-6))
+    real = series.float_grid
+    monkeypatch.setattr(series, "float_grid", lambda *a: real(*a) * (1.0 + 1e-6))
     assert "forced.unitarity" in _failed("forced")
 
 
 def test_verify_fails_an_asymmetric_singular_series(monkeypatch):
-    from oscigen import singular
+    from oscigen import series
 
-    real = singular._float_grid
+    real = series.float_grid
 
-    def skewed(*args):
-        grid = np.array(real(*args))
-        grid[0, -1] += 1e-9
+    def skewed(family, *args):
+        grid = np.array(real(family, *args))
+        if family == "singular":
+            grid[0, -1] += 1e-9
         return grid
 
-    monkeypatch.setattr(singular, "_float_grid", skewed)
+    monkeypatch.setattr(series, "float_grid", skewed)
     assert "singular.symmetry" in _failed("singular")
+
+
+def test_verify_takes_the_prefactor_from_the_family_record(runner, monkeypatch):
+    # the series route and the exact polynomials both carry the record's
+    # sqrt(1 - rho); the contour oracle evaluates G whole
+    import dataclasses
+
+    from oscigen.probtable import FAMILIES
+
+    record = FAMILIES["parametric"]
+    monkeypatch.setitem(FAMILIES, "parametric", dataclasses.replace(
+        record, prefactor=lambda rho: record.prefactor(rho) * (1.0 + 1e-9)))
+    failed = _failed("parametric")
+    assert failed == ["param.kernel-series", "param.kernel-exact"]
+    result = runner.invoke(main, ["verify", "--suite", "parametric"])
+    assert result.exit_code == 1
+    assert "[FAIL] param.kernel-exact" in result.output
 
 
 def test_verify_cli_exits_1_on_a_failed_check(runner, monkeypatch):

@@ -8,7 +8,6 @@ import pytest
 from oscigen.amplitude import param_table
 from oscigen.parametric import (
     param_dispersion,
-    param_gf_value,
     param_identity_eq6,
     param_j_offdiag,
     param_jnn,
@@ -18,7 +17,8 @@ from oscigen.parametric import (
     param_sk,
     param_weighted_integrals,
 )
-from oscigen.series import MAX_WINDOW
+from oscigen.series import MAX_WINDOW, param_gf_value
+from oscigen.verify import _first_quad, _jnn_quad
 
 
 def exact_beta_sqrt(k: int, sign: int) -> Fraction:
@@ -99,20 +99,19 @@ def test_weighted_first_integral():
         for n in range(7):
             r = param_weighted_integrals(m, n)
             assert r.first == r.expected_first
-            assert r.first_quad == pytest.approx(float(r.first), abs=1e-11)
+            assert _first_quad(m, n) == pytest.approx(float(r.first), abs=1e-11)
 
 
 def test_weighted_second_integral_disagrees_with_quoted_value():
     r = param_weighted_integrals(0, 2)
     assert r.second == Fraction(1, 2)
     assert r.expected_second == 1
-    assert r.second_quad == pytest.approx(0.5, abs=1e-12)
     r = param_weighted_integrals(1, 3)
     assert r.second == Fraction(3, 4)
     assert r.expected_second == 1
     # diagonal: the second integral is undefined
     r = param_weighted_integrals(2, 2)
-    assert r.second is None and r.expected_second is None and r.second_quad is None
+    assert r.second is None and r.expected_second is None
 
 
 def test_diagonal_rho_integrals():
@@ -122,7 +121,7 @@ def test_diagonal_rho_integrals():
     for n in range(7):
         r = param_jnn(n)
         assert r.symbolic == r.closed_form
-        assert r.quadrature == pytest.approx(float(r.closed_form), abs=1e-11)
+        assert _jnn_quad(n) == pytest.approx(float(r.closed_form), abs=1e-11)
 
 
 def test_offdiagonal_rho_integrals_match_beta_values():
@@ -158,14 +157,11 @@ def test_quadrature_confirmations_are_within_rounding():
     # each node value is exact before it is rounded, so no cancellation
     # grows with the degree
     for n in range(51):
-        r = param_jnn(n)
-        assert r.quadrature == pytest.approx(float(r.symbolic), rel=1e-13, abs=0.0)
+        assert _jnn_quad(n) == pytest.approx(float(param_jnn(n).symbolic), rel=1e-13, abs=0.0)
     for total in (20, 50, 76, 100):
         for m in range(0, total + 1, 7):
             r = param_weighted_integrals(m, total - m)
-            assert r.first_quad == pytest.approx(float(r.first), rel=1e-13, abs=0.0)
-            if r.second is not None:
-                assert r.second_quad == pytest.approx(float(r.second), rel=1e-13, abs=0.0)
+            assert _first_quad(m, total - m) == pytest.approx(float(r.first), rel=1e-13, abs=0.0)
 
 
 def test_antidiagonal_sums():

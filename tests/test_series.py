@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from oscigen.domains import FLOAT, POLY, RatPoly
 from oscigen.errors import OracleFailureError, SingularSeriesError, WindowMismatchError
-from oscigen.series import MAX_WINDOW, Series2, _conv, dft_extract_table
+from oscigen.series import (
+    MAX_WINDOW,
+    Series2,
+    _conv,
+    dft_extract_table,
+    forced_gf_value,
+    param_gf_value,
+    singular_gf_value,
+)
 
 
 # -- independent reference arithmetic on plain coefficient dicts ------------
@@ -323,15 +331,11 @@ def test_dft_geometric_coefficient():
 
 
 def test_dft_vacuum_amplitude_of_driven_family():
-    from oscigen.forced import forced_gf_value
-
     table = dft_extract_table(lambda u, v: forced_gf_value(u, v, 1.0), 0, 0, grid=16)
     assert abs(table[0, 0] - math.exp(-1.0)) < 1e-10
 
 
 def test_dft_parity_zero_of_parametric_family():
-    from oscigen.parametric import param_gf_value
-
     table = dft_extract_table(lambda u, v: param_gf_value(u, v, 0.5), 0, 1, grid=24)
     assert abs(table[0, 1]) < 1e-12
 
@@ -387,9 +391,6 @@ def full_fft2_table(f, max_m, max_n, grid):
 
 @pytest.mark.parametrize("grid, max_m, max_n", [(256, 10, 10), (40, 7, 3), (24, 2, 9)])
 def test_dft_strips_match_full_fft2(grid, max_m, max_n):
-    from oscigen.forced import forced_gf_value
-    from oscigen.singular import singular_gf_value
-
     # 40 and 24 rows leave a partial last strip
     for f in (lambda u, v: forced_gf_value(u, v, 2.37),
               lambda u, v: singular_gf_value(u, v, 0.61, -1.3)):
@@ -400,8 +401,6 @@ def test_dft_strips_match_full_fft2(grid, max_m, max_n):
 
 def test_dft_peak_memory_is_a_strip_not_the_torus():
     import tracemalloc
-
-    from oscigen.forced import forced_gf_value
 
     f = lambda u, v: forced_gf_value(u, v, 2.37)
     dft_extract_table(f, 10, 10, grid=256)  # first-use allocations of numpy's FFT

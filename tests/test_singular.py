@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oscigen import parametric, singular
+from oscigen import singular
 from oscigen.errors import SingularEvaluationError, TableInvariantError
+from oscigen.series import float_grid, lambda_value, singular_gf_value
 from oscigen.singular import (
     adiabatic_diag,
     energy_level,
     ground_row,
     j_from_g,
-    lambda_value,
-    singular_gf_value,
     singular_prob_table,
 )
 
@@ -97,7 +96,7 @@ def test_table_matches_vacuum_entry():
 def test_reductions_to_the_regular_oscillator():
     # the parametric series, independent of the kernel behind both tables
     for rho in (0.1, 0.5, 0.9):
-        par = parametric._float_grid(rho, 14, 14)
+        par = float_grid("parametric", (rho,), 14, 14)
         even = singular_prob_table(rho, -0.25, size=7).values
         odd = singular_prob_table(rho, -0.75, size=7).values
         for m in range(7):
@@ -110,13 +109,13 @@ def test_series_route_reduces_and_gives_the_vacuum_row():
     # the series of g(u, v), independent of the kernel behind the tables
     # and ground_row
     for rho in (0.1, 0.5, 0.9):
-        par = parametric._float_grid(rho, 13, 13)
-        even = singular._float_grid(rho, -0.25, 6, 6)
-        odd = singular._float_grid(rho, -0.75, 6, 6)
+        par = float_grid("parametric", (rho,), 13, 13)
+        even = float_grid("singular", (rho, -0.25), 6, 6)
+        odd = float_grid("singular", (rho, -0.75), 6, 6)
         np.testing.assert_allclose(even, par[::2, ::2], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(odd, par[1::2, 1::2], rtol=0.0, atol=1e-14)
         for j in (-0.25, -0.75, -0.6, -1.3):
-            row = singular._float_grid(rho, j, 0, 12)[0]
+            row = float_grid("singular", (rho, j), 0, 12)[0]
             want = [ground_row(n, rho, j) for n in range(13)]
             np.testing.assert_allclose(row, want, rtol=1e-14, atol=0.0)
 
@@ -127,7 +126,7 @@ def test_series_route_keeps_rho_where_one_minus_rho_rounds():
     # entries of the series route lose digits in t + sqrt(...) here.
     mpmath = pytest.importorskip("mpmath")
     rho, j = 3e-10, -1e9
-    grid = singular._float_grid(rho, j, 4, 4)
+    grid = float_grid("singular", (rho, j), 4, 4)
     with mpmath.workdps(40):
         r, k = mpmath.mpf(rho), -2 * mpmath.mpf(j)
         want = [float(mpmath.gamma(n + k) / (mpmath.factorial(n) * mpmath.gamma(k))

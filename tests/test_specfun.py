@@ -157,3 +157,26 @@ def test_arctanh_domain():
             param_identity_eq6(bad, 0.0)
         with pytest.raises(ValueError):
             param_identity_eq6(0.0, bad)
+
+
+_EQ6_POINTS = [
+    # near the diagonal, where u - v cancels
+    (0.3, 0.3 + 2e-12), (0.5, 0.5 + 1e-15), (-0.9, -0.9 + 1e-10), (0.1, 0.1 - 3e-9),
+    (0.0, 5e-324), (0.7, 0.7), (-0.25, -0.25),
+    # near -1 and +1, where atanh grows without bound
+    (-1.0 + 2.4e-15, -1.0 + 4.6e-13), (1.0 - 1.1e-16, 1.0 - 3e-13), (1.0 - 1.1e-16, -1.0 + 1.1e-16),
+    (0.999999, -0.999999), (-1.0 + 1.1e-16, -1.0 + 1.1e-16), (1.0 - 5e-12, 1.0 - 5e-12 - 1e-20),
+    (0.3, -0.9999999999), (-0.6, 0.99999999),
+]
+
+
+@pytest.mark.parametrize("u, v", _EQ6_POINTS)
+def test_arctanh_closed_form_against_mpmath(u, v):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        mu, mv = mpmath.mpf(u), mpmath.mpf(v)
+        want = (2 / (1 - mu * mu) if u == v
+                else 2 * (mpmath.atanh(mu) - mpmath.atanh(mv)) / (mu - mv))
+        got = param_identity_eq6(u, v).rhs
+        assert abs(got - want) <= 1e-14 * want
+    assert param_identity_eq6(-v, -u).rhs == got
