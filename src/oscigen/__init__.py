@@ -23,11 +23,10 @@ _EXPORTS = {
     "quadrature": ("QuadRule", "gauss_legendre", "gauss_laguerre", "gauss_jacobi_half"),
     "probtable": ("ProbTable", "make_table"),
     "forced": ("SumRuleRecord", "forced_prob_table", "forced_sum_rules", "forced_sk"),
-    "parametric": ("param_prob_table", "param_identity_eq6", "param_weighted_integrals",
-                   "param_jnn", "param_j_offdiag", "param_sk", "param_mean_n",
-                   "param_dispersion", "param_row_moments"),
-    "singular": ("MIN_J", "AdiabaticRecord", "j_from_g", "energy_level", "singular_prob_table",
-                 "ground_row", "adiabatic_diag"),
+    "parametric": ("param_prob_table", "param_weighted_integrals", "param_jmn", "param_sk",
+                   "param_mean_n", "param_dispersion", "param_row_moments"),
+    "singular": ("MIN_J", "j_from_g", "energy_level", "singular_prob_table", "ground_row",
+                 "adiabatic_diag"),
     "profiles": ("ForceProfile", "FrequencyProfile", "load_profile", "ProfileError"),
     "excitation": ("BogoliubovResult", "ExcitationReport", "nu_from_force",
                    "bogoliubov_from_frequency", "excitation_report"),

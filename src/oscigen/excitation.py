@@ -86,17 +86,26 @@ def _force_fourier(profile: ForceProfile, omega: float) -> complex:
 # amortize the call, small enough to bound the node arrays (the per-panel
 # start and width arrays still hold one entry per panel)
 _FOURIER_BLOCK = 4096
+# panels of one transform at most: the panel arrays stay a few tens of MB
+_MAX_PANELS = 2**20
 
 
 def _tabulated_fourier(profile: ForceProfile, omega: float) -> complex:
     """Oscillation-safe quadrature of spline(t) e^{-i omega t}: fixed-order
     Gauss panels no longer than a sixteenth of the period, evaluated in
-    blocks of _FOURIER_BLOCK nodes."""
-    spline = profile.spline
-    rule = gauss_legendre(8)
+    blocks of _FOURIER_BLOCK nodes.  More than _MAX_PANELS panels raise
+    ValueError, before the spline is built."""
     period = 2.0 * math.pi / omega
     widths = np.diff(profile.times)
-    pieces = np.maximum(1, np.ceil(widths / (period / 16.0))).astype(np.intp)
+    with np.errstate(over="ignore"):  # a count past the double range is refused below
+        pieces = np.maximum(1.0, np.ceil(widths / (period / 16.0)))
+        count = pieces.sum()
+    if not count <= _MAX_PANELS:
+        raise ValueError(f"omega = {omega:g} needs {count:.3g} quadrature panels over the "
+                         f"samples, more than {_MAX_PANELS}")
+    pieces = pieces.astype(np.intp)
+    spline = profile.spline
+    rule = gauss_legendre(8)
     # sample interval i splits into pieces[i] equal panels; panel j of it
     # starts at times[i] + j * width
     interval = np.repeat(np.arange(widths.size), pieces)

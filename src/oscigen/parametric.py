@@ -17,16 +17,16 @@ tables come from the Jacobi amplitude kernel of :mod:`oscigen.amplitude`,
 and the polynomials from the same closed form in integer arithmetic
 (:func:`oscigen.amplitude.param_poly`).  The routes ``verify`` checks both
 against, the series of G / sqrt(1 - rho) and the contour oracle of G, live
-in :mod:`oscigen.series`, and the Gauss-Jacobi confirmations of the
-integrals in :mod:`oscigen.verify`.  The row moments sum_n n^p w_mn are
-series coefficients of G(u, e^s), so no table is summed or truncated for
-them.
+in :mod:`oscigen.series`.  Each integral here returns its value only: the
+closed forms it is quoted against, their Gauss-Jacobi confirmations and
+the arctanh identity of G / (1 - rho) are checked in :mod:`oscigen.verify`.
+The row moments sum_n n^p w_mn are series coefficients of G(u, e^s), so no
+table is summed or truncated for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,10 +37,8 @@ from .probtable import ProbTable, make_table
 
 __all__ = [
     "param_prob_table",
-    "param_identity_eq6",
     "param_weighted_integrals",
-    "param_jnn",
-    "param_j_offdiag",
+    "param_jmn",
     "param_sk",
     "param_mean_n",
     "param_dispersion",
@@ -53,37 +51,7 @@ def param_prob_table(rho, size: int = 16, mode: str = "float") -> ProbTable:
     return make_table("parametric", {"rho": rho}, size, mode)
 
 
-# -- closed-form identities --------------------------------------------------
-
-@dataclass(frozen=True)
-class Eq6Record:
-    lhs: float
-    rhs: float
-    residual: float
-
-
-def param_identity_eq6(u: float, v: float) -> Eq6Record:
-    """Integral of G(u, v | rho)/(1 - rho) over rho in [0, 1] against its
-    closed form 2 (arctanh u - arctanh v) / (u - v).
-
-    The integrand equals (1-rho)^{-1/2} / sqrt((1-uv)^2 - rho (u-v)^2), so
-    the 64-node Gauss-Jacobi rule handles the endpoint exactly.  With
-    u >= v, s = 2 / ((1-u)(1+v)) and x = s (u - v), the closed form is
-    s log1p(x) / x, which tends to s as x -> 0: one formula, with no
-    cancellation, on the diagonal and near it.
-    """
-    if not (-1.0 < u < 1.0 and -1.0 < v < 1.0):
-        raise ValueError("u, v must lie in (-1, 1)")
-    from .quadrature import gauss_jacobi_half
-
-    rule = gauss_jacobi_half(64)
-    den = (1.0 - u * v) ** 2 - rule.nodes * (u - v) ** 2
-    lhs = float(np.dot(rule.weights, 1.0 / np.sqrt(den)))
-    s = 2.0 / ((1.0 - max(u, v)) * (1.0 + min(u, v)))
-    x = s * abs(u - v)
-    rhs = s * math.log1p(x) / x if x else s
-    return Eq6Record(lhs, rhs, abs(lhs - rhs))
-
+# -- rho-integrals -------------------------------------------------------------
 
 def _rho_integral(poly: RatPoly, a) -> Fraction:
     """Exact integral of poly(rho) (1 - rho)^a over [0, 1] for rational
@@ -96,58 +64,20 @@ def _rho_integral(poly: RatPoly, a) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class WeightedIntegralRecord:
-    """Both weighted integrals of one entry and the closed-form values they
-    are usually quoted against.
-
-    The first identity holds and is asserted elsewhere; the second is
-    reported only: the quoted formula is the large-m limit of the computed
-    value, not an identity (see the verifier's note)."""
-
-    first: Fraction
-    expected_first: Fraction
-    second: Fraction | None
-    expected_second: Fraction | None
-
-
-def param_weighted_integrals(m: int, n: int) -> WeightedIntegralRecord:
+def param_weighted_integrals(m: int, n: int) -> tuple[Fraction, Fraction | None]:
     """Integrals of w_mn/(1-rho) and w_mn/(rho sqrt(1-rho)) over [0, 1],
     each an exact sum of Beta values over the polynomial form of w_mn.  The
-    second integral is undefined for m = n (its fields come back None)."""
+    second integral is undefined for m = n (it comes back None)."""
     poly = param_poly(m, n)
     first = _rho_integral(poly, Fraction(-1, 2))
-    expected_first = Fraction(1 + (-1) ** (m + n), m + n + 1)
     if m == n:
-        return WeightedIntegralRecord(first, expected_first, None, None)
-    reduced = poly.shift_down(1)  # the zero polynomial for odd m + n
-    return WeightedIntegralRecord(first, expected_first, _rho_integral(reduced, 0),
-                                  Fraction(1 + (-1) ** (m + n), abs(m - n)))
+        return first, None
+    return first, _rho_integral(poly.shift_down(1), 0)  # zero for odd m + n
 
 
-@dataclass(frozen=True)
-class JnnRecord:
-    closed_form: Fraction
-    symbolic: Fraction
-
-
-def param_jnn(n: int) -> JnnRecord:
-    """Plain integral of the diagonal entry w_nn over rho in [0, 1]: the
-    closed form (1/(2n+1)) [1 + 1/((2n+3)(2n-1))] and the Beta-value sum of
-    sqrt(1-rho) q_nn."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    closed = Fraction(1, 2 * n + 1) * (1 + Fraction(1, (2 * n + 3) * (2 * n - 1)))
-    return JnnRecord(closed, _rho_integral(param_poly(n, n), Fraction(1, 2)))
-
-
-def param_j_offdiag(m: int, n: int) -> Fraction:
-    """Plain integral of an off-diagonal entry over rho (no simple closed
-    form), exact: the Beta-value sum of sqrt(1-rho) q_mn."""
-    if m == n:
-        raise ValueError("use param_jnn for diagonal entries")
-    if (m + n) % 2 == 1:
-        raise ValueError("odd m + n entries vanish identically")
+def param_jmn(m: int, n: int) -> Fraction:
+    """Plain integral of w_mn over rho in [0, 1], exact: the Beta-value sum
+    of sqrt(1-rho) q_mn, zero for odd m + n."""
     return _rho_integral(param_poly(m, n), Fraction(1, 2))
 
 

@@ -338,14 +338,14 @@ def load_profile(source, what: str | None = None):
     either extractor; an explicit ``profile`` field ("force" or
     "frequency") in the document takes precedence.  A profile that cannot
     yield ``what`` raises ``ProfileError``, and so does any ``ValueError``,
-    ``TypeError``, ``KeyError`` or ``OSError`` met while reading or
-    building it.
+    ``TypeError``, ``KeyError``, ``OSError`` or ``RecursionError`` (a
+    document nested too deep to parse) met while reading or building it.
     """
     try:
         profile = _load(source, what)
     except ProfileError:
         raise
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, RecursionError) as exc:
         raise ProfileError(f"bad profile: {exc}") from exc
     if what is not None and isinstance(profile, ForceProfile) != (what == "nu"):
         raise ProfileError(f"profile kind {profile.kind!r} cannot yield {what}")

@@ -17,20 +17,19 @@ cross-checks for this family, whose general tables are float-only (the
 exponent -2j is irrational in general).  Tables come from the Jacobi
 amplitude kernel of :mod:`oscigen.amplitude`; the float series of g(u, v)
 and its contour oracle, the routes ``verify`` compares it against, live in
-:mod:`oscigen.series`.
+:mod:`oscigen.series`.  Each call here returns its one value; the second
+algebraic form of the adiabatic slope is checked in :mod:`oscigen.verify`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .amplitude import MIN_J, _j_value, _rho_value, singular_table
 from .probtable import ProbTable, make_table
 
 __all__ = [
     "MIN_J",
-    "AdiabaticRecord",
     "j_from_g",
     "energy_level",
     "singular_prob_table",
@@ -77,26 +76,9 @@ def ground_row(n: int, rho, j) -> float:
     return float(singular_table(rho_val, j_val, 1, n + 1)[0, n])
 
 
-@dataclass(frozen=True)
-class AdiabaticRecord:
-    """Leading small-rho behaviour of a diagonal entry,
-    w_nn = 1 - slope * rho + O(rho^2), in two equivalent algebraic forms."""
-
-    slope: float
-    big_n: float
-    slope_from_big_n: float
-
-
-def adiabatic_diag(n: int, j) -> AdiabaticRecord:
-    """Adiabatic slope 2 [n^2 - (2n+1) j] and its equivalent
-    (1/2)(N^2 + N + 1) with N = 2 sqrt((n-j)^2 - (j(j+1) + 3/16)) - 1/2."""
+def adiabatic_diag(n: int, j) -> float:
+    """Adiabatic slope of a diagonal entry, w_nn = 1 - slope * rho + O(rho^2):
+    slope = 2 [n^2 - (2n+1) j]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    j_val = _j_value(j)
-    slope = 2.0 * (n * n - (2 * n + 1) * j_val)
-    radicand = (n - j_val) ** 2 - (j_val * (j_val + 1.0) + 3.0 / 16.0)
-    if radicand < 0.0:
-        raise ValueError(f"negative radicand {radicand} in the N form")
-    big_n = 2.0 * math.sqrt(radicand) - 0.5
-    slope_from_n = 0.5 * (big_n * big_n + big_n + 1.0)
-    return AdiabaticRecord(slope, big_n, slope_from_n)
+    return 2.0 * (n * n - (2 * n + 1) * _j_value(j))

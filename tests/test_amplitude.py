@@ -99,7 +99,7 @@ def test_exact_paths_build_no_series(monkeypatch):
     assert param_prob_table(0.4, size=20, mode="exact").symbolic[5][17] == param_poly(17, 5)
     r = forced_sum_rules(6, 9)
     assert (r.norm, r.mean, r.variance) == (1, 16, 124)
-    assert param_weighted_integrals(4, 10).first == Fraction(2, 15)
+    assert param_weighted_integrals(4, 10)[0] == Fraction(2, 15)
 
 
 def test_gauss_rules_are_cached_and_read_only():

@@ -459,6 +459,20 @@ def test_excite_does_not_load_verify(tmp_path):
                 "oscigen.probtable", "oscigen.series"} & loaded
 
 
+def test_library_integrals_carry_no_checking_route():
+    # the integral and slope calls return values: no record classes, and
+    # the Gauss rules that confirm them stay unloaded
+    code = (
+        "import sys, dataclasses, oscigen.parametric as p, oscigen.singular as s\n"
+        "p.param_weighted_integrals(2, 4); p.param_jmn(3, 5); s.adiabatic_diag(1, -0.6)\n"
+        "print([n for mod in (p, s) for n, v in vars(mod).items()\n"
+        "       if dataclasses.is_dataclass(v) and v.__module__ == mod.__name__])\n"
+        "print(sorted({'oscigen.quadrature', 'oscigen.verify'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=_source_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
 def test_suite_choices_are_the_verify_suites():
     import oscigen.cli
     import oscigen.verify
@@ -489,6 +503,33 @@ def test_package_resolves_public_names_on_access():
     from oscigen import ground_row
 
     assert ground_row is oscigen.singular.ground_row
+
+
+_TOO_MANY_PANELS = {
+    "fast_omega": ("1e12", {"times": np.linspace(-12.0, 12.0, 400).tolist(),
+                            "values": np.exp(-np.linspace(-12.0, 12.0, 400) ** 2).tolist()}),
+    "wide_span": ("1", {"times": [-1e300, -1.0, 0.0, 1.0, 1e300],
+                        "values": [0.0, 0.5, 1.0, 0.5, 0.0]}),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [*_TOO_MANY_PANELS, "nested"])
+def test_excite_refuses_unbounded_work_exit_2(runner, tmp_path, case):
+    path = tmp_path / "p.json"
+    if case == "nested":
+        omega, text = "1", "[" * 100_000
+    else:
+        omega, doc = _TOO_MANY_PANELS[case]
+        text = json.dumps({"kind": "tabulated", "profile": "force", **doc})
+    path.write_text(text)
+    result = runner.invoke(main, ["excite", "--profile", str(path), "--what", "nu",
+                                  "--omega", omega])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    want = "bad profile: maximum recursion" if case == "nested" else f"omega = {float(omega):g} needs"
+    assert result.stderr.startswith(f"error: {want}")
+    assert len(result.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("what", ["nu", "rho"])

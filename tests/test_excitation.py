@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +178,38 @@ def test_nu_tabulated_gaussian_64_samples_per_period():
     nu = nu_from_force(tab, 1.0)
     want = math.pi * math.exp(-0.5) / 2.0
     assert nu == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+def test_tabulated_fourier_caps_its_panels(monkeypatch):
+    from oscigen import excitation
+
+    ts = np.linspace(-12.0, 12.0, 400)
+    tab = ForceProfile.tabulated(ts, np.exp(-ts * ts))
+    # 6.1e13 panels at omega = 1e12: refused before any array is sized
+    with pytest.raises(ValueError, match=r"^omega = 1e\+12 needs 6.11e\+13 quadrature panels"):
+        nu_from_force(tab, 1e12)
+    # a span of 2e300 is refused before the panel count is cast or the
+    # spline built, with no warning on the way
+    wide = ForceProfile.tabulated([-1e300, -1.0, 0.0, 1.0, 1e300], [0.0, 0.5, 1.0, 0.5, 0.0])
+    for omega in (1.0, 1e10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"omega = {omega:g} needs")):
+                nu_from_force(wide, omega)
+    assert "spline" not in vars(wide)
+    # the cap itself is admitted: one panel per sample interval here
+    monkeypatch.setattr(excitation, "_MAX_PANELS", ts.size - 1)
+    assert nu_from_force(tab, 1.0) == pytest.approx(math.pi * math.exp(-0.5) / 2.0, rel=1e-3)
+    monkeypatch.setattr(excitation, "_MAX_PANELS", ts.size - 2)
+    with pytest.raises(ValueError, match="needs 399 quadrature panels .* more than 398$"):
+        nu_from_force(tab, 1.0)
+
+
+def test_load_profile_refuses_a_document_nested_too_deep(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ProfileError, match="^bad profile: maximum recursion depth"):
+        load_profile(path, what="nu")
 
 
 def test_nu_zero_force():

@@ -8,9 +8,7 @@ import pytest
 from oscigen.amplitude import param_table
 from oscigen.parametric import (
     param_dispersion,
-    param_identity_eq6,
-    param_j_offdiag,
-    param_jnn,
+    param_jmn,
     param_mean_n,
     param_prob_table,
     param_row_moments,
@@ -18,7 +16,7 @@ from oscigen.parametric import (
     param_weighted_integrals,
 )
 from oscigen.series import MAX_WINDOW, param_gf_value
-from oscigen.verify import _first_quad, _jnn_quad
+from oscigen.verify import _arctanh_closed_form, _arctanh_quad, _first_quad, _jnn_quad
 
 
 def exact_beta_sqrt(k: int, sign: int) -> Fraction:
@@ -76,67 +74,59 @@ def test_structure_of_exact_polynomials():
 
 
 def test_arctanh_identity_on_points():
-    rec = param_identity_eq6(0.3, 0.1)
-    assert rec.residual < 1e-9
+    for u, v in ((0.3, 0.1), (0.5, 0.5), (0.3, -0.3)):
+        assert abs(_arctanh_quad(u, v) - _arctanh_closed_form(u, v)) < 1e-9
     # equal arguments: analytic limit
-    rec = param_identity_eq6(0.5, 0.5)
-    assert rec.rhs == pytest.approx(8.0 / 3.0, rel=1e-14, abs=0.0)
-    assert rec.residual < 1e-9
+    assert _arctanh_closed_form(0.5, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-14, abs=0.0)
     # odd symmetry point
-    rec = param_identity_eq6(0.3, -0.3)
-    assert rec.rhs == pytest.approx(2.0 * math.atanh(0.3) / 0.3, rel=1e-14, abs=0.0)
-    assert rec.residual < 1e-9
+    assert _arctanh_closed_form(0.3, -0.3) == pytest.approx(
+        2.0 * math.atanh(0.3) / 0.3, rel=1e-14, abs=0.0)
     with pytest.raises(ValueError):
-        param_identity_eq6(1.0, 0.0)
+        _arctanh_closed_form(1.0, 0.0)
 
 
 def test_weighted_first_integral():
-    r = param_weighted_integrals(0, 0)
-    assert r.first == 2 and r.expected_first == 2
-    r = param_weighted_integrals(1, 1)
-    assert r.first == Fraction(2, 3) and r.expected_first == Fraction(2, 3)
+    assert param_weighted_integrals(0, 0)[0] == 2
+    assert param_weighted_integrals(1, 1)[0] == Fraction(2, 3)
     for m in range(7):
         for n in range(7):
-            r = param_weighted_integrals(m, n)
-            assert r.first == r.expected_first
-            assert _first_quad(m, n) == pytest.approx(float(r.first), abs=1e-11)
+            first, _ = param_weighted_integrals(m, n)
+            assert first == Fraction(1 + (-1) ** (m + n), m + n + 1)
+            assert _first_quad(m, n) == pytest.approx(float(first), abs=1e-11)
 
 
 def test_weighted_second_integral_disagrees_with_quoted_value():
-    r = param_weighted_integrals(0, 2)
-    assert r.second == Fraction(1, 2)
-    assert r.expected_second == 1
-    r = param_weighted_integrals(1, 3)
-    assert r.second == Fraction(3, 4)
-    assert r.expected_second == 1
+    # the quoted (1 + (-1)^(m+n)) / |m - n| is 1 at both points
+    assert param_weighted_integrals(0, 2) == (Fraction(2, 3), Fraction(1, 2))
+    assert param_weighted_integrals(1, 3) == (Fraction(2, 5), Fraction(3, 4))
+    assert param_weighted_integrals(0, 1)[1] == 0
     # diagonal: the second integral is undefined
-    r = param_weighted_integrals(2, 2)
-    assert r.second is None and r.expected_second is None
+    assert param_weighted_integrals(2, 2)[1] is None
 
 
 def test_diagonal_rho_integrals():
-    assert param_jnn(0).closed_form == Fraction(2, 3)
-    assert param_jnn(1).closed_form == Fraction(2, 5)
-    assert param_jnn(2).closed_form == Fraction(22, 105)
+    assert param_jmn(0, 0) == Fraction(2, 3)
+    assert param_jmn(1, 1) == Fraction(2, 5)
+    assert param_jmn(2, 2) == Fraction(22, 105)
     for n in range(7):
-        r = param_jnn(n)
-        assert r.symbolic == r.closed_form
-        assert _jnn_quad(n) == pytest.approx(float(r.closed_form), abs=1e-11)
+        want = Fraction(1, 2 * n + 1) * (1 + Fraction(1, (2 * n + 3) * (2 * n - 1)))
+        assert param_jmn(n, n) == want
+        assert _jnn_quad(n) == pytest.approx(float(want), abs=1e-11)
 
 
 def test_offdiagonal_rho_integrals_match_beta_values():
     # w_02 = (1/2) rho sqrt(1-rho): Beta oracle gives (1/2) B(2, 3/2)
     want_02 = Fraction(1, 2) * exact_beta_sqrt(1, +1)
     assert want_02 == Fraction(2, 15)
-    assert param_j_offdiag(0, 2) == pytest.approx(float(want_02), abs=1e-13)
+    assert param_jmn(0, 2) == want_02 == param_jmn(2, 0)
     # w_13 = (3/2) rho (1-rho)^{3/2}
     want_13 = Fraction(3, 2) * (exact_beta_sqrt(1, +1) - exact_beta_sqrt(2, +1))
     assert want_13 == Fraction(6, 35)
-    assert param_j_offdiag(1, 3) == pytest.approx(float(want_13), abs=1e-13)
+    assert param_jmn(1, 3) == want_13
+    # odd m + n entries vanish identically
+    assert param_jmn(0, 1) == 0 == param_jmn(3, 8)
     with pytest.raises(ValueError):
-        param_j_offdiag(0, 1)
-    with pytest.raises(ValueError):
-        param_j_offdiag(2, 2)
+        param_jmn(-1, 1)
 
 
 @pytest.mark.parametrize("m, n", [(20, 30), (30, 40), (60, 80)])
@@ -145,7 +135,7 @@ def test_offdiagonal_rho_integrals_are_exact(m, n):
     mpmath = pytest.importorskip("mpmath")
     from test_amplitude import _closed_form_mp
 
-    got = param_j_offdiag(m, n)
+    got = param_jmn(m, n)
     assert isinstance(got, Fraction) and 0 < got < 1
     with mpmath.workdps(40):
         want = mpmath.quad(
@@ -157,11 +147,11 @@ def test_quadrature_confirmations_are_within_rounding():
     # each node value is exact before it is rounded, so no cancellation
     # grows with the degree
     for n in range(51):
-        assert _jnn_quad(n) == pytest.approx(float(param_jnn(n).symbolic), rel=1e-13, abs=0.0)
+        assert _jnn_quad(n) == pytest.approx(float(param_jmn(n, n)), rel=1e-13, abs=0.0)
     for total in (20, 50, 76, 100):
         for m in range(0, total + 1, 7):
-            r = param_weighted_integrals(m, total - m)
-            assert _first_quad(m, total - m) == pytest.approx(float(r.first), rel=1e-13, abs=0.0)
+            first, _ = param_weighted_integrals(m, total - m)
+            assert _first_quad(m, total - m) == pytest.approx(float(first), rel=1e-13, abs=0.0)
 
 
 def test_antidiagonal_sums():

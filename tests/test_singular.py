@@ -13,6 +13,7 @@ from oscigen.singular import (
     j_from_g,
     singular_prob_table,
 )
+from oscigen.verify import _slope_from_big_n
 
 
 def test_weight_validation():
@@ -157,28 +158,21 @@ def test_ground_row_normalizes():
 
 
 def test_adiabatic_slope_forms():
-    rec = adiabatic_diag(0, -0.25)
-    assert rec.slope == pytest.approx(0.5, abs=1e-15)
-    assert rec.big_n == pytest.approx(0.0, abs=1e-12)
-    assert rec.slope_from_big_n == pytest.approx(0.5, abs=1e-12)
-    rec = adiabatic_diag(0, -0.75)
-    assert rec.big_n == pytest.approx(1.0, abs=1e-12)
-    assert rec.slope_from_big_n == pytest.approx(1.5, abs=1e-12)
-    rec = adiabatic_diag(2, -0.25)
-    assert rec.big_n == pytest.approx(4.0, abs=1e-12)
+    assert adiabatic_diag(0, -0.25) == pytest.approx(0.5, abs=1e-15)
+    # N = 0, 1 and 4 give (1/2)(N^2 + N + 1) = 1/2, 3/2 and 21/2
+    assert _slope_from_big_n(0, -0.25) == pytest.approx(0.5, abs=1e-12)
+    assert _slope_from_big_n(0, -0.75) == pytest.approx(1.5, abs=1e-12)
+    assert _slope_from_big_n(2, -0.25) == pytest.approx(10.5, abs=1e-12)
     for n in range(5):
         for j in (-0.25, -0.75, -0.6, -1.3):
-            rec = adiabatic_diag(n, j)
-            assert rec.slope == pytest.approx(rec.slope_from_big_n, abs=1e-12)
-            assert rec.big_n == pytest.approx(
-                2 * math.sqrt((n - j) ** 2 - (j * (j + 1) + 3 / 16)) - 0.5
-            )
+            assert adiabatic_diag(n, j) == 2 * (n * n - (2 * n + 1) * j)
+            assert adiabatic_diag(n, j) == pytest.approx(_slope_from_big_n(n, j), abs=1e-12)
 
 
 def test_adiabatic_slope_matches_small_rho_tables():
     for j in (-0.25, -0.75, -0.6):
         for n in range(5):
-            want = adiabatic_diag(n, j).slope
+            want = adiabatic_diag(n, j)
             s = []
             for eps in (1e-4, 2e-4):
                 w_nn = singular_prob_table(eps, j, size=n + 1).values[n][n]
@@ -188,16 +182,17 @@ def test_adiabatic_slope_matches_small_rho_tables():
 
 
 def test_adiabatic_rejects_negative_radicand():
+    # the N form needs (n-j)^2 >= j(j+1) + 3/16; the slope itself does not
     with pytest.raises(ValueError):
-        adiabatic_diag(0, -0.1)
+        _slope_from_big_n(0, -0.1)
+    assert adiabatic_diag(0, -0.1) == pytest.approx(0.2, rel=1e-15, abs=0.0)
 
 
 def test_vacuum_slope_matches_sqrt_series():
     # w_00 at j = -1/4 is sqrt(1-rho); its slope at 0 is 1/2
-    rec = adiabatic_diag(0, -0.25)
     eps = 1e-6
     numeric = (1.0 - math.sqrt(1.0 - eps)) / eps
-    assert rec.slope == pytest.approx(numeric, rel=1e-5, abs=0.0)
+    assert adiabatic_diag(0, -0.25) == pytest.approx(numeric, rel=1e-5, abs=0.0)
 
 
 def test_table_validation_and_symmetry():

@@ -2,7 +2,7 @@
 independent oracle: the alternating Laguerre partial sums of ``forced_sk``,
 the gamma-ratio vacuum row of ``ground_row`` (its j = -1/4 sector is the
 double-factorial row of the parametric family) and the arctanh closed form
-of ``param_identity_eq6``."""
+the verifier checks the integral of G / (1 - rho) against."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscigen import forced_sk, ground_row, param_identity_eq6
+from oscigen import forced_sk, ground_row
+from oscigen.verify import _arctanh_closed_form
 
 
 def exact_laguerre(s: int, x: Fraction) -> Fraction:
@@ -145,18 +146,18 @@ def test_gamma_ratio_rejects_poles():
 
 
 def test_arctanh_values_and_symmetry():
-    assert param_identity_eq6(0.0, 0.0).rhs == 2.0
+    assert _arctanh_closed_form(0.0, 0.0) == 2.0
     # 4 arctanh(1/2) = 2 ln 3
-    assert param_identity_eq6(0.5, 0.0).rhs == pytest.approx(2.0 * math.log(3.0), rel=1e-15, abs=0.0)
-    assert param_identity_eq6(0.3, 0.1).rhs == param_identity_eq6(-0.1, -0.3).rhs
+    assert _arctanh_closed_form(0.5, 0.0) == pytest.approx(2.0 * math.log(3.0), rel=1e-15, abs=0.0)
+    assert _arctanh_closed_form(0.3, 0.1) == _arctanh_closed_form(-0.1, -0.3)
 
 
 def test_arctanh_domain():
     for bad in (1.0, -1.0, 1.5):
         with pytest.raises(ValueError):
-            param_identity_eq6(bad, 0.0)
+            _arctanh_closed_form(bad, 0.0)
         with pytest.raises(ValueError):
-            param_identity_eq6(0.0, bad)
+            _arctanh_closed_form(0.0, bad)
 
 
 _EQ6_POINTS = [
@@ -177,6 +178,6 @@ def test_arctanh_closed_form_against_mpmath(u, v):
         mu, mv = mpmath.mpf(u), mpmath.mpf(v)
         want = (2 / (1 - mu * mu) if u == v
                 else 2 * (mpmath.atanh(mu) - mpmath.atanh(mv)) / (mu - mv))
-        got = param_identity_eq6(u, v).rhs
+        got = _arctanh_closed_form(u, v)
         assert abs(got - want) <= 1e-14 * want
-    assert param_identity_eq6(-v, -u).rhs == got
+    assert _arctanh_closed_form(-v, -u) == got
