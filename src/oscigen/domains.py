@@ -61,7 +61,8 @@ class RatPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals its number (the zero polynomial 0), so hashes as it
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(sum(self.coeffs))
 
     def __add__(self, other):
         other = _as_poly(other)

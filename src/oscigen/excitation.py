@@ -274,7 +274,8 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     steps, at least 64 and two per period of the faster asymptote, doubled
     until alpha and beta of N and 2N steps agree to ``tol * |alpha|``;
     ``steps`` is that final 2N.  Needing more than 2^22 steps raises
-    ``IntegrationError``, at once if the first doubling would.
+    ``IntegrationError``, at once if the first doubling would (a span
+    whose half-period count is infinite, say).
     """
     if not isinstance(profile, FrequencyProfile):
         raise TypeError("rho extraction needs a frequency profile")
@@ -303,13 +304,13 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
         return _project(wp, t_end, m00 * xi0 + m01 * xip0, m10 * xi0 + m11 * xip0)
 
     half_periods = (t_end - t_start) * max(wm, wp) / math.pi
+    # an inf or NaN count is refused too, before the doubling could run on
+    if not 2 * half_periods <= _MAX_STEPS:
+        raise IntegrationError(f"the profile spans {half_periods:.3g} half periods, "
+                               f"needing more Magnus steps than the cap {_MAX_STEPS}")
     steps = 64
     while steps < half_periods:
         steps *= 2
-    if 2 * steps > _MAX_STEPS:
-        raise IntegrationError(
-            f"the profile needs at least {2 * steps} Magnus steps, over the cap {_MAX_STEPS}"
-        )
     alpha, beta = coefficients(steps)
     while True:
         steps *= 2

@@ -79,8 +79,12 @@ class _NotAKnotSpline:
     derivative is continuous at x[1] and x[-2]): the interpolant of
     scipy.interpolate.CubicSpline with its default boundary conditions,
     for at least four strictly increasing knots.  Outside [x[0], x[-1]] it
-    extrapolates the end cubics."""
+    extrapolates the end cubics.  Samples spaced or valued near the double
+    range overflow the end rows, which square the end spacings, and
+    spacings 1/eps apart can cancel a pivot to 0; a spline left with
+    coefficients that are not finite raises ProfileError."""
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, x: np.ndarray, y: np.ndarray):
         dx = np.diff(x)
         slope = np.diff(y) / dx
@@ -97,11 +101,12 @@ class _NotAKnotSpline:
         ))
         # one Thomas sweep over Python floats, normalizing each row by its
         # pivot; the interior rows are diagonally dominant and the end
-        # rows' eliminations keep every pivot positive
+        # rows' eliminations keep every pivot positive, unless spacings
+        # 1/eps apart cancel one to 0, which is made NaN and refused below
         ups, rs = [], []
         u = r = 0.0
         for lo, di, up, rh in zip(*(a.tolist() for a in (lower, diag, upper, rhs))):
-            pivot = di - lo * u
+            pivot = di - lo * u or math.nan
             u = up / pivot
             r = (rh - lo * r) / pivot
             ups.append(u)
@@ -115,6 +120,8 @@ class _NotAKnotSpline:
         g = (s[:-1] + s[1:] - 2.0 * slope) / dx
         self.x = x
         self.coeffs = (g / dx, (slope - s[:-1]) / dx - g, s[:-1], y[:-1])
+        if not all(np.all(np.isfinite(c)) for c in self.coeffs):
+            raise ProfileError("the cubic spline through the tabulated samples is not finite")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -30,8 +30,6 @@ __all__ = ["QuadRule", "gauss_legendre", "gauss_laguerre", "gauss_jacobi_half"]
 
 @dataclass(frozen=True)
 class QuadRule:
-    kind: str
-    n: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -75,7 +73,7 @@ def gauss_legendre(n: int) -> QuadRule:
     if not 1 <= n <= 256:
         raise ValueError("node count out of range 1..256")
     x, w = _legendre_newton(n)
-    return QuadRule("legendre", n, (x + 1.0) / 2.0, w / 2.0)
+    return QuadRule((x + 1.0) / 2.0, w / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +84,7 @@ def gauss_laguerre(n: int) -> QuadRule:
     from numpy.polynomial.laguerre import laggauss
 
     x, w = laggauss(n)
-    return QuadRule("laguerre", n, x, w)
+    return QuadRule(x, w)
 
 
 @lru_cache(maxsize=None)
@@ -95,4 +93,4 @@ def gauss_jacobi_half(n: int) -> QuadRule:
     if not 1 <= n <= 128:
         raise ValueError("node count out of range 1..128")
     s, w = _legendre_newton(2 * n)
-    return QuadRule("jacobi_half", n, 1.0 - s[:n] ** 2, 2.0 * w[:n])
+    return QuadRule(1.0 - s[:n] ** 2, 2.0 * w[:n])

@@ -156,9 +156,6 @@ class Series2:
             np.array_equal(self.rows, other.rows)
         )
 
-    def __hash__(self):
-        return object.__hash__(self)
-
     # -- ring operations ---------------------------------------------------
 
     def _with(self, grid) -> "Series2":

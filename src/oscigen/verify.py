@@ -9,8 +9,12 @@ the Gauss confirmations of the exact integrals and the routes of
 library calls return their values only; every form a value is checked against
 (the quoted closed forms of the rho-integrals, the arctanh closed form of the
 integral of G / (1 - rho), the N form of the adiabatic slope) is written here.
-One check is special: the quoted second weighted integral (1 + (-1)^(m+n)) / |m - n|
-is the large-m limit of the value this package derives, not an identity (along
+Each check shape has one builder: counts, exact/quadrature pairs, unitarity,
+symmetry, anti-diagonal sums, the cross-route checks and, for the excitation
+extractors, ``_value_check``, which turns one row of (value, wanted value,
+relative?, tol, format, expected text) into a check.  The Gauss confirmations
+are ``QuadRule.integrate`` calls.  One check is special: the quoted second
+weighted integral (1 + (-1)^(m+n)) / |m - n| is the large-m limit of the value this package derives, not an identity (along
 n = m + 2, exact ``param_weighted_integrals`` give 1 - I = 1/2 at m = 0, 0.036 at
 m = 16 and 0.013 at m = 48), so it is *reported only* and never fails a run.
 """
@@ -199,7 +203,8 @@ def _route_checks(prefix, family, gf, points, exact=None) -> list[CheckResult]:
 # exactly at each node (RatPoly.at_nodes) and rounded once
 
 def _laguerre_moments(m, n) -> tuple[float, float, float]:
-    """Zeroth, first and central second moment of w_mn over nu."""
+    """Zeroth, first and central second moment of w_mn over nu, from one
+    evaluation of the polynomial at the nodes."""
     rule = gauss_laguerre((m + n) // 2 + 4)
     px = amplitude.forced_poly(m, n).at_nodes(rule.nodes)
     norm = float(np.dot(rule.weights, px))
@@ -209,15 +214,13 @@ def _laguerre_moments(m, n) -> tuple[float, float, float]:
 
 def _first_quad(m, n) -> float:
     """The first weighted integral, of w_mn / (1-rho) = (1-rho)^(-1/2) q_mn."""
-    rule = gauss_jacobi_half((m + n) // 2 + 2)
-    return float(np.dot(rule.weights, amplitude.param_poly(m, n).at_nodes(rule.nodes)))
+    return gauss_jacobi_half((m + n) // 2 + 2).integrate(amplitude.param_poly(m, n).at_nodes)
 
 
 def _jnn_quad(n) -> float:
     """J_nn, the integral of w_nn = (1-rho)^(-1/2) (1-rho) q_nn."""
-    rule = gauss_jacobi_half(n + 3)
     poly = RatPoly((1, -1)) * amplitude.param_poly(n, n)
-    return float(np.dot(rule.weights, poly.at_nodes(rule.nodes)))
+    return gauss_jacobi_half(n + 3).integrate(poly.at_nodes)
 
 
 # the arctanh identity of G / (1 - rho) and the N form of the adiabatic slope
@@ -225,9 +228,8 @@ def _jnn_quad(n) -> float:
 def _arctanh_quad(u, v) -> float:
     """The integral of G(u, v | rho) / (1 - rho) = (1-rho)^(-1/2) /
     sqrt((1-uv)^2 - rho (u-v)^2) over rho in [0, 1]."""
-    rule = gauss_jacobi_half(64)
-    den = (1.0 - u * v) ** 2 - rule.nodes * (u - v) ** 2
-    return float(np.dot(rule.weights, 1.0 / np.sqrt(den)))
+    return gauss_jacobi_half(64).integrate(
+        lambda rho: 1.0 / np.sqrt((1.0 - u * v) ** 2 - rho * (u - v) ** 2))
 
 
 def _arctanh_closed_form(u, v) -> float:
@@ -397,10 +399,7 @@ def _vacuum_row_sum(rho: float, j: float) -> float:
     to n = 4095, from one 4096-column kernel row."""
     row = amplitude.singular_table(rho, j, 1, 4096)[0]
     stop = np.flatnonzero(row[9:] < 1e-14)
-    total = 0.0
-    for w in row[: 10 + stop[0] if stop.size else 4096].tolist():
-        total += w
-    return total
+    return float(np.cumsum(row[: 10 + stop[0] if stop.size else 4096])[-1])
 
 
 def _singular_checks() -> list[CheckResult]:
@@ -465,87 +464,47 @@ def _singular_checks() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # excitation extraction
 
+def _value_check(check_id, equation, got, want, relative, tol, fmt, expected) -> CheckResult:
+    """|got - want|, divided by ``want`` where ``relative``; ``got`` is shown
+    in format ``fmt``."""
+    residual = abs(got - want) / want if relative else abs(got - want)
+    return _check(check_id, equation, residual, tol, computed=format(got, fmt), expected=expected)
+
+
 def _excitation_checks() -> list[CheckResult]:
-    out = []
-    wronskians = []
-
-    nu = nu_from_force(ForceProfile.gaussian(1.0, 1.0, 0.0), 1.0)
-    want = math.pi * math.exp(-0.5) / 2.0
-    out.append(
-        _check(
-            "excite.nu-gaussian", "nu", abs(nu - want), 1e-10,
-            computed=f"{nu:.12g}", expected="pi e^(-1/2) / 2",
-        )
-    )
-
-    nu0 = nu_from_force(ForceProfile.rectangular(1.0, 0.0, 2.0 * math.pi), 1.0)
-    out.append(
-        _check(
-            "excite.nu-full-period", "nu", abs(nu0), 1e-15,
-            computed=f"{nu0:.3e}", expected="0 (full-period pulse)",
-        )
-    )
-
+    gauss_nu = math.pi * math.exp(-0.5) / 2.0
     ts = np.arange(-8.0, 8.0 + 1e-9, 2.0 * math.pi / 64.0)
-    nut = nu_from_force(ForceProfile.tabulated(ts, np.exp(-(ts**2))), 1.0)
-    out.append(
-        _check(
-            "excite.nu-tabulated", "nu", abs(nut - want) / want, 1e-6,
-            computed=f"{nut:.12g}", expected="closed form, 64 samples/period",
-        )
+    # (id, force at omega = 1, want, relative, tol, format, expected)
+    nu_rows = (
+        ("excite.nu-gaussian", ForceProfile.gaussian(1.0, 1.0, 0.0), gauss_nu, False, 1e-10,
+         ".12g", "pi e^(-1/2) / 2"),
+        ("excite.nu-full-period", ForceProfile.rectangular(1.0, 0.0, 2.0 * math.pi), 0.0, False,
+         1e-15, ".3e", "0 (full-period pulse)"),
+        ("excite.nu-tabulated", ForceProfile.tabulated(ts, np.exp(-(ts**2))), gauss_nu, True, 1e-6,
+         ".12g", "closed form, 64 samples/period"),
     )
-
-    r = bogoliubov_from_frequency(FrequencyProfile.sudden_step(1.0, 2.0))
-    wronskians.append(r.wronskian_residual)
-    out.append(
-        _check(
-            "excite.rho-sudden", "rho", abs(r.rho - 1.0 / 9.0), 1e-6,
-            computed=f"{r.rho:.12g}", expected="1/9 for omega 1 -> 2",
-        )
-    )
+    out = [_value_check(cid, "nu", nu_from_force(force, 1.0), *row)
+           for cid, force, *row in nu_rows]
 
     # the propagator against the closed form that excite reports
     ramp = FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0)
-    r = bogoliubov_from_frequency(ramp, tol=1e-10)
-    wronskians.append(r.wronskian_residual)
-    want = _tanh_ramp_rho(ramp)
-    out.append(
-        _check(
-            "excite.rho-tanh", "rho", abs(r.rho - want) / want, 1e-6,
-            computed=f"{r.rho:.12g}",
-            expected="sinh^2(pi (w+-w-) T/2) / sinh^2(pi (w++w-) T/2)",
-        )
+    rho_rows = (
+        ("excite.rho-sudden", FrequencyProfile.sudden_step(1.0, 2.0), 1.0 / 9.0, False, 1e-6,
+         ".12g", "1/9 for omega 1 -> 2"),
+        ("excite.rho-tanh", ramp, _tanh_ramp_rho(ramp), True, 1e-6,
+         ".12g", "sinh^2(pi (w+-w-) T/2) / sinh^2(pi (w++w-) T/2)"),
+        ("excite.rho-adiabatic", FrequencyProfile.tanh_ramp(1.0, 4.0, 20.0 / 3.0), 0.0, False,
+         1e-3, ".3e", "< 1e-3 for T (w+ + w-) >= 20"),
+        ("excite.rho-sudden-limit", FrequencyProfile.tanh_ramp(1.0, 4.0, 1e-3 / 2.0), 1.0 / 9.0,
+         True, 1e-2, ".12g", "within 1% of the jump formula"),
     )
-
-    r = bogoliubov_from_frequency(
-        FrequencyProfile.tanh_ramp(1.0, 4.0, 20.0 / 3.0), tol=1e-10
-    )
-    wronskians.append(r.wronskian_residual)
-    out.append(
-        _check(
-            "excite.rho-adiabatic", "rho", r.rho, 1e-3,
-            computed=f"{r.rho:.3e}", expected="< 1e-3 for T (w+ + w-) >= 20",
-        )
-    )
-
-    r = bogoliubov_from_frequency(
-        FrequencyProfile.tanh_ramp(1.0, 4.0, 1e-3 / 2.0), tol=1e-10
-    )
-    wronskians.append(r.wronskian_residual)
-    out.append(
-        _check(
-            "excite.rho-sudden-limit", "rho",
-            abs(r.rho - 1.0 / 9.0) / (1.0 / 9.0), 1e-2,
-            computed=f"{r.rho:.12g}", expected="within 1% of the jump formula",
-        )
-    )
-
-    out.append(
-        _check(
-            "excite.wronskian", "|a|^2-|b|^2", max(wronskians), 1e-9,
-            computed="worst |(|alpha|^2 - |beta|^2) - 1| over the runs above",
-        )
-    )
+    wronskians = []
+    for cid, profile, *row in rho_rows:
+        r = bogoliubov_from_frequency(profile, tol=1e-10)
+        wronskians.append(r.wronskian_residual)
+        out.append(_value_check(cid, "rho", r.rho, *row))
+    out.append(_check("excite.wronskian", "|a|^2-|b|^2", max(wronskians), 1e-9,
+                      computed="worst |(|alpha|^2 - |beta|^2) - 1| over the runs above"))
     return out
 
 

@@ -582,6 +582,16 @@ _RAMP = np.sqrt(2.5 + 1.5 * np.tanh(_TS))
     # gamma^2 + (omega - omega_d)^2 underflows to 0 here: F = 2e200 must not be 0 / 0
     pytest.param({"kind": "damped_cosine", "f0": 1, "gamma": 1e-200, "omega_d": 1},
                  ["--what", "nu", "--omega", "1"], "overflows", id="excite-damped-tiny-gamma"),
+    # samples 1e300 apart: the spline's squared end spacings overflow, and
+    # with values of 1e-300 its coefficients are not finite
+    *(pytest.param({"kind": "tabulated", "profile": "force", "times": [-1e300, -1, 0, 1, 1e300],
+                    "values": [0, 0.5 * scale, scale, 0.5 * scale, 0]},
+                   ["--what", "nu", "--omega", "1e-299"], "spline", id=f"excite-spline-{scale:g}")
+      for scale in (1.0, 1e-300)),
+    # spacings 1e20 and 2 cancel a pivot of the spline's sweep to 0
+    pytest.param({"kind": "tabulated", "profile": "force", "times": [-1e20, -1, 1, 1e20],
+                  "values": [0, 1, 1, 0]},
+                 ["--what", "nu", "--omega", "1e-19"], "spline", id="excite-spline-zero-pivot"),
 ])
 def test_overflowing_input_exits_2_under_warnings_as_errors(tmp_path, doc, args, message):
     # a fresh interpreter with -W error, as CI runs the CLI: a numpy
@@ -598,6 +608,25 @@ def test_overflowing_input_exits_2_under_warnings_as_errors(tmp_path, doc, args,
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("error: ")
     assert message in out.stderr
+
+
+def test_excite_step_count_past_the_double_range_exits_3(tmp_path):
+    # omega 1 from t = -2e154, then a ramp to omega 1e154: the step count
+    # is inf, refused at once under -W error, not doubled towards it forever
+    ramp = np.linspace(-15.0, 15.0, 600)
+    doc = {"kind": "tabulated", "profile": "frequency",
+           "times": np.linspace(-2e154, -20.0, 40).tolist() + ramp.tolist(),
+           "values": [1.0] * 40 + np.exp(math.log(1e154) * (1.0 + np.tanh(ramp)) / 2.0).tolist()}
+    (tmp_path / "p.json").write_text(json.dumps(doc))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "oscigen.cli", "excite", "--profile", "p.json",
+         "--what", "rho"], cwd=tmp_path, env=_source_env(), capture_output=True, text=True,
+        timeout=20,
+    )
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == ("error: the profile spans inf half periods, needing more Magnus "
+                          "steps than the cap 4194304\n")
 
 
 @pytest.mark.parametrize("doc, csv", [
@@ -718,6 +747,61 @@ def test_verify_all_contract():
     statuses = {c.id: c.status for c in report.checks}
     assert statuses.pop("param.weighted-second.reported") == "reported-only"
     assert set(statuses.values()) == {"pass"}
+
+
+# the equation, tol and expected text of each excitation check
+_EXCITE_RECORDS = {
+    "excite.nu-gaussian": ("nu", 1e-10, "pi e^(-1/2) / 2"),
+    "excite.nu-full-period": ("nu", 1e-15, "0 (full-period pulse)"),
+    "excite.nu-tabulated": ("nu", 1e-6, "closed form, 64 samples/period"),
+    "excite.rho-sudden": ("rho", 1e-6, "1/9 for omega 1 -> 2"),
+    "excite.rho-tanh": ("rho", 1e-6, "sinh^2(pi (w+-w-) T/2) / sinh^2(pi (w++w-) T/2)"),
+    "excite.rho-adiabatic": ("rho", 1e-3, "< 1e-3 for T (w+ + w-) >= 20"),
+    "excite.rho-sudden-limit": ("rho", 1e-2, "within 1% of the jump formula"),
+    "excite.wronskian": ("|a|^2-|b|^2", 1e-9, ""),
+}
+
+
+def test_excitation_records():
+    from oscigen.excitation import bogoliubov_from_frequency, nu_from_force
+    from oscigen.profiles import ForceProfile, FrequencyProfile
+
+    ts = np.arange(-8.0, 8.0 + 1e-9, 2.0 * math.pi / 64.0)
+    nus = [nu_from_force(f, 1.0) for f in (ForceProfile.gaussian(1.0, 1.0, 0.0),
+                                           ForceProfile.rectangular(1.0, 0.0, 2.0 * math.pi),
+                                           ForceProfile.tabulated(ts, np.exp(-ts * ts)))]
+    runs = [bogoliubov_from_frequency(p, tol=1e-10) for p in (
+        FrequencyProfile.sudden_step(1.0, 2.0), FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0),
+        FrequencyProfile.tanh_ramp(1.0, 4.0, 20.0 / 3.0), FrequencyProfile.tanh_ramp(1.0, 4.0, 5e-4))]
+    values = [*nus, *(r.rho for r in runs)]
+    formats = [".12g", ".3e", ".12g", ".12g", ".12g", ".3e", ".12g"]
+    checks = run_suite("excitation").checks
+    assert {c.id: (c.equation, c.tol, c.expected) for c in checks} == _EXCITE_RECORDS
+    assert [c.id for c in checks] == list(_EXCITE_RECORDS)
+    assert [c.computed for c in checks[:-1]] == [format(v, f) for v, f in zip(values, formats)]
+    assert checks[-1].computed == "worst |(|alpha|^2 - |beta|^2) - 1| over the runs above"
+    assert checks[-1].residual == max(r.wronskian_residual for r in runs)
+    # a zero want: the residual is the value itself
+    assert (checks[1].residual, checks[5].residual) == (nus[1], runs[2].rho)
+
+
+def test_excitation_residuals_follow_the_values(monkeypatch):
+    import dataclasses
+
+    from oscigen import verify
+
+    real_nu, real_rho = verify.nu_from_force, verify.bogoliubov_from_frequency
+    monkeypatch.setattr(verify, "nu_from_force", lambda *a: real_nu(*a) * (1.0 + 1e-5))
+    assert _failed("excitation") == ["excite.nu-gaussian", "excite.nu-tabulated"]
+
+    def scaled_rho(*args, **kwargs):
+        r = real_rho(*args, **kwargs)
+        return dataclasses.replace(r, rho=r.rho * 1.1)
+
+    monkeypatch.setattr(verify, "nu_from_force", real_nu)
+    monkeypatch.setattr(verify, "bogoliubov_from_frequency", scaled_rho)
+    assert _failed("excitation") == ["excite.rho-sudden", "excite.rho-tanh",
+                                     "excite.rho-sudden-limit"]
 
 
 def test_verify_reports_second_integral_without_failing(runner):

@@ -235,7 +235,50 @@ def test_nu_that_overflows_is_a_value_error():
     assert nu_from_force(ForceProfile.gaussian(1e150, 1.0, 0.0), 1.0) < math.inf
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times, values, omega", [
+    # samples 1e300 apart overflow the squared end spacings, and with values
+    # of 1e-300 leave coefficients that are not finite
+    ([-1e300, -1.0, 0.0, 1.0, 1e300], [0.0, 0.5, 1.0, 0.5, 0.0], 1e-299),
+    ([-1e300, -1.0, 0.0, 1.0, 1e300], [0.0, 0.5e-300, 1e-300, 0.5e-300, 0.0], 1e-299),
+    # spacings 1e20 and 2 cancel a pivot of the sweep to 0
+    ([-1e20, -1.0, 1.0, 1e20], [0.0, 1.0, 1.0, 0.0], 1e-19),
+])
+def test_spline_that_is_not_finite_is_a_profile_error(times, values, omega):
+    force = ForceProfile.tabulated(times, values)
+    with pytest.raises(ProfileError, match="^the cubic spline through the tabulated samples"):
+        nu_from_force(force, omega)
+    with pytest.raises(ProfileError, match="not finite"):
+        force(0.0)
+
+
 # -- rho extraction ----------------------------------------------------------
+
+def _long_ramp(t_first) -> FrequencyProfile:
+    """Flat at omega 1 on [t_first, -20], then a tanh ramp to omega 1e154
+    on [-15, 15]: admissible, and propagated from t_first."""
+    ramp = np.linspace(-15.0, 15.0, 600)
+    return FrequencyProfile.tabulated(
+        np.concatenate((np.linspace(t_first, -20.0, 40), ramp)),
+        np.concatenate((np.ones(40), np.exp(math.log(1e154) * (1.0 + np.tanh(ramp)) / 2.0))))
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_step_count_refused_at_once():
+    # the span times omega_plus overflows: the step count is inf
+    profile = _long_ramp(-2e154)
+    assert profile.settle_times()[0] == -2e154
+    for extract in (bogoliubov_from_frequency, excitation_report):
+        with pytest.raises(IntegrationError, match="^the profile spans inf half periods"):
+            extract(profile)
+
+
+def test_step_count_past_the_cap_is_refused_in_a_short_message():
+    # about 3e303 half periods, refused without printing a 300-digit count
+    with pytest.raises(IntegrationError, match=r"^the profile spans 3.\d+e\+303 half") as exc:
+        bogoliubov_from_frequency(_long_ramp(-1e150))
+    assert len(str(exc.value)) < 100
+
 
 def test_rho_constant_frequency():
     r = bogoliubov_from_frequency(FrequencyProfile.constant(1.3))

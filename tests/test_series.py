@@ -469,3 +469,16 @@ def test_square_root_squares_back(a):
     root = unit.pow_real(Fraction(1, 2))
     assert dict_of(root * root) == dict_of(unit)
 
+
+def test_series_is_unhashable_as_equality_is_by_value():
+    a, b = Series2.one(FLOAT, 2, 2), Series2.one(FLOAT, 2, 2)
+    assert a == b
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def test_ratpoly_hash_agrees_with_equality():
+    assert {3: 1}.get(RatPoly((3,))) == 1
+    assert {Fraction(1, 2): 1}.get(RatPoly((Fraction(1, 2),))) == 1
+    assert hash(RatPoly()) == hash(0) and RatPoly() == 0
+    assert len({RatPoly((0, 1)), RatPoly((0, 1)), RatPoly((1,)), 1}) == 2
