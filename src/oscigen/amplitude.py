@@ -31,9 +31,9 @@ table is symmetric by construction.
 ``forced_poly`` and ``param_poly`` evaluate the same closed forms exactly:
 the rational polynomial of one forced or parametric entry, with the
 e^-nu resp. sqrt(1-rho) prefactor left out, which exact-mode tables and
-the sum rules use.  The rules that admit nu, rho and j live here too, so
-the family modules and the table records share them, and so does the
-window cap that both the kernels and :class:`oscigen.series.Series2` enforce.
+the sum rules use.  The rules that admit nu, rho, j and the quantum numbers
+live here too, so the family modules and the table records share them, as
+does the window cap of the kernels and :class:`oscigen.series.Series2`.
 """
 
 from __future__ import annotations
@@ -109,6 +109,13 @@ def _j_value(j) -> float:
     if not MIN_J <= j < 0.0:
         raise ValueError(f"weight j must be negative and at least {MIN_J:g}, got {j}")
     return j
+
+
+def _index(name: str, n) -> int:
+    """A quantum number or index: an int or numpy integer, not a bool, n >= 0."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    return int(n)
 
 
 def _seed(w00: float, log_w00: float, ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +282,7 @@ def forced_poly(m: int, n: int) -> RatPoly:
     ``a! L_a^(d)(x) = sum_i (-1)^i C(a+d, a-i) a!/i! x^i`` has integer
     coefficients, so p_mn = nu^d [a! L_a^(d)]^2 / (a! b!).
     """
-    if m < 0 or n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
+    m, n = _index("m", m), _index("n", n)
     a, b = min(m, n), max(m, n)
     d = b - a
     mags = [math.comb(b, a - i) * math.perm(a, a - i) for i in range(a + 1)]
@@ -296,8 +302,7 @@ def param_poly(m: int, n: int) -> RatPoly:
     2^(a-s) prod_{i<s} (2a+2d+2k+2i)`` has integer coefficients, and
     ``G(b+k)/G(a+k) = prod_{a<=i<b} (2i+2k) / 2^d``.
     """
-    if m < 0 or n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
+    m, n = _index("m", m), _index("n", n)
     if (m + n) % 2:
         return RatPoly()
     odd = m % 2

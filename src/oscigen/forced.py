@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import _nu_value, forced_poly
+from .amplitude import _index, _nu_value, forced_poly
 from .probtable import ProbTable, make_table
 
 __all__ = [
@@ -74,8 +74,7 @@ def forced_sk(k: int, nu) -> float:
     the double range before e^{-nu} scales them down, and that raises
     ValueError.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _index("k", k)
     from numpy.polynomial.laguerre import lagvander
 
     nu_val = _nu_value(nu)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import _rho_value, param_poly
+from .amplitude import _index, _rho_value, param_poly
 from .domains import FLOAT, RatPoly
 from .probtable import ProbTable, make_table
 
@@ -84,8 +84,7 @@ def param_jmn(m: int, n: int) -> Fraction:
 def param_sk(k: int, rho) -> float:
     """Anti-diagonal sum over m + n = k: sqrt(1 - rho) for even k, zero for
     odd k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = _index("k", k)
     rho_val = _rho_value(rho)
     if k % 2 == 1:
         return 0.0
@@ -96,8 +95,7 @@ def param_mean_n(m: int, rho) -> float:
     """Mean final quantum number for initial state m:
     -1/2 + (m + 1/2)(1 + rho)/(1 - rho), written as m + (2m + 1) rho/(1 - rho)
     so that nothing cancels at small rho."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = _index("m", m)
     rho_val = _rho_value(rho, open_top=True)
     return m + (2 * m + 1) * rho_val / (1.0 - rho_val)
 
@@ -108,8 +106,7 @@ def _shifted_coeffs(m: int, rho, power: int) -> np.ndarray:
     as [u^m] G(u, e^s) = sum_n w_mn e^{ns}.  Every s term carries a factor rho,
     so no moment is a difference of large ones.  s runs outer, u inner:
     O(power^2) row convolutions of length m + 1; nothing is truncated in n."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = _index("m", m)
     rho_val = _rho_value(rho, open_top=True)
     from .series import Series2
 

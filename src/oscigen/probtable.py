@@ -7,11 +7,10 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .amplitude import (_j_value, _nu_value, _one_minus_pow, _rho_value, forced_poly,
+from .amplitude import (MAX_EXACT_SIZE, _j_value, _nu_value, _one_minus_pow, _rho_value, forced_poly,
                         forced_table, param_poly, param_table, poly_grid, singular_table)
 from .domains import RatPoly
 from .errors import TableInvariantError
@@ -94,10 +93,10 @@ class ProbTable:
         tampered file raises TableInvariantError: ``family`` must be one of
         the three, ``params`` an object of exactly the family's parameters,
         each a number its builder admits, ``values`` a nonempty table of
-        numbers of shape ``size``, and ``mode`` ``"exact"`` exactly when a
-        ``symbolic`` block holds the family's prefactor and variable and one
-        polynomial per cell.  Other members, such as the row tails of older
-        documents, are ignored."""
+        numbers of shape ``size`` (checked by the table invariants only), and
+        ``mode`` ``"exact"`` exactly when a ``symbolic`` block is present: the
+        writer's text of the family's own polynomials, which the table holds.
+        Other members, such as the row tails of older documents, are ignored."""
         try:
             family, mode, params, size, values = (
                 d[k] for k in ("family", "mode", "params", "size", "values"))
@@ -195,22 +194,22 @@ def _read_params(params, rules: dict) -> dict:
 
 
 def _read_symbolic(s, shape: tuple[int, int], family: str) -> tuple:
-    """The ``"symbolic"`` member of a JSON record of a ``family`` table of
-    ``shape``: the family's prefactor and variable, and one list of
-    ``"p/q"`` coefficients per cell, else TableInvariantError."""
-    form = FAMILIES[family].form
-    try:
-        rows = s["entries"]
-        if form is None:
-            raise ValueError(f"{family} tables have no exact form")
-        if (s["prefactor"], s["variable"]) != form:
-            raise ValueError(f"not of the form {form[0]} * poly({form[1]})")
-        if [len(row) for row in rows] != [shape[1]] * shape[0] or not all(
-                isinstance(p, list) for row in rows for p in row):
-            raise ValueError("not one polynomial per cell")
-        return tuple(tuple(RatPoly(map(Fraction, p)) for p in row) for row in rows)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise TableInvariantError(f"symbolic entries unreadable: {e}") from None
+    """The polynomials of a ``family`` table of ``shape``, whose record's
+    ``"symbolic"`` member ``s`` must be the writer's text of them exactly."""
+    fam, (rows, cols) = FAMILIES[family], shape
+    if fam.poly is None or rows != cols or rows > MAX_EXACT_SIZE:
+        raise TableInvariantError(f"a {rows} x {cols} {family} table has no exact form")
+    grid = poly_grid(fam.poly, rows)
+    want = {"prefactor": fam.form[0], "variable": fam.form[1],
+            "entries": [[_coeff_texts(p) for p in row] for row in grid]}
+    if s != want:
+        raise TableInvariantError(f"symbolic block is not the {family} family's polynomials")
+    return grid
+
+
+def _coeff_texts(p: RatPoly) -> list[str]:
+    """The coefficients of ``p`` as ``"p/q"`` strings, lowest power first."""
+    return [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
 
 
 def _symbolic_pieces(entries, prefactor: str, variable: str):
@@ -223,9 +222,8 @@ def _symbolic_pieces(entries, prefactor: str, variable: str):
     for row in entries:
         lead = sep + "[\n    "
         for p in row:
-            yield lead + ('[\n     "' + '",\n     "'.join(
-                [f"{c.numerator}/{c.denominator}" for c in p.coeffs]) + '"\n    ]'
-                if p.coeffs else "[]")
+            yield lead + ('[\n     "' + '",\n     "'.join(_coeff_texts(p)) + '"\n    ]'
+                          if p.coeffs else "[]")
             lead = ",\n    "
         yield "\n   ]" if row else sep + "[]"
         sep = ",\n   "
@@ -372,10 +370,14 @@ def _strip(text: np.ndarray) -> str:
 
 
 def make_table(family: str, params: dict, size: int, mode: str) -> ProbTable:
-    """The front end of the three table builders: check ``params`` by the
-    family's rules, ``size`` and ``mode``, take the values from the family's
-    kernel and, in exact mode, its polynomials, and validate the table."""
+    """The front end of the three table builders: refuse exact mode where the
+    family has no polynomials, check that ``params`` are exactly the family's, each
+    by its rule, ``size`` and ``mode``, build the values and validate the table."""
     fam = FAMILIES[family]
+    if mode == "exact" and fam.poly is None:
+        raise ValueError(f"the {family} family is float-only (irrational exponent -2j)")
+    if set(params) != set(fam.rules):
+        raise ValueError(f"{family} tables take {' and '.join(fam.rules)}, got {list(params)}")
     params = {name: rule(params[name]) for name, rule in fam.rules.items()}
     if size < 1:
         raise ValueError("size must be positive")

@@ -110,12 +110,14 @@ class Series2:
 
     @classmethod
     def from_terms(cls, domain, max_deg_u: int, max_deg_v: int, terms) -> "Series2":
-        """Series with the given ``{(m, n): coefficient}`` entries."""
+        """Series with the given ``{(m, n): coefficient}`` entries, m, n >= 0."""
         check_window(max_deg_u, max_deg_v)
         grid = np.full(
             (max_deg_u + 1, max_deg_v + 1), domain.zero, dtype=domain.dtype or object
         )
         for (m, n), c in terms.items():
+            if m < 0 or n < 0:
+                raise ValueError(f"negative power u^{m} v^{n}")
             if m <= max_deg_u and n <= max_deg_v:
                 grid[m, n] = domain.coerce(c)
         return cls(domain, max_deg_u, max_deg_v, grid)

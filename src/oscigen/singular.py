@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .amplitude import MIN_J, _j_value, _rho_value, singular_table
+from .amplitude import MIN_J, _index, _j_value, _rho_value, singular_table
 from .probtable import ProbTable, make_table
 
 __all__ = [
@@ -49,18 +49,15 @@ def j_from_g(g: float) -> float:
 def energy_level(n: int, omega: float, j) -> float:
     """Instantaneous level E_n = 2 omega (n - j); the spectrum is equidistant
     with spacing 2 omega."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
+    n = _index("n", n)
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     return 2.0 * omega * (n - _j_value(j))
 
 
 def singular_prob_table(rho, j, size: int = 16, mode: str = "float") -> ProbTable:
     """Table of w_mn for the singular family.  It has no exact mode: the
-    general exponent -2j is irrational."""
-    if mode == "exact":
-        raise ValueError("the singular family is float-only (irrational exponent -2j)")
+    general exponent -2j is irrational, and ``make_table`` refuses it."""
     return make_table("singular", {"rho": rho, "j": j}, size, mode)
 
 
@@ -69,8 +66,7 @@ def ground_row(n: int, rho, j) -> float:
 
         w_0n = Gamma(n-2j) / (n! Gamma(-2j)) * rho^n * (1-rho)^{-2j}.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _index("n", n)
     rho_val = _rho_value(rho, open_top=True)
     j_val = _j_value(j)
     return float(singular_table(rho_val, j_val, 1, n + 1)[0, n])
@@ -79,6 +75,5 @@ def ground_row(n: int, rho, j) -> float:
 def adiabatic_diag(n: int, j) -> float:
     """Adiabatic slope of a diagonal entry, w_nn = 1 - slope * rho + O(rho^2):
     slope = 2 [n^2 - (2n+1) j]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _index("n", n)
     return 2.0 * (n * n - (2 * n + 1) * _j_value(j))

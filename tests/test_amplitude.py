@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oscigen import errors, parametric, singular
+from oscigen import errors, forced, parametric, singular
 from oscigen.amplitude import (
     MAX_EXACT_SIZE,
     MAX_WINDOW,
@@ -235,6 +235,43 @@ def test_exact_tables_enforce_the_size_cap():
     for build in (forced_prob_table, param_prob_table):
         with pytest.raises(ValueError, match="capped at size 128"):
             build(0.5, size=MAX_EXACT_SIZE + 1, mode="exact")
+
+
+def test_make_table_takes_exactly_the_family_parameters():
+    for params in ({"nu": 1.0, "rho": 0.5}, {}, {"rho": 0.5}):
+        with pytest.raises(ValueError, match=r"^forced tables take nu, got \["):
+            make_table("forced", params, 3, "float")
+    with pytest.raises(ValueError, match=r"^singular tables take rho and j, got \['rho'\]$"):
+        make_table("singular", {"rho": 0.5}, 3, "float")
+
+
+# each public function that takes a quantum number or index, as a function
+# of that one argument
+INDEXED = {
+    "forced_poly": lambda i: forced_poly(i, 2),
+    "param_poly": lambda i: param_poly(1, i),
+    "forced_sum_rules": lambda i: forced_sum_rules(i, 1),
+    "forced_sk": lambda i: forced.forced_sk(i, 1.5),
+    "param_jmn": lambda i: parametric.param_jmn(i, 1),
+    "param_weighted_integrals": lambda i: param_weighted_integrals(1, i),
+    "param_sk": lambda i: parametric.param_sk(i, 0.5),
+    "param_mean_n": lambda i: parametric.param_mean_n(i, 0.5),
+    "param_row_moments": lambda i: param_row_moments(i, 0.5),
+    "param_dispersion": lambda i: parametric.param_dispersion(i, 0.5),
+    "energy_level": lambda i: singular.energy_level(i, 1.0, -0.5),
+    "ground_row": lambda i: ground_row(i, 0.5, -0.5),
+    "adiabatic_diag": lambda i: singular.adiabatic_diag(i, -0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_quantum_numbers_are_nonnegative_integers(name):
+    call = INDEXED[name]
+    for bad in (2.5, True, -1):
+        with pytest.raises(ValueError, match=rf"must be a nonnegative integer, got {bad!r}$"):
+            call(bad)
+    got, want = call(np.int64(3)), call(3)
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 def test_invariant_failures_are_typed(monkeypatch):

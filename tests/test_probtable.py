@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oscigen.errors import TableInvariantError
 from oscigen.forced import forced_prob_table
 from oscigen.parametric import param_prob_table
-from oscigen.probtable import ProbTable
+from oscigen.probtable import ProbTable, make_table
 from oscigen.singular import singular_prob_table
 
 
@@ -89,6 +89,8 @@ def assert_writers_exact(table: ProbTable) -> None:
     assert back.params == table.params
     if table.symbolic is not None:
         assert back.symbolic == table.symbolic
+        # the family's own grid, each symmetric pair one object
+        assert len(back.symbolic) < 2 or back.symbolic[0][1] is back.symbolic[1][0]
 
 
 BUILDERS = {
@@ -130,6 +132,10 @@ def test_float_tables_byte_identical(build, size):
 def test_singular_tables_refuse_exact_mode():
     with pytest.raises(ValueError, match=r"^the singular family is float-only \(irrational exponent -2j\)$"):
         singular_prob_table(0.5, -1.0, size=4, mode="exact")
+    # make_table refuses it with the CLI's text, before any parameter check
+    for params in ({"rho": 0.5, "j": -1.0}, {"rho": 2.0, "j": -1.0}, {}):
+        with pytest.raises(ValueError, match=r"^the singular family is float-only \(irrational exponent -2j\)$"):
+            make_table("singular", params, 3, "exact")
 
 
 @pytest.mark.parametrize("family", sorted(BUILDERS))
@@ -296,7 +302,9 @@ OLD_FORMAT = """{"family": "forced", "mode": "float", "params": {"nu": 0.5}, "si
 DROP = object()  # an edit that removes the member
 
 
-ENTRIES = [[["1/1"], ["1/2"]], [["1/2"], ["1/4"]]]
+# the forced M = 2 polynomials as the writer spells them: 1, nu, (1 - nu)^2
+ENTRIES = [[["1/1"], ["0/1", "1/1"]], [["0/1", "1/1"], ["1/1", "-2/1", "1/1"]]]
+NOT_FORCED = "^symbolic block is not the forced family's polynomials$"
 
 
 def _symbolic(entries) -> dict:
@@ -321,20 +329,17 @@ def _symbolic(entries) -> dict:
                  id="exact-without-symbolic"),
     pytest.param({"symbolic": _symbolic(ENTRIES)},
                  "^mode 'float' disagrees with a record with", id="float-with-symbolic"),
-    pytest.param({"mode": "exact", "symbolic": _symbolic([[["1/1"]]])},
-                 "not one polynomial per cell", id="symbolic-cut"),
-    pytest.param({"mode": "exact", "symbolic": _symbolic([["12", ["1/2"]], [["1/2"], ["1/4"]]])},
-                 "not one polynomial per cell", id="polynomial-as-string"),
-    pytest.param({"mode": "exact", "symbolic": _symbolic([[["x"], ["1/2"]], [["1/2"], ["1/4"]]])},
-                 "^symbolic entries unreadable", id="non-rational-coefficient"),
-    pytest.param({"mode": "exact", "symbolic": {"entries": [[["1"], ["1"]], [["1"], ["1"]]]}},
-                 "^symbolic entries unreadable", id="no-prefactor"),
+    pytest.param({"mode": "exact", "symbolic": _symbolic([[["1/1"]]])}, NOT_FORCED, id="symbolic-cut"),
+    pytest.param({"mode": "exact", "symbolic": _symbolic([["12", ENTRIES[0][1]], ENTRIES[1]])},
+                 NOT_FORCED, id="polynomial-as-string"),
+    pytest.param({"mode": "exact", "symbolic": _symbolic([[["x"], ENTRIES[0][1]], ENTRIES[1]])},
+                 NOT_FORCED, id="non-rational-coefficient"),
+    pytest.param({"mode": "exact", "symbolic": {"entries": ENTRIES}}, NOT_FORCED, id="no-prefactor"),
     pytest.param({"mode": "exact", "symbolic": {**_symbolic(ENTRIES), "prefactor": "sqrt(1-rho)"}},
-                 r"not of the form exp\(-nu\) \* poly\(nu\)$", id="foreign-prefactor"),
+                 NOT_FORCED, id="foreign-prefactor"),
     pytest.param({"family": "singular", "params": {"rho": 0.5, "j": -0.25}, "mode": "exact",
                   "symbolic": _symbolic(ENTRIES)},
-                 "^symbolic entries unreadable: singular tables have no exact form$",
-                 id="singular-with-symbolic"),
+                 "^a 2 x 2 singular table has no exact form$", id="singular-with-symbolic"),
     pytest.param({"params": 3}, "^params must be an object of the numbers nu, got 3$", id="params-number"),
     pytest.param({"params": "ab"}, "^params must be an object of the numbers nu, got 'ab'$", id="params-string"),
     pytest.param({"params": {}}, "^params must be an object of the numbers nu, got {}$", id="params-empty"),
@@ -366,6 +371,28 @@ def test_json_records_are_read_strictly(edit, message):
     assert (table.family, table.mode, table.params, table.symbolic) == \
         (want.family, want.mode, want.params, want.symbolic)
     assert np.array_equal(table.values.view(np.int64), want.values.view(np.int64))
+
+
+def _coefficient(doc, old, new):
+    """Write ``new`` over the first coefficient ``old`` of the symbolic block."""
+    for p in (p for row in doc["symbolic"]["entries"] for p in row):
+        if old in p:
+            p[p.index(old)] = new
+            return doc
+    raise AssertionError(f"no coefficient {old}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda doc: _coefficient(doc, "1/2", "1/3"), NOT_FORCED, id="changed-coefficient"),
+    pytest.param(lambda doc: _coefficient(doc, "1/2", "2/4"), NOT_FORCED, id="not-reduced"),
+    pytest.param(lambda doc: {**json.loads(forced_prob_table(0.5, size=129).to_json()),
+                              "mode": "exact", "symbolic": doc["symbolic"]},
+                 "^a 129 x 129 forced table has no exact form$", id="past-the-cap"),
+])
+def test_edited_exact_documents_are_refused(edit, message):
+    doc = json.loads(forced_prob_table(0.5, size=6, mode="exact").to_json())
+    with pytest.raises(TableInvariantError, match=message):
+        ProbTable.from_json_dict(edit(doc))
 
 
 # -- the cell formatter against Python's, value by value ----------------------

@@ -143,6 +143,14 @@ def test_inverse_two_plus_u_multiplies_back():
     ]
 
 
+def test_from_terms_refuses_negative_powers_and_drops_far_ones():
+    for domain, terms in ((FLOAT, {(-1, 0): 1.0}), (POLY, {(0, -1): 1})):
+        with pytest.raises(ValueError, match="negative power"):
+            Series2.from_terms(domain, 2, 2, terms)
+    s = Series2.from_terms(FLOAT, 2, 2, {(0, 0): 1.0, (3, 0): 5.0, (0, 3): 7.0})
+    assert s.rows.tolist() == [[1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3]
+
+
 def test_inverse_rejects_zero_constant():
     with pytest.raises(SingularSeriesError):
         Series2.from_terms(POLY, 2, 2, {(1, 0): 1}).inverse()

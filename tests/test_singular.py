@@ -16,6 +16,12 @@ from oscigen.singular import (
 from oscigen.verify import _slope_from_big_n
 
 
+def test_energy_level_needs_a_positive_finite_omega():
+    for omega in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^omega must be positive and finite$"):
+            energy_level(1, omega, -0.5)
+
+
 def test_weight_validation():
     assert energy_level(0, 1.0, -0.25) == 0.5
     assert energy_level(0, 1.0, singular.MIN_J) == -2.0 * singular.MIN_J
