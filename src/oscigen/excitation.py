@@ -22,14 +22,10 @@ symplectic, so the Wronskian residual stays at rounding level and no longer
 measures accuracy.  A piecewise-constant (sudden-step) profile is matched
 analytically.
 
-``excitation_report`` propagates only tabulated frequency profiles.  For a
-tanh ramp it takes rho from the exact reflection coefficient of a smooth
-step (Landau & Lifshitz, *Quantum Mechanics*, sec. 25),
-
-    rho = sinh^2(pi T |omega_+ - omega_-| / 2) / sinh^2(pi T (omega_+ + omega_-) / 2),
-
-with no propagation and no tolerance to meet; the propagator, still behind
-``bogoliubov_from_frequency``, is its independent check.
+The closed forms live in the kinds' records in ``profiles``: the force
+kinds' Fourier transforms and the tanh ramp's rho (``_tanh_ramp_rho``),
+which ``excitation_report`` takes with no propagation; the propagator,
+still behind ``bogoliubov_from_frequency``, is its independent check.
 """
 
 from __future__ import annotations
@@ -56,31 +52,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # nu from a driving force
-
-def _force_fourier(profile: ForceProfile, omega: float) -> complex:
-    """integral of f(t) e^{-i omega t} dt, closed form where available."""
-    p = profile.params
-    if profile.kind == "gaussian":
-        mag = p["f0"] * p["tau"] * math.sqrt(math.pi) * math.exp(
-            -(omega * p["tau"]) ** 2 / 4.0
-        )
-        return mag * cmath.exp(-1j * omega * p["t0"])
-    if profile.kind == "rectangular":
-        t_on, t_off = p["t_on"], p["t_off"]
-        return (
-            p["f0"]
-            * (cmath.exp(-1j * omega * t_on) - cmath.exp(-1j * omega * t_off))
-            / (1j * omega)
-        )
-    if profile.kind == "damped_cosine":
-        g = p["gamma"]
-        wd = p["omega_d"]
-        # g / (g^2 + d^2) as g / h / h, h = hypot(g, d): g^2 + d^2 underflows
-        # to 0 for a tiny gamma at omega = omega_d
-        h1, h2 = math.hypot(g, omega - wd), math.hypot(g, omega + wd)
-        return p["f0"] * (g / h1 / h1 + g / h2 / h2)
-    return _tabulated_fourier(profile, omega)
-
 
 # Gauss nodes per spline evaluation in _tabulated_fourier: large enough to
 # amortize the call, small enough to bound the node arrays (the per-panel
@@ -130,7 +101,9 @@ def nu_from_force(profile: ForceProfile, omega: float) -> float:
         raise TypeError("nu extraction needs a force profile")
     if not 0.0 < omega < math.inf:
         raise ValueError("omega must be positive and finite")
-    amp = abs(_force_fourier(profile, omega))
+    record = profile._record  # a closed-form kind has its Fourier transform
+    amp = abs(record.fourier(profile.params, omega) if record
+              else _tabulated_fourier(profile, omega))
     nu = amp * amp / (2.0 * omega)
     if not nu < math.inf:
         raise ValueError(
@@ -265,14 +238,12 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
                               tol: float = 1e-10) -> BogoliubovResult:
     """Scattering coefficients (alpha, beta) and rho = |beta/alpha|^2.
 
-    The in-state starts where omega(t) leaves omega_minus by more than
-    1e-15 relative, or at the first sample of a tabulated profile, whose
-    spline may move before the first sample that leaves omega_minus.  It is
-    projected once onto the out-basis where omega(t) has settled to within
-    1e-15 of omega_plus, after the frequency has been checked to stay there
-    for five periods.  The propagation runs on equal 6th-order Magnus
-    steps, at least 64 and two per period of the faster asymptote, doubled
-    until alpha and beta of N and 2N steps agree to ``tol * |alpha|``;
+    The in-state starts, and is projected once onto the out-basis, at the
+    ends of the profile's ``settle_times()``, after the frequency has been
+    checked to stay at omega_plus for five periods.  The propagation runs
+    on equal 6th-order Magnus steps, at least 64 and two per period of the
+    faster asymptote, doubled until alpha and beta of N and 2N steps agree
+    to ``tol * |alpha|``;
     ``steps`` is that final 2N.  Needing more than 2^22 steps raises
     ``IntegrationError``, at once if the first doubling would (a span
     whose half-period count is infinite, say).
@@ -280,14 +251,15 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     if not isinstance(profile, FrequencyProfile):
         raise TypeError("rho extraction needs a frequency profile")
     _check_tol(tol)
-    if profile.kind == "constant":
+    record = profile._record
+    if record and record.identity:  # no projection, which would leave a rounding-level residual
         return BogoliubovResult(1.0 + 0.0j, 0.0j, 0.0, 0.0, 0, tol)
 
     wm, wp = profile.omega_minus, profile.omega_plus
     t_start, t_end = profile.settle_times()
     xi0 = cmath.exp(-1j * wm * t_start) / math.sqrt(2.0 * wm)
     xip0 = -1j * wm * xi0
-    if profile.kind == "sudden_step":  # omega jumps at t_start = t_end
+    if record and record.matched:  # omega jumps at t_start = t_end
         return _result(*_project(wp, t_end, xi0, xip0), wm, wp, 0, tol)
 
     period = 2.0 * math.pi / wp
@@ -326,34 +298,6 @@ def bogoliubov_from_frequency(profile: FrequencyProfile,
     return _result(alpha, beta, wm, wp, steps, tol)
 
 
-def _tanh_ramp_rho(profile: FrequencyProfile) -> float:
-    """rho of a tanh ramp in closed form, sinh^2(x-) / sinh^2(x+) with
-    k = pi T / 2, x- = k |w+^2 - w-^2| / (w+ + w-) and x+ = k (w+ + w-):
-
-        sinh(x-) / sinh(x+) = e^{-pi T min(w-, w+)} expm1(-2 x-) / expm1(-2 x+).
-
-    This form does not overflow: a slow ramp underflows to rho = 0.  Nor
-    does it cancel: x- comes from the omega^2 given, not from a difference
-    of their square roots."""
-    p = profile.params
-    w2m, w2p, T = p["omega2_minus"], p["omega2_plus"], p["T"]
-    if w2m == w2p:  # not only a shortcut: past T ~ 1.1e308, k is inf and x- NaN
-        return 0.0
-    wm, wp = math.sqrt(w2m), math.sqrt(w2p)
-    total = wm + wp
-    k = 0.5 * math.pi * T
-    x_plus = k * total
-    if x_plus < 1e-18:
-        # expm1(-2x) rounds to -2x and the exponential to 1, so the ratio is
-        # x- / x+, the sudden step's, which x+ near underflow would garble
-        ratio = abs(w2p - w2m) / total / total
-    else:
-        x_minus = k * (abs(w2p - w2m) / total)
-        ratio = (math.exp(-math.pi * T * min(wm, wp)) * math.expm1(-2.0 * x_minus)
-                 / math.expm1(-2.0 * x_plus))
-    return _below_one(ratio * ratio, wm, wp)
-
-
 # ---------------------------------------------------------------------------
 # combined report
 
@@ -381,9 +325,9 @@ def excitation_report(profile, omega: float | None = None,
     """Excitation parameter plus the vacuum-row picture it implies: the mean
     excited quantum number and the first eight vacuum-row probabilities.
 
-    ``tol`` is range-checked for every profile.  A tanh ramp's rho comes
-    from its closed form, with a Wronskian residual of 0.0 like a constant
-    profile's, so neither it nor a force profile uses ``tol``."""
+    ``tol`` is range-checked for every profile.  A kind with a closed-form
+    rho (the tanh ramp) takes it, with a Wronskian residual of 0.0 like a
+    constant profile's, so neither it nor a force profile uses ``tol``."""
     _check_tol(tol)
     if isinstance(profile, ForceProfile):
         if omega is None:
@@ -395,8 +339,10 @@ def excitation_report(profile, omega: float | None = None,
             raise ValueError(
                 "frequency profiles carry their own frequencies; omega applies to force profiles"
             )
-        if profile.kind == "tanh_ramp":
-            rho, residual = _tanh_ramp_rho(profile), 0.0
+        record = profile._record
+        if record and record.rho:
+            rho = _below_one(record.rho(profile.params), *record.asymptotes(profile.params))
+            residual = 0.0
         else:
             result = bogoliubov_from_frequency(profile, tol=tol)
             rho, residual = result.rho, result.wronskian_residual

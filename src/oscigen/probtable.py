@@ -379,6 +379,9 @@ def make_table(family: str, params: dict, size: int, mode: str) -> ProbTable:
     if set(params) != set(fam.rules):
         raise ValueError(f"{family} tables take {' and '.join(fam.rules)}, got {list(params)}")
     params = {name: rule(params[name]) for name, rule in fam.rules.items()}
+    # numpy integers are integers; a bool, float or string is not a size
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError(f"size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError("size must be positive")
     if mode not in ("float", "exact"):

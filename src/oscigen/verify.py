@@ -32,7 +32,7 @@ import numpy as np
 
 from . import amplitude, forced, parametric, series, singular
 from .domains import RatPoly
-from .excitation import _tanh_ramp_rho, bogoliubov_from_frequency, nu_from_force
+from .excitation import bogoliubov_from_frequency, excitation_report, nu_from_force
 from .probtable import FAMILIES
 from .profiles import ForceProfile, FrequencyProfile
 from .quadrature import gauss_jacobi_half, gauss_laguerre
@@ -491,7 +491,7 @@ def _excitation_checks() -> list[CheckResult]:
     rho_rows = (
         ("excite.rho-sudden", FrequencyProfile.sudden_step(1.0, 2.0), 1.0 / 9.0, False, 1e-6,
          ".12g", "1/9 for omega 1 -> 2"),
-        ("excite.rho-tanh", ramp, _tanh_ramp_rho(ramp), True, 1e-6,
+        ("excite.rho-tanh", ramp, excitation_report(ramp).value, True, 1e-6,
          ".12g", "sinh^2(pi (w+-w-) T/2) / sinh^2(pi (w++w-) T/2)"),
         ("excite.rho-adiabatic", FrequencyProfile.tanh_ramp(1.0, 4.0, 20.0 / 3.0), 0.0, False,
          1e-3, ".3e", "< 1e-3 for T (w+ + w-) >= 20"),

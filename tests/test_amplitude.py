@@ -245,6 +245,23 @@ def test_make_table_takes_exactly_the_family_parameters():
         make_table("singular", {"rho": 0.5}, 3, "float")
 
 
+@pytest.mark.parametrize("size", [2.5, 3.0, True, False, "3", None, [3]])
+def test_make_table_refuses_a_size_that_is_not_an_integer(size):
+    with pytest.raises(ValueError, match=r"^size must be an integer, got "):
+        make_table("forced", {"nu": 1.0}, size, "float")
+
+
+@pytest.mark.parametrize("size", [0, -1, np.int64(0)])
+def test_make_table_refuses_a_size_below_one(size):
+    with pytest.raises(ValueError, match=r"^size must be positive$"):
+        make_table("forced", {"nu": 1.0}, size, "float")
+
+
+def test_make_table_takes_numpy_integer_sizes():
+    for size in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert make_table("forced", {"nu": 1.0}, size, "float").size == (3, 3)
+
+
 # each public function that takes a quantum number or index, as a function
 # of that one argument
 INDEXED = {

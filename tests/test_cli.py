@@ -641,6 +641,10 @@ def test_excite_step_count_past_the_double_range_exits_3(tmp_path):
     pytest.param(5, None, id="not-an-object"),
     pytest.param({"kind": "tanh_ramp", "omega2_minus": 1.0, "omega2_plus": 4.0, "T": 1.0},
                  None, id="cannot-yield"),
+    pytest.param({"kind": "gaussian", "f0": 1, "tau": 1, "t0": 0, "bogus": 2},
+                 None, id="foreign-field"),
+    pytest.param({"kind": "tabulated", "profile": "force", "csv": "p.csv", "times": [0, 1, 2, 3]},
+                 "0,0\n1,1\n2,0\n3,0\n", id="csv-and-times"),
 ])
 def test_malformed_profile_exits_2_under_warnings_as_errors(tmp_path, doc, csv):
     (tmp_path / "p.json").write_text(json.dumps(doc))

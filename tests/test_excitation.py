@@ -1,7 +1,9 @@
+import inspect
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from oscigen.excitation import (
     nu_from_force,
 )
 from oscigen.profiles import (
+    _FORCE_KINDS,
+    _FREQUENCY_KINDS,
     ForceProfile,
     FrequencyProfile,
     ProfileError,
@@ -138,6 +142,100 @@ def test_load_tabulated_from_csv(tmp_path):
     prof = load_profile(tmp_path / "p.json")
     assert isinstance(prof, ForceProfile)
     assert prof.times.size == ts.size
+
+
+def _closed_form_samples():
+    return [ForceProfile.gaussian(1.0, 1.0, 0.3), ForceProfile.rectangular(1.0, 0.0, 2.0),
+            ForceProfile.damped_cosine(1.0, 0.8, 2.0), FrequencyProfile.constant(1.3),
+            FrequencyProfile.sudden_step(1.0, 2.0, 0.5), FrequencyProfile.tanh_ramp(1.0, 4.0, 1.0)]
+
+
+def test_every_kind_has_exactly_one_sample():
+    kinds = [prof.kind for prof in _closed_form_samples()]
+    assert sorted(kinds) == sorted([*_FORCE_KINDS, *_FREQUENCY_KINDS])
+
+
+@pytest.mark.parametrize("prof", _closed_form_samples(), ids=lambda prof: prof.kind)
+def test_record_fields_are_the_constructor_arguments(prof):
+    cls = type(prof)
+    record = cls._KINDS[prof.kind]
+    assert tuple(inspect.signature(getattr(cls, prof.kind)).parameters) == record.fields
+    assert tuple(prof.params) == record.fields
+
+
+@pytest.mark.parametrize("prof", _closed_form_samples(), ids=lambda prof: prof.kind)
+def test_a_field_the_kind_does_not_take_is_refused(prof):
+    cls, what = type(prof), "nu" if isinstance(prof, ForceProfile) else "rho"
+    message = rf"^{prof.kind} profile does not take fields \['extra'\]$"
+    with pytest.raises(ProfileError, match=message):
+        cls(prof.kind, {**prof.params, "extra": 5})
+    with pytest.raises(ProfileError, match=message):
+        load_profile({"kind": prof.kind, **prof.params, "extra": 5}, what)
+    # without it, the document loads to the constructor's profile
+    assert load_profile({"kind": prof.kind, **prof.params}, what) == prof
+
+
+def test_tabulated_profile_takes_no_other_field(tmp_path):
+    ts = np.arange(-8.0, 8.01, 0.125)
+    samples = {"times": list(ts), "values": list(np.exp(-ts**2))}
+    with pytest.raises(ProfileError, match=r"^tabulated profile does not take fields \['f0'\]$"):
+        ForceProfile("tabulated", {"f0": 1.0}, **samples)
+    with pytest.raises(ProfileError, match=r"^tabulated profile does not take fields \['f0'\]$"):
+        load_profile({"kind": "tabulated", "profile": "force", **samples, "f0": 1.0})
+    (tmp_path / "f.csv").write_text("".join(f"{t},{v}\n" for t, v in zip(*samples.values())))
+    with pytest.raises(ProfileError, match=r"^tabulated profile does not take fields \['T'\]$"):
+        load_profile({"kind": "tabulated", "profile": "force", "csv": str(tmp_path / "f.csv"),
+                      "T": 1.0})
+
+
+@pytest.mark.parametrize("inline", [("times",), ("values",), ("times", "values")])
+def test_tabulated_document_with_csv_and_inline_samples_is_refused(tmp_path, inline):
+    ts = np.arange(-8.0, 8.01, 0.125)
+    samples = {"times": list(ts), "values": list(np.exp(-ts**2))}
+    (tmp_path / "f.csv").write_text("".join(f"{t},{v}\n" for t, v in zip(*samples.values())))
+    doc = {"kind": "tabulated", "profile": "force", "csv": "f.csv"}
+    (tmp_path / "p.json").write_text(json.dumps(doc))
+    assert load_profile(tmp_path / "p.json").times.size == ts.size
+    (tmp_path / "p.json").write_text(json.dumps({**doc, **{k: samples[k] for k in inline}}))
+    with pytest.raises(ProfileError, match="^tabulated profile takes times/values or a csv path, "
+                                           "not both$"):
+        load_profile(tmp_path / "p.json")
+
+
+def _readme_profile_block():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Profile kinds:\n\n```\n(.*?)```", text, re.S)
+    assert block, "README has no 'Profile kinds' block"
+    return block.group(1).splitlines()
+
+
+def test_readme_profile_block_names_exactly_the_kinds():
+    kinds = {json.loads(line.replace("[...]", "null"))["kind"] for line in _readme_profile_block()}
+    assert kinds == {*_FORCE_KINDS, *_FREQUENCY_KINDS, "tabulated"}
+
+
+@pytest.mark.parametrize("line", _readme_profile_block())
+def test_readme_profile_document_loads_to_its_constructor(tmp_path, line):
+    doc = json.loads(line.replace("[...]", "null"))
+    cls = {"nu": ForceProfile, "rho": FrequencyProfile}
+    if doc["kind"] != "tabulated":
+        what = "nu" if doc["kind"] in _FORCE_KINDS else "rho"
+        params = {k: v for k, v in doc.items() if k != "kind"}
+        assert load_profile(doc) == getattr(cls[what], doc["kind"])(**params)
+        return
+    what = "nu" if doc["profile"] == "force" else "rho"
+    ts = np.linspace(-12.0, 12.0, 200)
+    values = np.exp(-ts**2) if what == "nu" else np.sqrt(2.5 + 1.5 * np.tanh(ts))
+    if "csv" in doc:
+        rows = zip(ts.tolist(), values.tolist())
+        (tmp_path / doc["csv"]).write_text("".join(f"{t!r},{v!r}\n" for t, v in rows))
+    else:
+        doc["times"], doc["values"] = ts.tolist(), values.tolist()
+    (tmp_path / "p.json").write_text(json.dumps(doc))
+    prof = load_profile(tmp_path / "p.json")
+    want = cls[what].tabulated(ts, values)
+    assert type(prof) is type(want) and (prof.kind, prof.params) == (want.kind, want.params)
+    assert np.array_equal(prof.times, want.times) and np.array_equal(prof.values, want.values)
 
 
 # -- nu extraction -----------------------------------------------------------
@@ -543,13 +641,13 @@ def _closed_form_cases():
 
 
 def test_tanh_ramp_closed_form_against_mpmath():
-    from oscigen.excitation import _tanh_ramp_rho
+    from oscigen.profiles import _tanh_ramp_rho
 
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     with mpmath.workdps(50):
         for w2m, w2p, T in _closed_form_cases():
-            got = _tanh_ramp_rho(FrequencyProfile.tanh_ramp(w2m, w2p, T))
+            got = _tanh_ramp_rho(FrequencyProfile.tanh_ramp(w2m, w2p, T).params)
             want = _mp_tanh_rho(mpmath, w2m, w2p, T)
             # relative, down to where rho leaves the normal double range
             err = abs(got - want) / max(want, mpmath.mpf(2.0**-1022))
@@ -558,18 +656,18 @@ def test_tanh_ramp_closed_form_against_mpmath():
 
 
 def test_tanh_ramp_closed_form_edges():
-    from oscigen.excitation import _tanh_ramp_rho
+    from oscigen.profiles import _tanh_ramp_rho
 
     # equal asymptotes reflect nothing, even where T (w+ + w-) overflows
     # and where pi T / 2 does, which makes the general form inf * 0
     for T in (1.0, 1e308, 1.5e308):
-        assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(3.0, 3.0, T)) == 0.0
+        assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(3.0, 3.0, T).params) == 0.0
     # a slow ramp underflows where sinh would overflow
-    assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, 1e5)) == 0.0
-    assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, 1e300)) == 0.0
+    assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, 1e5).params) == 0.0
+    assert _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, 1e300).params) == 0.0
     # a ramp so fast that pi T (w+ + w-) underflows is the sudden step
     for T in (1e-300, 5e-324):
-        rho = _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, T))
+        rho = _tanh_ramp_rho(FrequencyProfile.tanh_ramp(1.0, 4.0, T).params)
         assert rho == pytest.approx(1.0 / 9.0, rel=1e-15, abs=0.0)
 
 
@@ -610,6 +708,17 @@ def test_closed_form_kinds_need_finite_numbers(value):
         FrequencyProfile.tanh_ramp(1.0, 4.0, value)
     with pytest.raises(ProfileError, match="'f0' must be a finite number"):
         ForceProfile.gaussian(value, 1.0)
+
+
+def test_constant_frequency_is_the_exact_identity():
+    # no projection: one at t = 0 leaves a rounding-level Wronskian
+    # residual for about a quarter of these omega
+    rng = np.random.default_rng(37)
+    for w in np.exp(rng.uniform(-20.0, 20.0, 2000)).tolist():
+        r = bogoliubov_from_frequency(FrequencyProfile.constant(w))
+        assert (r.alpha, r.beta, r.rho, r.wronskian_residual, r.steps) == (1.0, 0.0, 0.0, 0.0, 0)
+        assert type(r.rho) is float and type(r.wronskian_residual) is float
+        assert excitation_report(FrequencyProfile.constant(w)).wronskian_residual == 0.0
 
 
 def test_rho_tanh_ramp_without_a_step():
